@@ -121,6 +121,11 @@ module Binary_bb_bool = Binary_bb.Make (Fallback_bool)
 
 (* ---- the five Protocol.S instances ------------------------------------- *)
 
+(* Every [encode_msg] takes its message explicitly: a point-free
+   [Format.asprintf "%a" pp] builds one buffer and formatter when the module
+   loads, and every domain running a traced instance would then write into
+   that same formatter. *)
+
 module Fallback_protocol = struct
   type value = string
 
@@ -136,7 +141,7 @@ module Fallback_protocol = struct
 
   let name = "fallback"
   let words = Epk_str.words
-  let encode_msg = Format.asprintf "%a" Epk_str.pp_msg
+  let encode_msg m = Format.asprintf "%a" Epk_str.pp_msg m
 
   let default_params cfg =
     {
@@ -197,7 +202,7 @@ module Weak_ba_protocol = struct
 
   let name = "weak-ba"
   let words = Weak_str.words
-  let encode_msg = Format.asprintf "%a" Weak_str.pp_msg
+  let encode_msg m = Format.asprintf "%a" Weak_str.pp_msg m
 
   let default_params cfg =
     {
@@ -228,7 +233,9 @@ module Weak_ba_protocol = struct
   let decision = Weak_str.decision
 
   let decided_str st =
-    Option.map (Format.asprintf "%a" Weak_str.pp_outcome) (Weak_str.decision st)
+    match Weak_str.decision st with
+    | None -> None
+    | Some d -> Some (Format.asprintf "%a" Weak_str.pp_outcome d)
 
   let decided_at = Weak_str.decided_at
 
@@ -365,7 +372,7 @@ module Bb_protocol = struct
 
   let name = "bb"
   let words = Adaptive_bb.words
-  let encode_msg = Format.asprintf "%a" Adaptive_bb.pp_msg
+  let encode_msg m = Format.asprintf "%a" Adaptive_bb.pp_msg m
   let default_params _cfg = { sender = 0; input = "v" }
 
   let mutate_params p ~salt =
@@ -387,9 +394,9 @@ module Bb_protocol = struct
   let decision = Adaptive_bb.decision
 
   let decided_str st =
-    Option.map
-      (Format.asprintf "%a" Adaptive_bb.pp_decision)
-      (Adaptive_bb.decision st)
+    match Adaptive_bb.decision st with
+    | None -> None
+    | Some d -> Some (Format.asprintf "%a" Adaptive_bb.pp_decision d)
 
   let decided_at = Adaptive_bb.decided_at
 
@@ -423,7 +430,7 @@ module Binary_bb_protocol = struct
 
   let name = "binary-bb"
   let words = Binary_bb_bool.words
-  let encode_msg = Format.asprintf "%a" Binary_bb_bool.pp_msg
+  let encode_msg m = Format.asprintf "%a" Binary_bb_bool.pp_msg m
   let default_params _cfg = { sender = 0; input = true }
   let mutate_params p ~salt = { p with input = salt mod 2 = 0 }
   let validate_params ~cfg:_ ~params:_ = ()
@@ -476,7 +483,7 @@ module Strong_ba_protocol = struct
 
   let name = "strong-ba"
   let words = Strong_bool.words
-  let encode_msg = Format.asprintf "%a" Strong_bool.pp_msg
+  let encode_msg m = Format.asprintf "%a" Strong_bool.pp_msg m
   let default_params cfg = { leader = 0; inputs = Array.make cfg.Config.n true }
 
   let mutate_params p ~salt =

@@ -8,7 +8,7 @@ struct
   let commit_purpose = "wba-commit"
   let finalize_purpose = "wba-fin"
   let helpreq_purpose = "wba-helpreq"
-  let phased_payload phase v = Printf.sprintf "%d|%s" phase (V.encode v)
+  let phased_payload phase v = Decimal.of_int phase ^ "|" ^ V.encode v
 
   type msg =
     | Propose of { phase : int; value : V.t; sg : Pki.Sig.t }

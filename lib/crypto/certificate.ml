@@ -1,4 +1,7 @@
-type t = { purpose : string; payload : string; tsig : Pki.Tsig.t }
+(* [msg] is [signed_message ~purpose ~payload], built once wherever a
+   certificate is built, so every receiver's {!verify} hands the threshold
+   check the same physical string instead of re-formatting it. *)
+type t = { purpose : string; payload : string; msg : string; tsig : Pki.Tsig.t }
 
 let purpose c = c.purpose
 let payload c = c.payload
@@ -7,16 +10,23 @@ let cardinality c = Pki.Tsig.cardinality c.tsig
 let signed_message ~purpose ~payload =
   (* Length-prefixed fields: no payload/purpose pair can collide with
      another. *)
-  Printf.sprintf "cert|%d|%s|%d|%s" (String.length purpose) purpose
-    (String.length payload) payload
+  String.concat "|"
+    [
+      "cert";
+      Mewc_prelude.Decimal.of_int (String.length purpose);
+      purpose;
+      Mewc_prelude.Decimal.of_int (String.length payload);
+      payload;
+    ]
 
 let share pki secret ~purpose ~payload =
   Pki.sign pki secret (signed_message ~purpose ~payload)
 
 let make pki ~k ~purpose ~payload shares =
-  match Pki.combine pki ~k ~msg:(signed_message ~purpose ~payload) shares with
+  let msg = signed_message ~purpose ~payload in
+  match Pki.combine pki ~k ~msg shares with
   | None -> None
-  | Some tsig -> Some { purpose; payload; tsig }
+  | Some tsig -> Some { purpose; payload; msg; tsig }
 
 module Tally = struct
   type cert = t
@@ -24,11 +34,13 @@ module Tally = struct
   type t = {
     purpose : string;
     payload : string;
+    msg : string;
     tally : Pki.Tally.t;
   }
 
   let create pki ~k ~purpose ~payload =
-    { purpose; payload; tally = Pki.tally pki ~k ~msg:(signed_message ~purpose ~payload) }
+    let msg = signed_message ~purpose ~payload in
+    { purpose; payload; msg; tally = Pki.tally pki ~k ~msg }
 
   let add tl share = Pki.Tally.add tl.tally share
   let count tl = Pki.Tally.count tl.tally
@@ -37,17 +49,17 @@ module Tally = struct
 
   let certificate tl : cert option =
     Pki.Tally.certificate tl.tally
-    |> Option.map (fun tsig -> { purpose = tl.purpose; payload = tl.payload; tsig })
+    |> Option.map (fun tsig ->
+           { purpose = tl.purpose; payload = tl.payload; msg = tl.msg; tsig })
 end
 
 module Wire = struct
   let view c = (c.purpose, c.payload, c.tsig)
-  let of_view ~purpose ~payload ~tsig = { purpose; payload; tsig }
+  let of_view ~purpose ~payload ~tsig =
+    { purpose; payload; msg = signed_message ~purpose ~payload; tsig }
 end
 
-let verify pki c ~k =
-  Pki.verify_tsig pki c.tsig ~k
-    ~msg:(signed_message ~purpose:c.purpose ~payload:c.payload)
+let verify pki c ~k = Pki.verify_tsig pki c.tsig ~k ~msg:c.msg
 
 let verify_as pki c ~k ~purpose = String.equal c.purpose purpose && verify pki c ~k
 

@@ -196,7 +196,7 @@ let sign t (secret : Secret.t) msg =
    ':' is the message verbatim. *)
 let share_tag t p msg =
   Memo.find_or_add t.tag_memo
-    (string_of_int p ^ ":" ^ msg)
+    (Decimal.of_int p ^ ":" ^ msg)
     (fun () ->
       (* Timed on the miss path only: a cache hit is a hashtable probe, and
          timing it would drown the signal in clock reads. *)
@@ -218,18 +218,22 @@ module Tsig = struct
      clears for free. Under the sharded engine concurrent writes to the
      cell race benignly: a pointer store cannot tear, every written value
      is a valid verdict for the same immutable tag, and a lost update only
-     costs a re-verification. *)
+     costs a re-verification.
+
+     [count] is [Pid.Set.cardinal signers], computed once where the value is
+     built: every receiver's threshold check reads it instead of walking
+     the set. *)
   type nonrec t = {
     signers : Pid.Set.t;
+    count : int;
     tag : Sha256.t;
     mutable ok_for : (t * string) option;
   }
 
-  let cardinality ts = Pid.Set.cardinal ts.signers
+  let make signers ~count tag = { signers; count; tag; ok_for = None }
+  let cardinality ts = ts.count
   let equal a b = Pid.Set.equal a.signers b.signers && Sha256.equal a.tag b.tag
-
-  let pp fmt ts =
-    Format.fprintf fmt "<tsig:%d shares>" (Pid.Set.cardinal ts.signers)
+  let pp fmt ts = Format.fprintf fmt "<tsig:%d shares>" ts.count
 end
 
 (* The aggregate tag binds the signer set and the message: it is the digest
@@ -242,7 +246,7 @@ let aggregate_tag t signers ~msg =
     let b = Buffer.create 64 in
     Pid.Set.iter
       (fun p ->
-        Buffer.add_string b (string_of_int p);
+        Buffer.add_string b (Decimal.of_int p);
         Buffer.add_char b ',')
       signers;
     Buffer.add_char b ':';
@@ -257,6 +261,15 @@ let aggregate_tag t signers ~msg =
             signers;
           Sha256.digest (Buffer.contents buf)))
 
+(* The threshold signature over exactly the [k] lowest ids of [valid], which
+   holds at least [k] signers — kept for determinism by both {!combine} and
+   {!Tally.certificate}. *)
+let lowest_k t ~k ~msg valid =
+  let signers =
+    Pid.Set.elements valid |> List.filteri (fun i _ -> i < k) |> Pid.Set.of_list
+  in
+  Tsig.make signers ~count:(max 0 k) (aggregate_tag t signers ~msg)
+
 let combine t ~k ~msg shares =
   Atomic.incr t.combines;
   meter t (fun m -> m.combines_m);
@@ -264,19 +277,12 @@ let combine t ~k ~msg shares =
     List.filter (fun s -> verify t s ~msg) shares
     |> List.map Sig.signer |> Pid.Set.of_list
   in
-  if Pid.Set.cardinal valid < k then None
-  else begin
-    (* Keep exactly the k lowest signer ids, for determinism. *)
-    let signers =
-      Pid.Set.elements valid |> List.filteri (fun i _ -> i < k) |> Pid.Set.of_list
-    in
-    Some { Tsig.signers; tag = aggregate_tag t signers ~msg; ok_for = None }
-  end
+  if Pid.Set.cardinal valid < k then None else Some (lowest_k t ~k ~msg valid)
 
 let verify_tsig t (ts : Tsig.t) ~k ~msg =
   Atomic.incr t.verifies;
   meter t (fun m -> m.verifies_m);
-  Pid.Set.cardinal ts.Tsig.signers >= k
+  ts.Tsig.count >= k
   && (* The cardinality check stays outside the shortcut: the same tag can
         legitimately pass at one [k] and fail at a larger one. *)
   match ts.Tsig.ok_for with
@@ -291,7 +297,8 @@ let verify_tsig t (ts : Tsig.t) ~k ~msg =
 
 (* Incremental quorum accounting: verify each share once, on delivery, and
    keep a running signer set — instead of stockpiling shares and re-verifying
-   the whole batch inside {!combine} when the quorum finally lands. *)
+   the whole batch inside {!combine} when the quorum finally lands. [count]
+   tracks the set's cardinality, so {!complete} is a comparison. *)
 module Tally = struct
   type verdict = Added | Duplicate | Invalid
 
@@ -300,6 +307,7 @@ module Tally = struct
     msg : string;
     k : int;
     mutable signers : Pid.Set.t;
+    mutable count : int;
   }
 
   let add tl (s : Sig.t) =
@@ -312,11 +320,12 @@ module Tally = struct
       if Pid.Set.mem p tl.signers then Duplicate
       else begin
         tl.signers <- Pid.Set.add p tl.signers;
+        tl.count <- tl.count + 1;
         Added
       end
     end
 
-  let count tl = Pid.Set.cardinal tl.signers
+  let count tl = tl.count
   let mem tl p = Pid.Set.mem p tl.signers
   let complete tl = count tl >= tl.k
 
@@ -326,18 +335,13 @@ module Tally = struct
       let t = tl.pki in
       Atomic.incr t.combines;
       meter t (fun m -> m.combines_m);
-      (* Keep exactly the k lowest signer ids — byte-identical to what
-         {!combine} would return for the same valid-signer set. *)
-      let signers =
-        Pid.Set.elements tl.signers
-        |> List.filteri (fun i _ -> i < tl.k)
-        |> Pid.Set.of_list
-      in
-      Some { Tsig.signers; tag = aggregate_tag t signers ~msg:tl.msg; ok_for = None }
+      (* Byte-identical to what {!combine} returns for the same valid
+         signers. *)
+      Some (lowest_k t ~k:tl.k ~msg:tl.msg tl.signers)
     end
 end
 
-let tally t ~k ~msg = { Tally.pki = t; msg; k; signers = Pid.Set.empty }
+let tally t ~k ~msg = { Tally.pki = t; msg; k; signers = Pid.Set.empty; count = 0 }
 
 module Wire = struct
   let sig_view (s : Sig.t) = (s.Sig.signer, s.Sig.tag)
@@ -345,7 +349,8 @@ module Wire = struct
   let tsig_view (ts : Tsig.t) = (Pid.Set.elements ts.Tsig.signers, ts.Tsig.tag)
 
   let tsig_of_view ~signers ~tag =
-    { Tsig.signers = Pid.Set.of_list signers; tag; ok_for = None }
+    let signers = Pid.Set.of_list signers in
+    Tsig.make signers ~count:(Pid.Set.cardinal signers) tag
 end
 
 let signatures_created t = Atomic.get t.signs

@@ -10,7 +10,7 @@ module Make (V : Value.S) = struct
   let propose_purpose = "fb-propose"
   let commit_purpose = "fb-commit"
   let ack_purpose = "fb-ack"
-  let phased_payload phase v = Printf.sprintf "%d|%s" phase (V.encode v)
+  let phased_payload phase v = Decimal.of_int phase ^ "|" ^ V.encode v
 
   type justification =
     | Unjustified

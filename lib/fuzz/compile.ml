@@ -122,7 +122,7 @@ let adversary (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
     take cap
       (List.map
          (fun e -> (e.Envelope.msg, (e.Envelope.dst + shift) mod n))
-         view.Adversary.correct_outgoing)
+         (Adversary.correct_outgoing view))
   in
   let byz_step ~pid view =
     match Hashtbl.find_opt by_pid pid with

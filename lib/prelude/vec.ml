@@ -31,7 +31,7 @@ let to_rev_list v =
 
 let sorted_ints v =
   let a = Array.init v.len (fun i -> v.data.(i)) in
-  Array.sort compare a;
+  Array.sort Int.compare a;
   a
 
 let iter f v =

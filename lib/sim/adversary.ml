@@ -4,12 +4,13 @@ type ('s, 'm) view = {
   states : 's array Lazy.t;
   corrupted : bool array Lazy.t;
   inboxes : 'm Envelope.t list array Lazy.t;
-  correct_outgoing : 'm Envelope.t list;
+  correct_outgoing : 'm Envelope.t list Lazy.t;
 }
 
 let states v = Lazy.force v.states
 let corrupted v = Lazy.force v.corrupted
 let inboxes v = Lazy.force v.inboxes
+let correct_outgoing v = Lazy.force v.correct_outgoing
 
 type ('s, 'm) t = {
   name : string;

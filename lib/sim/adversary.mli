@@ -22,14 +22,15 @@ type ('s, 'm) view = {
   corrupted : bool array Lazy.t;
   inboxes : 'm Envelope.t list array Lazy.t;
       (** what each process received this slot *)
-  correct_outgoing : 'm Envelope.t list;
+  correct_outgoing : 'm Envelope.t list Lazy.t;
       (** messages correct processes send in this slot — empty during the
           corruption decision, populated for Byzantine steps (rushing) *)
 }
 (** The engine hands out defensive copies of its arrays so an adversary can
     never mutate the run from under it — but the copies are {e lazy}: an
     adversary that never looks (honest, crash, staggered-crash — the bulk
-    of every sweep) costs the engine nothing per slot. Force inside the
+    of every sweep) costs the engine nothing per slot, and the same holds
+    for the envelope list behind [correct_outgoing]. Force inside the
     [corrupt]/[byz_step] callback that received the view; the thunks
     snapshot at first force, so a view stashed and forced in a later slot
     would observe later state. *)
@@ -37,7 +38,8 @@ type ('s, 'm) view = {
 val states : ('s, 'm) view -> 's array
 val corrupted : ('s, 'm) view -> bool array
 val inboxes : ('s, 'm) view -> 'm Envelope.t list array
-(** Forcing accessors for the lazy snapshot fields. *)
+val correct_outgoing : ('s, 'm) view -> 'm Envelope.t list
+(** Forcing accessors for the lazy fields. *)
 
 type ('s, 'm) t = {
   name : string;

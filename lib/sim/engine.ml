@@ -300,7 +300,7 @@ let run_legacy ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     (* 1. Adaptive corruption, before correct processes act this slot. *)
     let new_corruptions =
       timed Profile.Adversary "adversary.corrupt" (fun () ->
-          adversary.Adversary.corrupt (view []))
+          adversary.Adversary.corrupt (view (Lazy.from_val [])))
     in
     List.iter
       (fun p ->
@@ -386,13 +386,17 @@ let run_legacy ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
         end
       done
     | _ -> ());
+    let correct_sends = List.rev !correct_sends in
+    (* Built only if an adversary forces it: honest and crash adversaries
+       never read this slot's correct envelopes. *)
     let correct_outgoing =
-      List.concat_map
-        (fun (src, pres) ->
-          List.map
-            (fun (msg, dst, _, _) -> { Envelope.src; dst; sent_at = slot; msg })
-            pres)
-        (List.rev !correct_sends)
+      lazy
+        (List.concat_map
+           (fun (src, pres) ->
+             List.map
+               (fun (msg, dst, _, _) -> { Envelope.src; dst; sent_at = slot; msg })
+               pres)
+           correct_sends)
     in
     (* 3. Byzantine processes step, seeing this slot's correct sends. *)
     let byz_view = view correct_outgoing in
@@ -407,7 +411,7 @@ let run_legacy ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     timed Profile.Engine "engine.post" (fun () ->
         List.iter
           (fun (src, pres) -> List.iter (post_pre ~slot ~src) pres)
-          (List.rev !correct_sends);
+          correct_sends;
         (* Byzantine sends go through the unsplit [post]: their fates are
            derived from their own per-sender [seq] indices, disjoint from
            nothing — (slot, src) already isolates them, since a corrupted
@@ -650,7 +654,7 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     (* 1. Adaptive corruption, before correct processes act this slot. *)
     let new_corruptions =
       timed Profile.Adversary "adversary.corrupt" (fun () ->
-          adversary.Adversary.corrupt (view []))
+          adversary.Adversary.corrupt (view (Lazy.from_val [])))
     in
     List.iter
       (fun p ->
@@ -752,13 +756,17 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
         done
       else Vec.iter scan stepped
     | _ -> ());
+    let correct_sends = List.rev !correct_sends in
+    (* Built only if an adversary forces it: honest and crash adversaries
+       never read this slot's correct envelopes. *)
     let correct_outgoing =
-      List.concat_map
-        (fun (src, pres) ->
-          List.map
-            (fun (msg, dst, _, _) -> { Envelope.src; dst; sent_at = slot; msg })
-            pres)
-        (List.rev !correct_sends)
+      lazy
+        (List.concat_map
+           (fun (src, pres) ->
+             List.map
+               (fun (msg, dst, _, _) -> { Envelope.src; dst; sent_at = slot; msg })
+               pres)
+           correct_sends)
     in
     (* 3. Byzantine processes step, seeing this slot's correct sends. *)
     let byz_view = view correct_outgoing in
@@ -773,7 +781,7 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     timed Profile.Engine "engine.post" (fun () ->
         List.iter
           (fun (src, pres) -> List.iter (post_pre ~slot ~src) pres)
-          (List.rev !correct_sends);
+          correct_sends;
         (* Byzantine sends go through the unsplit [post]: their fates are
            derived from their own per-sender [seq] indices, disjoint from
            nothing — (slot, src) already isolates them, since a corrupted

@@ -9,12 +9,35 @@ type cell = {
 
 let fresh_cell () = { words = 0; messages = 0; byz_words = 0; byz_messages = 0 }
 
+(* A series is a flat, growable [int array] of four-field rows indexed by
+   slot or pid — (words, messages, byz_words, byz_messages) at offsets
+   0..3 — so a charge is index arithmetic, with no lookup and no
+   allocation. A row that was never charged reads all-zero. *)
+type series = { mutable rows : int array }
+
+let fields = 4
+let series capacity = { rows = Array.make (capacity * fields) 0 }
+
+let bump s ix ~byzantine ~words =
+  if ix < 0 then invalid_arg "Meter.charge: negative slot or pid";
+  let need = (ix + 1) * fields in
+  if need > Array.length s.rows then begin
+    let rows = Array.make (max need (2 * Array.length s.rows)) 0 in
+    Array.blit s.rows 0 rows 0 (Array.length s.rows);
+    s.rows <- rows
+  end;
+  let o = (ix * fields) + if byzantine then 2 else 0 in
+  s.rows.(o) <- s.rows.(o) + words;
+  s.rows.(o + 1) <- s.rows.(o + 1) + 1
+
+let rows_len s = Array.length s.rows / fields
+
 type t = {
   totals : cell;
   mutable current_slot : int;
   mutable max_slot : int;  (* highest slot begun; -1 before any *)
-  per_slot : (int, cell) Hashtbl.t;
-  per_process : (int, cell) Hashtbl.t;
+  per_slot : series;
+  per_process : series;
 }
 
 let create () =
@@ -22,40 +45,30 @@ let create () =
     totals = fresh_cell ();
     current_slot = 0;
     max_slot = -1;
-    per_slot = Hashtbl.create 64;
-    per_process = Hashtbl.create 16;
+    per_slot = series 64;
+    per_process = series 16;
   }
 
 let begin_slot m ~slot =
   m.current_slot <- slot;
   if slot > m.max_slot then m.max_slot <- slot
 
-let cell_of tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some c -> c
-  | None ->
-    let c = fresh_cell () in
-    Hashtbl.add tbl key c;
-    c
-
 let charge m ~byzantine ~src ~dst ~words =
   if words < 1 then invalid_arg "Meter.charge: each message is at least 1 word";
   if src = dst then false (* self-addressed: crosses no link, free *)
   else begin
-    let slot_cell = cell_of m.per_slot m.current_slot in
-    let proc_cell = cell_of m.per_process src in
+    bump m.per_slot m.current_slot ~byzantine ~words;
+    bump m.per_process src ~byzantine ~words;
     if m.current_slot > m.max_slot then m.max_slot <- m.current_slot;
-    List.iter
-      (fun c ->
-        if byzantine then begin
-          c.byz_words <- c.byz_words + words;
-          c.byz_messages <- c.byz_messages + 1
-        end
-        else begin
-          c.words <- c.words + words;
-          c.messages <- c.messages + 1
-        end)
-      [ m.totals; slot_cell; proc_cell ];
+    let c = m.totals in
+    if byzantine then begin
+      c.byz_words <- c.byz_words + words;
+      c.byz_messages <- c.byz_messages + 1
+    end
+    else begin
+      c.words <- c.words + words;
+      c.messages <- c.messages + 1
+    end;
     true
   end
 
@@ -71,8 +84,8 @@ let reset m =
   m.totals.byz_messages <- 0;
   m.current_slot <- 0;
   m.max_slot <- -1;
-  Hashtbl.reset m.per_slot;
-  Hashtbl.reset m.per_process
+  Array.fill m.per_slot.rows 0 (Array.length m.per_slot.rows) 0;
+  Array.fill m.per_process.rows 0 (Array.length m.per_process.rows) 0
 
 type row = {
   ix : int;
@@ -91,27 +104,25 @@ type snapshot = {
   per_process : row list;
 }
 
-let row_of ix (c : cell) =
-  {
-    ix;
-    words = c.words;
-    messages = c.messages;
-    byz_words = c.byz_words;
-    byz_messages = c.byz_messages;
-  }
-
-let zero_row ix = { ix; words = 0; messages = 0; byz_words = 0; byz_messages = 0 }
+let row_of s ix =
+  if ix >= rows_len s then
+    { ix; words = 0; messages = 0; byz_words = 0; byz_messages = 0 }
+  else
+    let o = ix * fields in
+    {
+      ix;
+      words = s.rows.(o);
+      messages = s.rows.(o + 1);
+      byz_words = s.rows.(o + 2);
+      byz_messages = s.rows.(o + 3);
+    }
 
 let snapshot m =
-  let per_slot =
-    List.init (m.max_slot + 1) (fun slot ->
-        match Hashtbl.find_opt m.per_slot slot with
-        | Some c -> row_of slot c
-        | None -> zero_row slot)
-  in
+  let per_slot = List.init (m.max_slot + 1) (row_of m.per_slot) in
+  (* Every charge counts a message, so a pid has sent iff its row does. *)
   let per_process =
-    Hashtbl.fold (fun pid c acc -> row_of pid c :: acc) m.per_process []
-    |> List.sort (fun a b -> Int.compare a.ix b.ix)
+    List.init (rows_len m.per_process) (row_of m.per_process)
+    |> List.filter (fun r -> r.messages + r.byz_messages > 0)
   in
   {
     correct_words = m.totals.words;

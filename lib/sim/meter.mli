@@ -30,7 +30,11 @@ val charge :
 (** Account one message of the given size; returns whether it was charged.
     Self-addressed messages ([src = dst]) cross no link: they are free and
     return [false]. Raises [Invalid_argument] if [words < 1] (even for a
-    self-send — a 0-word message is a wire-format bug regardless). *)
+    self-send — a 0-word message is a wire-format bug regardless), or if a
+    charged message has a negative [src] or falls in a negative slot.
+
+    Both series are flat arrays indexed by slot and by pid, so a charge
+    allocates nothing beyond the occasional doubling of a series. *)
 
 val correct_words : t -> int
 val correct_messages : t -> int

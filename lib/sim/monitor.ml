@@ -177,14 +177,24 @@ let early_termination ~name ~bound =
             (Printf.sprintf "last decision at slot %d > bound %d at f=%d" s b !f))
     ()
 
+(* Sends are packed as four ints — src, dst, sent_at, counted words — into
+   fixed-size chunks, so recording one costs four stores and no allocation
+   beyond a fresh chunk every [chunk_sends] sends. *)
+let chunk_sends = 1024
+
 let cone_words_bound ~cfg ~name ?(check_every = 1) ~bound () =
   if check_every < 1 then invalid_arg "cone_words_bound: check_every < 1";
   let n = cfg.Config.n in
   let f = ref 0 in
-  (* Newest-first, so walking the list visits sends in descending id order —
-     sent slots never increase along the walk, which is exactly what the
-     backward frontier pass needs. *)
-  let sends = ref [] in
+  (* Full chunks newest-first, then the chunk being filled: walking [current]
+     down from [fill] and then each full chunk from its end visits sends in
+     descending id order — sent slots never increase along the walk, which
+     is exactly what the backward frontier pass needs. *)
+  let full = ref [] in
+  let current = ref (Array.make (4 * chunk_sends) 0) in
+  let fill = ref 0 in
+  (* Counted words over the whole run so far. *)
+  let total = ref 0 in
   let decisions_seen = ref 0 in
   make ~name
     ~on_event:(fun ~violate -> function
@@ -200,10 +210,28 @@ let cone_words_bound ~cfg ~name ?(check_every = 1) ~bound () =
         (* Every message propagates causality, but only charged sends by
            correct processes count words — the paper's measure. *)
         let counted = if charged && not byzantine_sender then words else 0 in
-        sends := (src, dst, sent_at, counted) :: !sends
+        total := !total + counted;
+        if !fill = chunk_sends then begin
+          full := !current :: !full;
+          current := Array.make (4 * chunk_sends) 0;
+          fill := 0
+        end;
+        let c = !current and o = 4 * !fill in
+        c.(o) <- src;
+        c.(o + 1) <- dst;
+        c.(o + 2) <- sent_at;
+        c.(o + 3) <- counted;
+        incr fill
       | Trace.Decision { slot; pid; _ } ->
         incr decisions_seen;
-        if (!decisions_seen - 1) mod check_every = 0 then begin
+        let b =
+          if (!decisions_seen - 1) mod check_every = 0 then bound ~f:!f
+          else max_int
+        in
+        (* A cone is a subset of the run's sends, so it spends at most
+           [!total]: within the bound, no cone can exceed it and the pass
+           would find nothing. *)
+        if !total > b then begin
           (* Frontier pass: [frontier.(q)] is the latest slot of [q]'s steps
              inside the decision's causal past. A message sent at slot [k]
              and delivered at [k + 1] is in the cone iff its receiver's
@@ -215,14 +243,18 @@ let cone_words_bound ~cfg ~name ?(check_every = 1) ~bound () =
           let frontier = Array.make n min_int in
           frontier.(pid) <- slot;
           let cone_words = ref 0 in
-          List.iter
-            (fun (src, dst, sent_at, counted) ->
-              if sent_at + 1 <= frontier.(dst) then begin
-                cone_words := !cone_words + counted;
+          let walk c upto =
+            for i = upto - 1 downto 0 do
+              let o = 4 * i in
+              let src = c.(o) and sent_at = c.(o + 2) in
+              if sent_at + 1 <= frontier.(c.(o + 1)) then begin
+                cone_words := !cone_words + c.(o + 3);
                 if sent_at > frontier.(src) then frontier.(src) <- sent_at
-              end)
-            !sends;
-          let b = bound ~f:!f in
+              end
+            done
+          in
+          walk !current !fill;
+          List.iter (fun c -> walk c chunk_sends) !full;
           if !cone_words > b then
             violate ~slot
               (Printf.sprintf

@@ -118,7 +118,9 @@ val cone_words_bound :
     [bound ~f] at the realized [f] — the per-decision measured counterpart
     of the paper's adaptive bounds. Each check costs O(sends + n) via a
     backward frontier pass; [check_every] (default 1, i.e. every decision)
-    samples every k-th decision to keep large-n sweeps cheap. Raises
+    samples every k-th decision to keep large-n sweeps cheap. The pass is
+    skipped while the run's total counted words are within the bound: a
+    cone is a subset of the run, so the verdict is the same. Raises
     [Invalid_argument] if [check_every < 1]. *)
 
 val early_termination : name:string -> bound:(f:int -> int) -> 'm t

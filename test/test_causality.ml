@@ -167,7 +167,9 @@ let run_with_cone_bound (Fuzz.Campaign.Target { protocol; params; _ })
        ())
 
 (* The online monitor must accept the offline maximum cone exactly and
-   reject one word less — the two implementations agree to the word. *)
+   reject one word less — the two implementations agree to the word. One
+   word less trips at the first decision (in trace order) whose offline
+   cone is the maximum, with that decision's pid, cone, bound and f. *)
 let test_monitor_matches_offline () =
   let target =
     List.find
@@ -188,11 +190,41 @@ let test_monitor_matches_offline () =
         | _ -> ()
         | exception Monitor.Violation v ->
           Alcotest.failf "#%d: exact bound violated: %s" i v.Monitor.reason);
-        if max_cone > 0 then
+        if max_cone > 0 then begin
+          let first =
+            List.find
+              (fun (s : Causality.summary) -> s.Causality.cone_words = max_cone)
+              (Causality.summaries c)
+          in
+          let f_at_first =
+            let f = ref 0 in
+            let rec go = function
+              | [] -> Alcotest.fail "decision missing from the trace"
+              | Trace.Corruption { f = f'; _ } :: rest ->
+                f := f';
+                go rest
+              | Trace.Decision { pid; slot; _ } :: _
+                when pid = first.Causality.pid && slot = first.Causality.slot ->
+                !f
+              | _ :: rest -> go rest
+            in
+            go (Trace.events tr)
+          in
+          let expected =
+            Printf.sprintf
+              "p%d's decision has a causal cone of %d words > bound %d at f=%d"
+              first.Causality.pid max_cone (max_cone - 1) f_at_first
+          in
           match run_with_cone_bound target sc ~bound:(max_cone - 1) with
           | _ -> Alcotest.failf "#%d: bound %d should have tripped" i (max_cone - 1)
           | exception Monitor.Violation v ->
-            Alcotest.(check string) "monitor name" "cone-exact" v.Monitor.monitor
+            Alcotest.(check string) "monitor name" "cone-exact" v.Monitor.monitor;
+            Alcotest.(check int) "slot" first.Causality.slot v.Monitor.slot;
+            Alcotest.(check bool)
+              (Printf.sprintf "reason %S starts with %S" v.Monitor.reason expected)
+              true
+              (String.starts_with ~prefix:(expected ^ " [replay:") v.Monitor.reason)
+        end
       end)
     (scenarios 5)
 
@@ -243,11 +275,22 @@ let run_flood ~dup ~bound =
 let test_overtalkative_trips_cone_bound () =
   let bound = cfg.Config.n - 1 in
   (* honest: every cone is exactly the n - 1 charged slot-0 words addressed
-     to the decider, so the bound is tight and passes *)
+     to the decider, so the bound is tight and passes. The run's total is
+     n(n - 1), past the bound, so the monitor cannot skip its frontier pass
+     here: one word less must report the exact cone. *)
   (match run_flood ~dup:1 ~bound with
-  | _ -> ()
+  | o ->
+    Alcotest.(check bool) "global total exceeds the bound" true
+      (Meter.correct_words o.Engine.meter > bound)
   | exception Monitor.Violation v ->
     Alcotest.failf "honest flood violated: %s" v.Monitor.reason);
+  (match run_flood ~dup:1 ~bound:(bound - 1) with
+  | _ -> Alcotest.fail "a cone of n - 1 words passed bound n - 2"
+  | exception Monitor.Violation v ->
+    Alcotest.(check string) "reason"
+      (Printf.sprintf "p0's decision has a causal cone of %d words > bound %d at f=0"
+         bound (bound - 1))
+      v.Monitor.reason);
   (* duplicated sends: same decisions, double the causal spend *)
   match run_flood ~dup:2 ~bound with
   | _ -> Alcotest.fail "over-talkative flood passed the cone bound"

@@ -309,7 +309,9 @@ let qcheck_tally_prefix_equals_recount =
             match Pki.combine pki ~k ~msg:"m" sh with
             | None -> false
             | Some ts' ->
-              Pki.Tsig.equal ts ts' && Pki.verify_tsig pki ts ~k ~msg:"m"))
+              Pki.Tsig.equal ts ts'
+              && Pki.Tsig.cardinality ts = k
+              && Pki.verify_tsig pki ts ~k ~msg:"m"))
         deliveries)
 
 let qcheck_tally_duplicates_idempotent =
@@ -386,6 +388,114 @@ let certificate_tally_matches_make () =
     Alcotest.(check string) "payload" (Certificate.payload b) (Certificate.payload a);
     Alcotest.(check int) "words" (Certificate.words b) (Certificate.words a)
   | _ -> Alcotest.fail "tally or make failed"
+
+(* ---- cached fields -------------------------------------------------------
+   A threshold signature carries its signer count and a certificate its
+   signed message, both computed once where the value is built. Each must
+   agree with the from-scratch formula it stands for, on every way a value
+   can be built: make, the wire view (with duplicate and out-of-range signer
+   ids) and a codec round trip. A tally's running count is pinned against
+   a recount by the prefix property in the tallies group. *)
+
+module Pid = Mewc_prelude.Pid
+
+let old_signed_message ~purpose ~payload =
+  Printf.sprintf "cert|%d|%s|%d|%s" (String.length purpose) purpose
+    (String.length payload) payload
+
+let cached_n = 9
+
+(* signers (duplicates and ids >= n allowed), purpose, payload, k *)
+let gen_cert_case =
+  QCheck2.Gen.(
+    quad
+      (list_size (int_range 1 14) (int_range 0 (cached_n + 2)))
+      (oneofl [ "p"; "q"; "fb-ack" ])
+      (string_size ~gen:printable (int_range 0 12))
+      (int_range 0 (cached_n + 1)))
+
+(* The certificate over the valid distinct [signers], re-spelled through the
+   wire view with the raw (possibly duplicated, possibly invalid) signer
+   list, and optionally through the codec. *)
+let wire_cert pki secrets ~signers ~purpose ~payload ~via_codec =
+  let valid =
+    List.sort_uniq Int.compare (List.filter (fun p -> p < cached_n) signers)
+  in
+  let shares =
+    List.map (fun p -> Certificate.share pki secrets.(p) ~purpose ~payload) valid
+  in
+  match Certificate.make pki ~k:(List.length valid) ~purpose ~payload shares with
+  | None -> None
+  | Some genuine ->
+    let _, _, genuine_ts = Certificate.Wire.view genuine in
+    let _, tag = Pki.Wire.tsig_view genuine_ts in
+    let c =
+      Certificate.Wire.of_view ~purpose ~payload
+        ~tsig:(Pki.Wire.tsig_of_view ~signers ~tag)
+    in
+    if not via_codec then Some c
+    else
+      match Mewc_wire.Codec.(decode cert_c (encode cert_c c)) with
+      | Ok c' -> Some c'
+      | Error e -> Alcotest.failf "codec: %s" (Mewc_wire.Codec.error_to_string e)
+
+let qcheck_cardinality_cached =
+  Test_util.qcheck_case ~count:200
+    ~name:"cardinality == Pid.Set.cardinal of the signers"
+    QCheck2.Gen.(pair gen_cert_case bool)
+    (fun ((signers, purpose, payload, _), via_codec) ->
+      let pki, secrets = Pki.setup ~seed:21L ~n:cached_n () in
+      match wire_cert pki secrets ~signers ~purpose ~payload ~via_codec with
+      | None -> true
+      | Some c ->
+        let _, _, ts = Certificate.Wire.view c in
+        let set, _ = Pki.Wire.tsig_view ts in
+        let expected = Pid.Set.cardinal (Pid.Set.of_list signers) in
+        Certificate.cardinality c = expected
+        && Pki.Tsig.cardinality ts = expected
+        && List.length set = expected)
+
+(* The old verdict: the count check against a set recount, and the hash
+   check on a cold copy of the tag against the Printf-built message. *)
+let old_verify pki c ~k =
+  let purpose, payload, ts = Certificate.Wire.view c in
+  let signers, tag = Pki.Wire.tsig_view ts in
+  List.length signers >= k
+  && Pki.verify_tsig pki
+       (Pki.Wire.tsig_of_view ~signers ~tag)
+       ~k:0
+       ~msg:(old_signed_message ~purpose ~payload)
+
+let qcheck_verify_matches_old =
+  Test_util.qcheck_case ~count:200
+    ~name:"verify/verify_as == the old formula"
+    QCheck2.Gen.(pair gen_cert_case (int_range 0 3))
+    (fun ((signers, purpose, payload, k), variant) ->
+      let pki, secrets = Pki.setup ~seed:25L ~n:cached_n () in
+      match
+        wire_cert pki secrets ~signers ~purpose ~payload ~via_codec:(variant = 3)
+      with
+      | None -> true
+      | Some c ->
+        (* variant 0 valid, 1 tampered payload, 2 re-labelled purpose, 3
+           codec round trip; k ranges past the signer count. *)
+        let c =
+          let p, pl, ts = Certificate.Wire.view c in
+          match variant with
+          | 1 -> Certificate.Wire.of_view ~purpose:p ~payload:(pl ^ "!") ~tsig:ts
+          | 2 -> Certificate.Wire.of_view ~purpose:(p ^ "'") ~payload:pl ~tsig:ts
+          | _ -> c
+        in
+        let expected = old_verify pki c ~k in
+        let as_purpose = Certificate.purpose c in
+        String.equal (Certificate.signed_message ~purpose ~payload)
+          (old_signed_message ~purpose ~payload)
+        (* twice: cold, then through the cached verdict *)
+        && Certificate.verify pki c ~k = expected
+        && Certificate.verify pki c ~k = expected
+        && Certificate.verify_as pki c ~k ~purpose:as_purpose = expected
+        && (not (Certificate.verify_as pki c ~k ~purpose:(as_purpose ^ "x")))
+        && Certificate.verify pki c ~k:(Certificate.cardinality c + 1) = false)
 
 let qcheck_threshold_subsets =
   Test_util.qcheck_case ~name:"any k distinct valid shares combine"
@@ -465,5 +575,10 @@ let () =
           Alcotest.test_case "purpose domain separation" `Quick
             certificate_purpose_domain_separation;
           Alcotest.test_case "higher k rejected" `Quick certificate_higher_k_rejected;
+        ] );
+      ( "cert fields",
+        [
+          qcheck_cardinality_cached;
+          qcheck_verify_matches_old;
         ] );
     ]

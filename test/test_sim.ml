@@ -124,7 +124,7 @@ let rushing_adversary_sees_current_slot () =
           if
             List.exists
               (fun e -> e.Envelope.msg = "secret")
-              view.Adversary.correct_outgoing
+              (Adversary.correct_outgoing view)
           then saw := true;
           []);
     }
