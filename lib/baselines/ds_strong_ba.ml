@@ -132,10 +132,12 @@ module Make (V : Value.S) = struct
 
   (* Off-boundary (and post-protocol) steps only buffer the inbox, so with
      nothing delivered they are no-ops — the FALLBACK wake contract. *)
-  let wake ~slot st =
-    slot >= st.start_slot
-    && (slot - st.start_slot) mod st.round_len = 0
-    && (slot - st.start_slot) / st.round_len < rounds st.cfg
+  let wake ~after st =
+    let s =
+      Process.next_boundary ~start:st.start_slot ~period:st.round_len ~after
+    in
+    if s < st.start_slot + (rounds st.cfg * st.round_len) then s
+    else Process.never
 
   let step ~slot ~inbox st =
     List.iter

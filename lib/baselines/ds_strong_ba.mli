@@ -49,7 +49,8 @@ module Make (V : Mewc_sim.Value.S) : sig
   val decided_at : state -> int option
   val horizon : Mewc_sim.Config.t -> round_len:int -> int
 
-  val wake : slot:int -> state -> bool
-  (** The {!Mewc_core.Fallback_intf.FALLBACK} wake timer: [true] exactly on
-      round boundaries while rounds remain. *)
+  val wake : after:int -> state -> int
+  (** The {!Mewc_core.Fallback_intf.FALLBACK} next-wake query: the first
+      round boundary at or after [after] while rounds remain, else
+      {!Mewc_sim.Process.never}. *)
 end

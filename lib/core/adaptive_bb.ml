@@ -346,17 +346,24 @@ let emit st ~slot ~rel =
    state that is populated strictly by same-slot ingestion ([Vet_bcast] of
    phase j-1 lands exactly at phase j's offset-0 slot), so a delivery
    already wakes it. *)
-let wake ~slot st =
+let wake ~after st =
   let cfg = st.cfg in
-  let rel = slot - st.start_slot in
-  if rel < 0 then false
-  else if rel = 0 then Pid.equal st.pid st.sender
-  else if rel < wba_start cfg then
-    (rel - 1) mod 3 = 0
-    && Pid.equal st.pid (leader (((rel - 1) / 3) + 1) cfg)
-    && st.vi = None
-  else if rel = wba_start cfg then true
-  else match st.wba with Some w -> W.wake ~slot w | None -> false
+  let rel = if after > st.start_slot then after - st.start_slot else 0 in
+  let send =
+    if rel = 0 && Pid.equal st.pid st.sender then st.start_slot
+    else Process.never
+  in
+  let help_req =
+    if Option.is_none st.vi then
+      let j = Pid.next_led_phase ~n:cfg.Config.n st.pid ~from:(((rel + 1) / 3) + 1) in
+      if j <= cfg.Config.n then st.start_slot + vet_base j else Process.never
+    else Process.never
+  in
+  let wba =
+    if rel <= wba_start cfg then st.start_slot + wba_start cfg
+    else match st.wba with Some w -> W.wake ~after w | None -> Process.never
+  in
+  Int.min send (Int.min help_req wba)
 
 let step ~slot ~inbox st =
   let rel = slot - st.start_slot in

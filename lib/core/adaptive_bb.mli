@@ -102,9 +102,9 @@ val step :
   state ->
   state * (msg * Mewc_prelude.Pid.t) list
 
-val wake : slot:int -> state -> bool
-(** The {!Mewc_sim.Process.t} wake timer (sender dissemination, leader help
-    requests, weak-BA init, then the weak BA's own timer). *)
+val wake : after:int -> state -> int
+(** The {!Mewc_sim.Process.t} next-wake query (sender dissemination, leader
+    help requests, weak-BA init, then the weak BA's own query). *)
 
 val decision : state -> decision option
 

@@ -56,12 +56,11 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
      embedded BA's own timer wants. A process whose [ba] never initialized
      (it was down at [ba_start]) stays inert forever — under both
      schedulers. *)
-  let wake ~slot st =
-    let rel = slot - st.start_slot in
-    (rel = 0 && Pid.equal st.pid st.sender)
-    || rel = ba_start
-    || rel > ba_start
-       && (match st.ba with Some ba -> Ba.wake ~slot ba | None -> false)
+  let wake ~after st =
+    let rel = after - st.start_slot in
+    if rel <= 0 && Pid.equal st.pid st.sender then st.start_slot
+    else if rel <= ba_start then st.start_slot + ba_start
+    else match st.ba with Some ba -> Ba.wake ~after ba | None -> Process.never
 
   let step ~slot ~inbox st =
     let rel = slot - st.start_slot in

@@ -42,9 +42,9 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) : sig
     state ->
     state * (msg * Mewc_prelude.Pid.t) list
 
-  val wake : slot:int -> state -> bool
-  (** The {!Mewc_sim.Process.t} wake timer (sender dissemination, embedded
-      BA init, then the embedded BA's own timer). *)
+  val wake : after:int -> state -> int
+  (** The {!Mewc_sim.Process.t} next-wake query (sender dissemination,
+      embedded BA init, then the embedded BA's own query). *)
 
   val decision : state -> bool option
   val decided_at : state -> int option

@@ -36,12 +36,15 @@ module type FALLBACK = sig
 
   val decision : state -> value option
 
-  val wake : slot:int -> state -> bool
-  (** The {!Mewc_sim.Process.t} wake-timer contract, lifted to the fallback:
-      when [wake ~slot st] is [false], [step ~slot ~inbox:[] st] must be a
-      no-op (state structurally unchanged, no sends). Host protocols
-      delegate to this while a fallback instance is live, so the
-      event-driven scheduler can skip its quiet slots. *)
+  val wake : after:int -> state -> int
+  (** The {!Mewc_sim.Process.t} next-wake query, lifted to the fallback:
+      [wake ~after st] is the earliest slot [>= after] at which an
+      inbox-free step may act (or {!Mewc_sim.Process.never}), and
+      [step ~slot ~inbox:[] st] must be a no-op (state structurally
+      unchanged, no sends) at every slot in between. Host protocols fold
+      this into their own query while a fallback instance is live, so the
+      event-driven scheduler files its round boundaries in the wake
+      calendar and skips its quiet slots. *)
 
   val horizon : Mewc_sim.Config.t -> round_len:int -> int
   (** Slots from the earliest correct start until every correct process has

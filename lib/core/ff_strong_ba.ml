@@ -241,11 +241,22 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
      start and the live fallback's round boundaries. Slots 1–3 emit only
      from state populated by same-slot ingestion, and [fb_rebroadcast] is
      set and consumed within one step, so deliveries cover them. *)
-  let wake ~slot st =
-    let rel = slot - st.start_slot in
-    rel = 0 || rel = 4
-    || st.fb_sched = Some slot
-    || (match st.fb_state with Some fb -> F.wake ~slot fb | None -> false)
+  let wake ~after st =
+    let rel = after - st.start_slot in
+    let round =
+      if rel <= 0 then st.start_slot
+      else if rel <= 4 then st.start_slot + 4
+      else Process.never
+    in
+    let sched =
+      match st.fb_sched with
+      | Some s when s >= after -> s
+      | Some _ | None -> Process.never
+    in
+    let fb =
+      match st.fb_state with Some fb -> F.wake ~after fb | None -> Process.never
+    in
+    Int.min round (Int.min sched fb)
 
   let step ~slot ~inbox st =
     let rel = slot - st.start_slot in

@@ -52,8 +52,8 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) : sig
     state ->
     state * (msg * Mewc_prelude.Pid.t) list
 
-  val wake : slot:int -> state -> bool
-  (** The {!Mewc_sim.Process.t} wake timer (input round, the adopt-or-
+  val wake : after:int -> state -> int
+  (** The {!Mewc_sim.Process.t} next-wake query (input round, the adopt-or-
       fallback branch, the scheduled or live fallback). *)
 
   val decision : state -> bool option

@@ -165,7 +165,7 @@ module Fallback_protocol = struct
         Epk_str.init ~cfg ~pki ~secret ~pid ~input:params.inputs.(pid)
           ~start_slot:(params.start_slot pid) ~round_len:params.round_len;
       step = (fun ~slot ~inbox st -> Epk_str.step ~slot ~inbox st);
-      wake = Some (fun ~slot st -> Epk_str.wake ~slot st);
+      wake = Some Epk_str.wake;
     }
 
   let decision = Epk_str.decision
@@ -227,7 +227,7 @@ module Weak_ba_protocol = struct
           ~pid ~input:params.inputs.(pid) ~validate:params.validate
           ~start_slot:0 ();
       step = (fun ~slot ~inbox st -> Weak_str.step ~slot ~inbox st);
-      wake = Some (fun ~slot st -> Weak_str.wake ~slot st);
+      wake = Some Weak_str.wake;
     }
 
   let decision = Weak_str.decision
@@ -388,7 +388,7 @@ module Bb_protocol = struct
           ~input:(if pid = params.sender then Some params.input else None)
           ~start_slot:0;
       step = (fun ~slot ~inbox st -> Adaptive_bb.step ~slot ~inbox st);
-      wake = Some (fun ~slot st -> Adaptive_bb.wake ~slot st);
+      wake = Some Adaptive_bb.wake;
     }
 
   let decision = Adaptive_bb.decision
@@ -443,7 +443,7 @@ module Binary_bb_protocol = struct
           ~input:(if pid = params.sender then Some params.input else None)
           ~start_slot:0;
       step = (fun ~slot ~inbox st -> Binary_bb_bool.step ~slot ~inbox st);
-      wake = Some (fun ~slot st -> Binary_bb_bool.wake ~slot st);
+      wake = Some Binary_bb_bool.wake;
     }
 
   let decision = Binary_bb_bool.decision
@@ -501,7 +501,7 @@ module Strong_ba_protocol = struct
         Strong_bool.init ~cfg ~pki ~secret ~pid ~leader:params.leader
           ~input:params.inputs.(pid) ~start_slot:0;
       step = (fun ~slot ~inbox st -> Strong_bool.step ~slot ~inbox st);
-      wake = Some (fun ~slot st -> Strong_bool.wake ~slot st);
+      wake = Some Strong_bool.wake;
     }
 
   let decision = Strong_bool.decision

@@ -443,7 +443,7 @@ struct
       | _ -> ());
       List.map (fun (m, dst) -> (Fb m, dst)) sends
 
-  (* The event-driven wake timer. Below [help_base] the only inbox-free
+  (* The event-driven wake query. Below [help_base] the only inbox-free
      action is the phase leader's proposal at offset 0 (offsets 1–4 emit
      from scratch state populated strictly by same-slot ingestion, so a
      delivery already wakes them). At and past [help_base]: the help
@@ -452,22 +452,33 @@ struct
      round boundaries. [fb_rebroadcast] and the help-answer queue are
      set-and-consumed within a single step (their ingestion guards pin them
      to the very slot that flushes them), so they never need a timer. *)
-  let wake ~slot st =
+  let wake ~after st =
     let cfg = st.cfg in
-    let rel = slot - st.start_slot in
-    if rel < 0 then false
-    else begin
-      let hb = help_base cfg in
-      if rel < hb then
-        rel mod 5 = 0
-        && Pid.equal st.pid (leader ((rel / 5) + 1) cfg)
-        && st.decision = None
-      else
-        (rel = hb && st.decision = None)
-        || rel = hb + 2
-        || st.fb_sched = Some slot
-        || (match st.fb_state with Some fb -> F.wake ~slot fb | None -> false)
-    end
+    let hb = help_base cfg in
+    let rel = if after > st.start_slot then after - st.start_slot else 0 in
+    let undecided = Option.is_none st.decision in
+    let lead =
+      if undecided && rel < hb then
+        let j =
+          Pid.next_led_phase ~n:cfg.Config.n st.pid ~from:(((rel + 4) / 5) + 1)
+        in
+        if j <= phases cfg then st.start_slot + base j else Process.never
+      else Process.never
+    in
+    let help =
+      if undecided && rel <= hb then st.start_slot + hb
+      else if rel <= hb + 2 then st.start_slot + hb + 2
+      else Process.never
+    in
+    let sched =
+      match st.fb_sched with
+      | Some s when s >= after -> s
+      | Some _ | None -> Process.never
+    in
+    let fb =
+      match st.fb_state with Some fb -> F.wake ~after fb | None -> Process.never
+    in
+    Int.min (Int.min lead help) (Int.min sched fb)
 
   let step ~slot ~inbox st =
     let cfg = st.cfg in

@@ -127,10 +127,11 @@ module Make (V : Mewc_sim.Value.S) (F : Fallback_intf.FALLBACK with type value =
     state ->
     state * (msg * Mewc_prelude.Pid.t) list
 
-  val wake : slot:int -> state -> bool
-  (** The {!Mewc_sim.Process.t} wake timer: [true] exactly on the slots
-      where an empty-inbox step could still act (phase-leader proposals,
-      the help window, the scheduled or live fallback). *)
+  val wake : after:int -> state -> int
+  (** The {!Mewc_sim.Process.t} next-wake query: the first slot at or after
+      [after] where an empty-inbox step could still act (this process's
+      phase-leader proposals, the help window, the scheduled or live
+      fallback), else {!Mewc_sim.Process.never}. *)
 
   val decision : state -> outcome option
   (** [None] until the process decides; decided values never change. *)

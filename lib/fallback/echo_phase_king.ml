@@ -538,8 +538,10 @@ module Make (V : Value.S) = struct
   (* Everything between round boundaries is pure inbox buffering, so an
      empty-inbox step there is a no-op; past the last round, even boundary
      steps are no-ops. *)
-  let wake ~slot st =
-    slot >= st.start_slot
-    && (slot - st.start_slot) mod st.round_len = 0
-    && (slot - st.start_slot) / st.round_len < rounds st.cfg
+  let wake ~after st =
+    let s =
+      Process.next_boundary ~start:st.start_slot ~period:st.round_len ~after
+    in
+    if s < st.start_slot + (rounds st.cfg * st.round_len) then s
+    else Process.never
 end

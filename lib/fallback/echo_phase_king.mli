@@ -118,11 +118,12 @@ module Make (V : Mewc_sim.Value.S) : sig
 
   val decision : state -> V.t option
 
-  val wake : slot:int -> state -> bool
-  (** The {!Mewc_sim.Process.t} wake timer: [true] exactly on this process's
-      round boundaries while rounds remain. Off-boundary (and post-protocol)
-      steps with an empty inbox are no-ops, so the event-driven scheduler
-      may skip them. *)
+  val wake : after:int -> state -> int
+  (** The {!Mewc_sim.Process.t} next-wake query: this process's first round
+      boundary at or after [after] while rounds remain, else
+      {!Mewc_sim.Process.never}. Off-boundary (and post-protocol) steps with
+      an empty inbox are no-ops, so the event-driven scheduler may skip
+      them. *)
 
   val decided_at : state -> int option
   (** Slot at which this process decided (latency metric). *)

@@ -28,7 +28,7 @@ module Make (V : Value.S) = struct
           P.init ~cfg ~pki ~secret:secrets.(pid) ~pid ~input:inputs.(pid)
             ~start_slot:0 ~round_len;
         step = (fun ~slot ~inbox st -> P.step ~slot ~inbox st);
-        wake = Some (fun ~slot st -> P.wake ~slot st);
+        wake = Some P.wake;
       }
     in
     let adversary = adversary ~pki ~secrets in

@@ -22,5 +22,10 @@ val rotating_leader : n:int -> phase:int -> t
     paper's [p_(j mod n)]: phases [1, 2, ..., n] map to processes
     [1, 2, ..., n-1, 0] in zero-based numbering. *)
 
+val next_led_phase : n:int -> t -> from:int -> int
+(** [next_led_phase ~n p ~from] is the first phase [j >= from] that [p]
+    leads under {!rotating_leader}, i.e. the least [j >= from] with
+    [j mod n = p]. *)
+
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

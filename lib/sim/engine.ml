@@ -440,8 +440,8 @@ let run_legacy ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
 (* The event-driven scheduler. Observationally equivalent to [run_legacy] —
    same seed, same options, same fault plan ⇒ byte-identical traces, meter
    series, decisions, and final states — but a slot's cost scales with the
-   processes that actually have something to do (a delivery, or an armed
-   [Process.wake] timer) instead of with [n]. The three load-bearing
+   processes that actually have something to do (a delivery, or a wake
+   filed for the slot) instead of with [n]. The four load-bearing
    identities:
 
    - {e Delivery order and shuffle draws.} Only processes with pooled
@@ -452,15 +452,64 @@ let run_legacy ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
      reading them newest-first reproduces the legacy cons lists.
 
    - {e Step order and event order.} Active processes step in ascending pid
-     order (one dense scan with a cheap activity test), so send ids, meter
-     charges, and trace events interleave exactly as under legacy. Skipped
-     steps are no-ops by the [Process.wake] contract, so their absence is
-     invisible to states and traces.
+     order, so send ids, meter charges, and trace events interleave exactly
+     as under legacy. Skipped steps are no-ops by the [Process.wake]
+     contract, so their absence is invisible to states and traces.
+
+   - {e The wake calendar.} A process is active in a slot iff it has a
+     delivery or the slot is the one its next-wake query named. The query
+     runs once at start and once after each of the process's steps, so a
+     quiet process costs nothing per slot and a quiet slot costs O(1). The
+     query reads only the process's own state, which nothing but a step
+     changes, so the filed slot is the first slot at which the legacy
+     loop's empty-inbox step would act.
 
    - {e Provenance.} [inbox_ids] is maintained as a persistent array that
      is [[]] for every process without deliveries this slot — exactly what
      the legacy dense rebuild yields — so [parents] of sends (including
      byzantine sends and timer-driven sends) match byte for byte. *)
+
+(* The sharded step phase over an explicit ascending pid set: lane [w] takes
+   entries [w], [w + lanes], ... so the lanes split the active set rather
+   than the whole pid space. *)
+let compute_active_steps ws ~pids ~count ~step_one results =
+  let lanes = Pool.size ws in
+  ignore
+    (Pool.exec ws
+       (Array.init lanes (fun w () ->
+            let i = ref w in
+            while !i < count do
+              let p = pids.(!i) in
+              results.(p) <- step_one p;
+              i := !i + lanes
+            done)))
+
+(* Writes the members of [set] in ascending order to the front of [out]
+   (an [n]-array reused slot after slot), empties the set, and returns how
+   many there were; [flag] marks the members. Past n/8 members one pass
+   over the flags beats sorting. *)
+let drain_ascending set flag out =
+  let len = Vec.length set in
+  let n = Array.length flag in
+  if len > n / 8 then begin
+    let k = ref 0 in
+    for p = 0 to n - 1 do
+      if flag.(p) then begin
+        flag.(p) <- false;
+        out.(!k) <- p;
+        incr k
+      end
+    done
+  end
+  else
+    Array.iteri
+      (fun i p ->
+        flag.(p) <- false;
+        out.(i) <- p)
+      (Vec.sorted_ints set);
+  Vec.clear set;
+  len
+
 let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   let {
     record_trace;
@@ -605,7 +654,64 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     post_pre ~slot ~src (msg, dst, words msg, fate_for ~slot ~src ~dst ~seq)
   in
   let step_results = Array.make n Skipped in
-  let stepped = Vec.create () in
+  (* The wake calendar: one bucket per slot, each an intrusive doubly linked
+     list of pids threaded through [next]/[prev] ([-1] ends a list).
+     [due.(p)] is the slot [p] is filed under, [Process.never] if none, so
+     a process sits in at most one bucket and re-filing moves it in O(1)
+     without allocating. *)
+  let due = Array.make n Process.never in
+  let head = Array.make (max horizon 0) (-1) in
+  let next = Array.make n (-1) in
+  let prev = Array.make n (-1) in
+  let unfile p =
+    let w = due.(p) in
+    if w <> Process.never then begin
+      let nx = next.(p) and pv = prev.(p) in
+      if pv >= 0 then next.(pv) <- nx else head.(w) <- nx;
+      if nx >= 0 then prev.(nx) <- pv;
+      due.(p) <- Process.never
+    end
+  in
+  let file p ~after =
+    let w =
+      match machines.(p).Process.wake with
+      | None -> after
+      | Some wake -> wake ~after states.(p)
+    in
+    if w < after then
+      invalid_arg
+        (Printf.sprintf
+           "Engine.run: p%d's wake query answered slot %d, before slot %d" p w
+           after);
+    if w <> due.(p) then begin
+      unfile p;
+      if w < horizon then begin
+        let h = head.(w) in
+        next.(p) <- h;
+        prev.(p) <- -1;
+        if h >= 0 then prev.(h) <- p;
+        head.(w) <- p;
+        due.(p) <- w
+      end
+    end
+  in
+  for p = 0 to n - 1 do
+    file p ~after:0
+  done;
+  (* This slot's active set, deduplicated by flag and drained in ascending
+     order into [active]; the delivered set likewise into [delivered]. *)
+  let active_flag = Array.make n false in
+  let active_set = Vec.create () in
+  let activate p =
+    if not active_flag.(p) then begin
+      active_flag.(p) <- true;
+      Vec.push active_set p
+    end
+  in
+  let active = Array.make n 0 in
+  let delivered = Array.make n 0 in
+  (* The corrupted pids in ascending order, for the Byzantine step. *)
+  let byzantine = ref [] in
   for slot = 0 to horizon - 1 do
     Meter.begin_slot meter ~slot;
     mincr meters (fun m -> m.slots_c);
@@ -622,24 +728,22 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
           if observing then emit (Trace.Process_fault { slot; pid; event }))
         (Faults.transitions rt ~slot);
       flush_delayed slot);
-    let delivered =
+    let n_delivered =
       timed Profile.Engine "engine.deliver" (fun () ->
-          let ds = Vec.sorted_ints dirty in
-          Vec.clear dirty;
-          Array.iter (fun p -> dirty_flag.(p) <- false) ds;
-          Array.iter
-            (fun p ->
-              (* Shuffle draws happen for every nonempty pool — even a down
-                 process's, whose inbox legacy blanks only after ordering
-                 it. *)
-              let pairs = order (Vec.to_rev_list pools.(p)) in
-              Vec.clear pools.(p);
-              if not (is_down p) then begin
-                inbox_ids.(p) <- List.map fst pairs;
-                inboxes.(p) <- List.map snd pairs
-              end)
-            ds;
-          ds)
+          let count = drain_ascending dirty dirty_flag delivered in
+          for i = 0 to count - 1 do
+            let p = delivered.(i) in
+            (* Shuffle draws happen for every nonempty pool — even a down
+               process's, whose inbox legacy blanks only after ordering
+               it. *)
+            let pairs = order (Vec.to_rev_list pools.(p)) in
+            Vec.clear pools.(p);
+            if not (is_down p) then begin
+              inbox_ids.(p) <- List.map fst pairs;
+              inboxes.(p) <- List.map snd pairs
+            end
+          done;
+          count)
     in
     let view outgoing =
       {
@@ -667,6 +771,7 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
                  "Engine.run: adversary %s exceeded the corruption budget t=%d"
                  adversary.Adversary.name cfg.Config.t);
           corrupted.(p) <- true;
+          byzantine := List.merge Int.compare [ p ] !byzantine;
           corruption_order := p :: !corruption_order;
           incr corruption_count;
           mincr meters (fun m -> m.corruptions_c);
@@ -674,21 +779,30 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
             emit (Trace.Corruption { slot; pid = p; f = !corruption_count })
         end)
       new_corruptions;
-    (* 2. Active correct processes step: a delivery or an armed wake timer.
-       The dense scan keeps the legacy ascending-pid step order; the skipped
-       processes' steps are no-ops by the [Process.wake] contract. *)
+    (* 2. Active correct processes step: a delivery or a wake filed for this
+       slot, in ascending pid order. A down process's filing moves on to the
+       next slot; a corrupted process's is dropped for good. Each stepped
+       process files its next wake. *)
     let correct_sends = ref [] in
-    Vec.clear stepped;
-    timed Profile.Machine "machine.step" (fun () ->
-        let active p =
-          (not corrupted.(p))
-          && (not (is_down p))
-          && (inboxes.(p) <> []
-             ||
-             match machines.(p).Process.wake with
-             | None -> true
-             | Some wake -> wake ~slot states.(p))
-        in
+    let n_active =
+      timed Profile.Machine "machine.step" (fun () ->
+        for i = 0 to n_delivered - 1 do
+          let p = delivered.(i) in
+          match inboxes.(p) with
+          | _ :: _ when not corrupted.(p) -> activate p
+          | _ -> ()
+        done;
+        let p = ref head.(slot) in
+        head.(slot) <- -1;
+        while !p >= 0 do
+          let q = !p in
+          p := next.(q);
+          due.(q) <- Process.never;
+          if corrupted.(q) then ()
+          else if is_down q then file q ~after:(slot + 1)
+          else activate q
+        done;
+        let count = drain_ascending active_set active_flag active in
         let step_one p =
           match machines.(p).Process.step ~slot ~inbox:inboxes.(p) states.(p) with
           | state', sends ->
@@ -701,36 +815,34 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
             Stepped (state', pres)
           | exception e -> Failed e
         in
-        match workers with
+        let merge p = function
+          | Stepped (state', pres) ->
+            states.(p) <- state';
+            correct_sends := (p, pres) :: !correct_sends;
+            file p ~after:(slot + 1)
+          | Failed e -> raise e
+          | Skipped -> ()
+        in
+        (match workers with
         | None ->
-          for p = 0 to n - 1 do
-            if active p then begin
-              match step_one p with
-              | Stepped (state', pres) ->
-                states.(p) <- state';
-                correct_sends := (p, pres) :: !correct_sends;
-                Vec.push stepped p
-              | Failed e -> raise e
-              | Skipped -> ()
-            end
+          for i = 0 to count - 1 do
+            let p = active.(i) in
+            merge p (step_one p)
           done
         | Some ws ->
-          (* The activity predicate runs inside the workers: [wake] only
-             reads the process's own state, so it shards like [step]. *)
-          compute_steps ws ~n ~active ~step_one step_results;
-          for p = 0 to n - 1 do
-            match step_results.(p) with
-            | Skipped -> ()
-            | Stepped (state', pres) ->
-              step_results.(p) <- Skipped;
-              states.(p) <- state';
-              correct_sends := (p, pres) :: !correct_sends;
-              Vec.push stepped p
-            | Failed e -> raise e
+          if count > 0 then
+            compute_active_steps ws ~pids:active ~count ~step_one step_results;
+          for i = 0 to count - 1 do
+            let p = active.(i) in
+            let r = step_results.(p) in
+            step_results.(p) <- Skipped;
+            merge p r
           done);
+        count)
+    in
     (* 2b. Decision transitions. Slot 0 scans everyone (an init state may
        already be decided); afterwards only stepped processes can have
-       transitioned, so the scan follows the stepped set — in the same
+       transitioned, so the scan follows the active set — in the same
        ascending pid order as the legacy dense scan. *)
     (match decided with
     | Some decided when observing ->
@@ -754,7 +866,10 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
         for p = 0 to n - 1 do
           scan p
         done
-      else Vec.iter scan stepped
+      else
+        for i = 0 to n_active - 1 do
+          scan active.(i)
+        done
     | _ -> ());
     let correct_sends = List.rev !correct_sends in
     (* Built only if an adversary forces it: honest and crash adversaries
@@ -770,13 +885,12 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     in
     (* 3. Byzantine processes step, seeing this slot's correct sends. *)
     let byz_view = view correct_outgoing in
-    let byz_sends = ref [] in
-    timed Profile.Adversary "adversary.byz_step" (fun () ->
-        for p = 0 to n - 1 do
-          if corrupted.(p) then
-            byz_sends :=
-              (p, adversary.Adversary.byz_step ~pid:p byz_view) :: !byz_sends
-        done);
+    let byz_sends =
+      timed Profile.Adversary "adversary.byz_step" (fun () ->
+          List.map
+            (fun p -> (p, adversary.Adversary.byz_step ~pid:p byz_view))
+            !byzantine)
+    in
     (* 4. Post everything. *)
     timed Profile.Engine "engine.post" (fun () ->
         List.iter
@@ -789,13 +903,13 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
         List.iter
           (fun (src, sends) ->
             List.iteri (fun seq m -> post ~slot ~src ~seq m) sends)
-          (List.rev !byz_sends));
+          byz_sends);
     (* Restore the all-empty inbox invariant for the next slot. *)
-    Array.iter
-      (fun p ->
-        inboxes.(p) <- [];
-        inbox_ids.(p) <- [])
-      delivered;
+    for i = 0 to n_delivered - 1 do
+      let p = delivered.(i) in
+      inboxes.(p) <- [];
+      inbox_ids.(p) <- []
+    done;
     (match meters with
     | None -> ()
     | Some m ->

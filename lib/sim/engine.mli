@@ -45,9 +45,11 @@ type scheduler = [ `Legacy | `Event_driven ]
     - [`Legacy] — the original dense loop: every process steps every slot,
       every inbox is rebuilt every slot. O(n) work per slot even when the
       protocol is quiescent. Kept verbatim as the oracle.
-    - [`Event_driven] — per-process pending-delivery pools; a slot only
-      visits processes that received something or whose {!Process.wake}
-      timer is armed.
+    - [`Event_driven] — per-process pending-delivery pools and a wake
+      calendar; a slot only visits processes that received something or
+      that filed the slot through their {!Process.wake} query, so a quiet
+      slot costs O(1). Raises [Invalid_argument] from {!run} if a wake
+      query answers a slot before the one it was asked about.
 
     The two are {e observationally equivalent}: same seed, same options,
     same fault plan ⇒ byte-identical [mewc-trace/4] traces, decisions,
@@ -88,9 +90,13 @@ type ('s, 'm) options = {
       (** which hot loop runs the slots; [`Legacy] by default. *)
   shards : int;
       (** number of domains a run shards its processes across (default 1 =
-          fully sequential, no domains involved). Within a slot, process
-          [p]'s step — where all the signature crypto lives — runs on shard
-          [p mod shards]; each shard precomputes its processes' new states,
+          fully sequential, no domains involved). Within a slot, the
+          stepping processes are striped across the shards — under
+          [`Legacy] process [p] runs on shard [p mod shards], under
+          [`Event_driven] the [i]-th process of the slot's ascending active
+          set runs on shard [i mod shards]. Each shard runs its processes'
+          steps — where all the signature crypto lives — and precomputes
+          their new states,
           word counts, and fault fates, and the main domain merges them in
           ascending pid order before the sequential post phase assigns
           envelope ids, meter charges, and trace events. Sharding composes

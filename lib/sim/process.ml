@@ -2,8 +2,16 @@ type ('s, 'm) t = {
   init : 's;
   step :
     slot:int -> inbox:'m Envelope.t list -> 's -> 's * ('m * Mewc_prelude.Pid.t) list;
-  wake : (slot:int -> 's -> bool) option;
+  wake : (after:int -> 's -> int) option;
 }
+
+let never = max_int
+
+let next_boundary ~start ~period ~after =
+  if after <= start then start
+  else
+    let late = (after - start) mod period in
+    if late = 0 then after else after + period - late
 
 let broadcast ~n msg = List.map (fun p -> (msg, p)) (Mewc_prelude.Pid.all ~n)
 
@@ -16,5 +24,5 @@ let silent init =
   {
     init;
     step = (fun ~slot:_ ~inbox:_ s -> (s, []));
-    wake = Some (fun ~slot:_ _ -> false);
+    wake = Some (fun ~after:_ _ -> never);
   }

@@ -16,22 +16,36 @@ type ('s, 'm) t = {
           to send, as [(payload, destination)] pairs. The inbox holds
           everything delivered at the start of [slot] (i.e. sent during
           [slot - 1]), in arrival order. *)
-  wake : (slot:int -> 's -> bool) option;
-      (** The machine's timer: does it need to step at [slot] even with an
-          empty inbox? The event-driven scheduler skips a process exactly
-          when it has no deliveries and [wake] answers [false]; the contract
-          is that such a step would be a no-op — [step ~slot ~inbox:[] s]
-          sends nothing and leaves the state observationally unchanged (a
-          skipped step must never alter any future send, decision, or state
-          projection; internally inert bookkeeping such as materializing an
-          empty scratch table is tolerated). Answering
-          [true] too often is always safe (the process merely steps, as the
-          legacy scheduler makes it do every slot); answering [false] when
-          the step would have acted breaks scheduler equivalence. [None]
-          means "always step" — the conservative default that makes any
-          machine event-scheduler-correct. The legacy scheduler ignores this
-          field entirely. *)
+  wake : (after:int -> 's -> int) option;
+      (** The machine's timer, as a next-wake query: [wake ~after s] is the
+          earliest slot [>= after] at which [s] must step even with an empty
+          inbox, or {!never}. The event-driven scheduler files each process
+          in a wake calendar under that slot — once at start with
+          [~after:0], and again after every step at slot [k] with
+          [~after:(k + 1)] — and steps it only at filed slots and at slots
+          that deliver it something. The contract: for every slot [k] in
+          [[after, wake ~after s)], [step ~slot:k ~inbox:[] s] is a no-op —
+          it sends nothing and leaves the state observationally unchanged
+          (a skipped step must never alter any future send, decision, or
+          state projection; internally inert bookkeeping such as
+          materializing an empty scratch table is tolerated). Answering too
+          early is always safe (the process merely steps, as the legacy
+          scheduler makes it do every slot); answering too late breaks
+          scheduler equivalence, and answering a slot below [after] makes
+          {!Engine.run} raise [Invalid_argument]. The query runs once per
+          step, so it must be cheap: plain slot arithmetic, no allocation.
+          [None] means "always step" — the conservative default that makes
+          any machine event-scheduler-correct. The legacy scheduler ignores
+          this field entirely. *)
 }
+
+val never : int
+(** The "no inbox-free step ahead" answer of a wake query ([max_int]). *)
+
+val next_boundary : start:int -> period:int -> after:int -> int
+(** The first slot [>= after] of the form [start + k * period] with
+    [k >= 0] ([period >= 1]): the next round boundary of a machine that
+    acts every [period] slots from [start]. *)
 
 val broadcast : n:int -> 'm -> ('m * Mewc_prelude.Pid.t) list
 (** [broadcast ~n msg] addresses [msg] to all [n] processes (including the
@@ -43,5 +57,5 @@ val broadcast_others : n:int -> self:Mewc_prelude.Pid.t -> 'm -> ('m * Mewc_prel
 
 val silent : 's -> ('s, 'm) t
 (** A machine that never sends anything (used for crashed processes). Its
-    [wake] is constantly [false]: the event-driven scheduler never steps
-    it. *)
+    [wake] always answers {!never}: the event-driven scheduler steps it
+    only on deliveries. *)

@@ -2,10 +2,11 @@
    the same seed, options and fault plan, every (scheduler, shards) pair
    must be observationally equivalent to the `Legacy sequential loop —
    byte-identical mewc-trace/3 traces, identical decisions, word/message
-   counts and monitor verdicts. Three batteries: the protocol zoo over a
-   sweep-style grid, the fuzzer's adversary scenarios, and the chaos
-   fault-plan profiles; each case runs under both schedulers at
-   shards in {1, 2, 4}. *)
+   counts and monitor verdicts. Four batteries: the protocol zoo over a
+   sweep-style grid, the standalone fallback under start skew, the fuzzer's
+   adversary scenarios, and the chaos fault-plan profiles; each case runs
+   under both schedulers at shards in {1, 2, 4}. A last group bounds the
+   event-driven engine's wake queries at n = 1001. *)
 
 open Mewc_prelude
 open Mewc_sim
@@ -14,6 +15,7 @@ open Mewc_fuzz
 
 let cfg9 = Config.optimal ~n:9
 let cfg13 = Config.optimal ~n:13
+let cfg41 = Config.optimal ~n:41
 
 (* One run, reduced to a byte string. The trace carries every send/delivery/
    decision (payloads rendered), so byte equality of fingerprints is the
@@ -105,13 +107,58 @@ let diff_grid_target (Campaign.Target { name; protocol; params; ablated = _ }) =
                     ~params:(params cfg) ~adversary ()))
             [ None; Some 42L ])
         [ 0; 1; cfg.Config.t ])
-    [ cfg9; cfg13 ]
+    [ cfg9; cfg13; cfg41 ]
 
 let grid_cases () =
   List.iter
     (fun target ->
       if not (Campaign.target_ablated target) then diff_grid_target target)
     Campaign.zoo
+
+(* The standalone fallback as weak BA embeds it: round_len = 2 and per-pid
+   start skew in {0, 1}, so half the processes file their round boundaries
+   one slot after the other half. *)
+let skew_cases () =
+  List.iter
+    (fun cfg ->
+      let n = cfg.Config.n in
+      List.iter
+        (fun f ->
+          List.iter
+            (fun shuffle_seed ->
+              let label =
+                Printf.sprintf "fallback skew n=%d f=%d shuffle=%s" n f
+                  (match shuffle_seed with
+                  | Some s -> Int64.to_string s
+                  | None -> "-")
+              in
+              check_equiv label (fun scheduler shards ->
+                  Instances.run
+                    (module Instances.Fallback_protocol)
+                    ~cfg
+                    ~options:
+                      {
+                        Instances.default_options with
+                        Instances.seed = 1L;
+                        shuffle_seed;
+                        record_trace = true;
+                        scheduler;
+                        shards;
+                      }
+                    ~params:
+                      {
+                        Instances.Fallback_protocol.inputs =
+                          Array.init n (fun p -> if p mod 3 = 0 then "a" else "b");
+                        round_len = 2;
+                        start_slot = (fun p -> p mod 2);
+                      }
+                    ~adversary:
+                      (Adversary.const
+                         (Adversary.crash ~victims:(List.init f (fun i -> i + 1)) ()))
+                    ()))
+            [ None; Some 42L ])
+        [ 0; 1; cfg.Config.t ])
+    [ cfg9; cfg13 ]
 
 (* ---- battery 2: the fuzzer's adversary zoo ----------------------------- *)
 
@@ -177,13 +224,64 @@ let chaos_cases () =
       end)
     Campaign.zoo
 
+(* ---- the wake calendar's work bound ------------------------------------ *)
+
+(* A failure-free run at n = 1001 with every machine wrapped to count its
+   steps and wake queries. The calendar queries each process once at start
+   and once after each of its steps, so queries <= steps + n; the dense poll
+   it replaced made one query per process per slot. *)
+let work_count (type p s m d) ((module P) : (p, s, m, d) Protocol.t) () =
+  let cfg = Config.optimal ~n:1001 in
+  let n = cfg.Config.n in
+  let params = P.default_params cfg in
+  let pki, secrets = Mewc_crypto.Pki.setup ~seed:1L ~n () in
+  let steps = ref 0 and queries = ref 0 in
+  let protocol pid =
+    let m = P.machine ~cfg ~pki ~secret:secrets.(pid) ~params ~pid in
+    {
+      m with
+      Process.step =
+        (fun ~slot ~inbox st ->
+          incr steps;
+          m.Process.step ~slot ~inbox st);
+      wake =
+        Option.map
+          (fun wake ~after st ->
+            incr queries;
+            wake ~after st)
+          m.Process.wake;
+    }
+  in
+  let horizon = P.horizon ~cfg ~params in
+  let res =
+    Engine.run ~cfg
+      ~options:{ Engine.default_options with scheduler = `Event_driven }
+      ~words:P.words ~horizon ~protocol
+      ~adversary:(Adversary.honest ~name:"honest")
+      ()
+  in
+  Alcotest.(check bool)
+    "every process decided" true
+    (Array.for_all (fun st -> Option.is_some (P.decision st)) res.Engine.states);
+  if !queries > !steps + n then
+    Alcotest.failf "%s: %d wake queries for %d steps at n=%d (horizon %d)" P.name
+      !queries !steps n horizon
+
 let () =
   Alcotest.run "engine-diff"
     [
       ( "scheduler equivalence",
         [
           Alcotest.test_case "protocol zoo x sweep grid" `Quick grid_cases;
+          Alcotest.test_case "fallback start skew" `Quick skew_cases;
           Alcotest.test_case "fuzzer adversary scenarios" `Quick fuzz_cases;
           Alcotest.test_case "chaos fault plans" `Quick chaos_cases;
+        ] );
+      ( "calendar",
+        [
+          Alcotest.test_case "work count weak-ba n=1001" `Quick
+            (work_count (module Instances.Weak_ba_protocol));
+          Alcotest.test_case "work count bb n=1001" `Quick
+            (work_count (module Instances.Bb_protocol));
         ] );
     ]

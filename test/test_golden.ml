@@ -2,11 +2,13 @@
 
    The golden digests pin the mewc-trace/4 JSON and the meter snapshot of
    each of the five protocols at n = 33, f = t, under the crash-first
-   adversary. The engine differentials compare two schedulers against each
-   other, so a change to code both schedulers share (meter, certificates,
-   payload strings, message printers) moves both sides at once and slips
-   through; it cannot slip past these digests. A deliberate format change
-   re-records them and says so.
+   adversary, on the legacy loop and on the event-driven scheduler at one
+   and two shards (the configuration the benchmark runs). The engine
+   differentials compare two schedulers against each other, so a change to
+   code both schedulers share (meter, certificates, payload strings,
+   message printers) moves both sides at once and slips through; it cannot
+   slip past these digests. A deliberate format change re-records them and
+   says so.
 
    The concurrency case runs traced instances from four domains at once and
    byte-compares every trace with a sequential run: nothing module-level
@@ -18,13 +20,20 @@ open Mewc_sim
 open Mewc_core
 
 (* One traced run: the trace JSON and the meter snapshot JSON, as strings. *)
-let traced (type p s m d) ((module P) : (p, s, m, d) Protocol.t) cfg =
+let traced (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~scheduler
+    ~shards cfg =
   let victims = List.init cfg.Config.t (fun i -> i + 1) in
   let o =
     Instances.run
       (module P)
       ~cfg
-      ~options:{ Instances.default_options with Instances.record_trace = true }
+      ~options:
+        {
+          Instances.default_options with
+          Instances.record_trace = true;
+          scheduler;
+          shards;
+        }
       ~params:(P.default_params cfg)
       ~adversary:(Adversary.const (Adversary.crash ~victims ()))
       ()
@@ -63,19 +72,34 @@ let golden =
       "55158c04b8b710193c336fae265e2a3a850436cb2b6c7de5ebc1993fbb9e229c" );
   ]
 
-let test_golden name () =
+(* (test-name suffix, scheduler, shards): every run must hit the same
+   digests. *)
+let engines =
+  [
+    ("", `Legacy, 1);
+    (" event", `Event_driven, 1);
+    (" event x2", `Event_driven, 2);
+  ]
+
+let test_golden name ~scheduler ~shards () =
   let trace_hex, meter_hex =
     match List.find_opt (fun (p, _, _) -> String.equal p name) golden with
     | Some (_, t, m) -> (t, m)
     | None -> Alcotest.failf "no golden digest for %s" name
   in
-  let trace, meter = (List.assoc name protocols) (Config.optimal ~n:33) in
+  let trace, meter =
+    (List.assoc name protocols) ~scheduler ~shards (Config.optimal ~n:33)
+  in
   Alcotest.(check string) "trace digest" trace_hex (hex trace);
   Alcotest.(check string) "meter digest" meter_hex (hex meter)
 
 let test_domains_share_nothing () =
   let cfg = Config.optimal ~n:9 in
-  let all () = List.map (fun (name, run) -> (name, run cfg)) protocols in
+  let all () =
+    List.map
+      (fun (name, run) -> (name, run ~scheduler:`Legacy ~shards:1 cfg))
+      protocols
+  in
   let expected = all () in
   let domains =
     List.init 4 (fun _ -> Domain.spawn (fun () -> List.init 3 (fun _ -> all ())))
@@ -96,10 +120,16 @@ let () =
   Alcotest.run "golden"
     [
       ( "golden traces",
-        List.map
-          (fun (name, _) ->
-            Alcotest.test_case (name ^ " n=33 f=t crash") `Quick (test_golden name))
-          protocols );
+        List.concat_map
+          (fun (suffix, scheduler, shards) ->
+            List.map
+              (fun (name, _) ->
+                Alcotest.test_case
+                  (name ^ " n=33 f=t crash" ^ suffix)
+                  `Quick
+                  (test_golden name ~scheduler ~shards))
+              protocols)
+          engines );
       ( "domain safety",
         [
           Alcotest.test_case "4 domains == sequential" `Quick

@@ -359,6 +359,134 @@ let shuffle_deterministic () =
         (List.sort Int.compare inbox))
     (run (Some 9L))
 
+(* ---- the wake calendar ------------------------------------------------- *)
+
+(* A synthetic timer machine. Its state is the ascending list of slots at
+   which it wants to step; a delivered message [k] adds a timer at [k].
+   Every step records its slot in [log.(pid)] (a side channel the wake
+   contract does not see) and sends what [sends ~pid ~slot] says. *)
+let timer_machine ~log ~timers ?(sends = fun ~pid:_ ~slot:_ -> []) pid =
+  let first_at_or_after ~after st =
+    match List.find_opt (fun s -> s >= after) st with
+    | Some s -> s
+    | None -> Process.never
+  in
+  {
+    Process.init = timers pid;
+    step =
+      (fun ~slot ~inbox st ->
+        log.(pid) <- slot :: log.(pid);
+        let st = List.filter (fun s -> s > slot) st in
+        let st =
+          List.sort_uniq Int.compare (List.map (fun e -> e.Envelope.msg) inbox @ st)
+        in
+        (st, sends ~pid ~slot));
+    wake = Some first_at_or_after;
+  }
+
+let run_timers ?(shards = 1) ?(faults = Faults.none)
+    ?(adversary = Adversary.honest ~name:"h") ?(n = 3) ~horizon protocol =
+  let cfg = Config.create ~n ~t:((n - 1) / 2) in
+  Engine.run ~cfg
+    ~options:
+      { Engine.default_options with scheduler = `Event_driven; shards; faults }
+    ~words:(fun _ -> 1) ~horizon ~protocol ~adversary ()
+
+let steps_of log pid = List.rev log.(pid)
+
+let calendar_fires_at_filed_slots () =
+  let log = Array.make 3 [] in
+  let timers = function 0 -> [ 2; 5; 9 ] | 1 -> [] | _ -> [ 0 ] in
+  ignore (run_timers ~horizon:12 (timer_machine ~log ~timers));
+  Alcotest.(check (list int)) "p0" [ 2; 5; 9 ] (steps_of log 0);
+  Alcotest.(check (list int)) "p1 never" [] (steps_of log 1);
+  Alcotest.(check (list int)) "p2" [ 0 ] (steps_of log 2)
+
+let calendar_delivery_moves_timer_earlier () =
+  (* p0's only timer is at 10; p1's slot-0 step asks it for slot 4. The
+     delivery at slot 1 steps p0, whose re-filing moves it to 4. *)
+  let log = Array.make 3 [] in
+  let timers = function 0 -> [ 10 ] | 1 -> [ 0 ] | _ -> [] in
+  let sends ~pid ~slot = if pid = 1 && slot = 0 then [ (4, 0) ] else [] in
+  ignore (run_timers ~horizon:12 (timer_machine ~log ~timers ~sends));
+  Alcotest.(check (list int)) "p0" [ 1; 4; 10 ] (steps_of log 0)
+
+let calendar_filed_twice_steps_once () =
+  (* p0 is filed at 5, moved to 3 by a delivery at slot 1, then filed back
+     at 5; at slot 3 it is also delivered to while due. Each of those slots
+     must step it exactly once, whatever the shard count. *)
+  List.iter
+    (fun shards ->
+      let n = 9 in
+      let log = Array.make n [] in
+      let timers = function 0 -> [ 5 ] | 1 -> [ 0; 2 ] | p -> [ p; p + 3 ] in
+      let sends ~pid ~slot =
+        match (pid, slot) with 1, 0 -> [ (3, 0) ] | 1, 2 -> [ (5, 0) ] | _ -> []
+      in
+      let res = run_timers ~n ~shards ~horizon:8 (timer_machine ~log ~timers ~sends) in
+      let label what = Printf.sprintf "shards=%d %s" shards what in
+      Alcotest.(check (list int)) (label "p0") [ 1; 3; 5 ] (steps_of log 0);
+      Alcotest.(check (list int)) (label "p4") [ 4; 7 ] (steps_of log 4);
+      Alcotest.(check (list int)) (label "p0 timers left") [] res.Engine.states.(0))
+    [ 1; 2; 4 ]
+
+let calendar_refiles_while_down () =
+  (* p0 is down for slots [2, 5): its filings at 3 and 4 fall in the down
+     phase and move on slot by slot; it fires at 6, once it is back up. *)
+  let log = Array.make 3 [] in
+  let timers = function 0 -> [ 1; 3; 4; 6 ] | _ -> [] in
+  let faults =
+    {
+      Faults.none with
+      Faults.processes = [ (0, Faults.Crash_recovery { down_at = 2; up_at = 5 }) ];
+    }
+  in
+  let res = run_timers ~faults ~horizon:8 (timer_machine ~log ~timers) in
+  Alcotest.(check (list int)) "p0" [ 1; 6 ] (steps_of log 0);
+  Alcotest.(check (list int)) "faulty" [ 0 ] res.Engine.faulty
+
+let calendar_drops_corrupted_and_late () =
+  (* p1 is corrupted at slot 2, before its timer at 4; p0's timers at the
+     horizon and past it are never filed; p2 never wakes at all. *)
+  let log = Array.make 3 [] in
+  let horizon = 10 in
+  let timers = function
+    | 0 -> [ 3; horizon; horizon + 5 ]
+    | 1 -> [ 1; 4 ]
+    | _ -> [ Process.never ]
+  in
+  let res =
+    run_timers ~horizon
+      ~adversary:(Adversary.crash ~at:2 ~victims:[ 1 ] ())
+      (timer_machine ~log ~timers)
+  in
+  Alcotest.(check (list int)) "p0 stops at the horizon" [ 3 ] (steps_of log 0);
+  Alcotest.(check (list int)) "p1 stops at corruption" [ 1 ] (steps_of log 1);
+  Alcotest.(check (list int)) "p2 never" [] (steps_of log 2);
+  Alcotest.(check (list int)) "corrupted" [ 1 ] res.Engine.corrupted
+
+let calendar_none_steps_every_slot () =
+  let log = Array.make 3 [] in
+  let protocol pid = { (timer_machine ~log ~timers:(fun _ -> []) pid) with wake = None } in
+  ignore (run_timers ~horizon:6 protocol);
+  List.iter
+    (fun p ->
+      Alcotest.(check (list int)) (Printf.sprintf "p%d" p) [ 0; 1; 2; 3; 4; 5 ]
+        (steps_of log p))
+    [ 0; 1; 2 ]
+
+let calendar_rejects_past_answers () =
+  let protocol _ =
+    {
+      Process.init = ();
+      step = (fun ~slot:_ ~inbox:_ st -> (st, []));
+      wake = Some (fun ~after:_ _ -> 0);
+    }
+  in
+  Alcotest.check_raises "answer before after"
+    (Invalid_argument "Engine.run: p0's wake query answered slot 0, before slot 1")
+    (fun () -> ignore (run_timers ~horizon:3 protocol))
+
 let composition_registry () =
   Composition.reset ();
   Composition.note ~user:"a" ~uses:"b";
@@ -396,6 +524,18 @@ let () =
           Alcotest.test_case "zero horizon" `Quick zero_horizon;
           Alcotest.test_case "double corruption" `Quick double_corruption_single_charge;
           Alcotest.test_case "per-slot series" `Quick per_slot_series;
+        ] );
+      ( "calendar",
+        [
+          Alcotest.test_case "fires at filed slots" `Quick calendar_fires_at_filed_slots;
+          Alcotest.test_case "delivery moves timer earlier" `Quick
+            calendar_delivery_moves_timer_earlier;
+          Alcotest.test_case "filed twice steps once" `Quick calendar_filed_twice_steps_once;
+          Alcotest.test_case "re-files while down" `Quick calendar_refiles_while_down;
+          Alcotest.test_case "drops corrupted and late" `Quick
+            calendar_drops_corrupted_and_late;
+          Alcotest.test_case "None steps every slot" `Quick calendar_none_steps_every_slot;
+          Alcotest.test_case "rejects past answers" `Quick calendar_rejects_past_answers;
         ] );
       ( "composition",
         [ Alcotest.test_case "registry" `Quick composition_registry ] );
