@@ -11,8 +11,9 @@
                     sequential, exit 1 if outputs differ (no files written)
      --frontier-smoke  CI gate for the event-driven engine: sweep the
                     frontier grid's n <= 101 points event-driven, then
-                    replay them under the legacy lock-step oracle and exit
-                    1 unless the rows are byte-identical
+                    replay them under the dense oracle (every process
+                    steps every slot) and exit 1 unless the rows are
+                    byte-identical
      --ledger FILE  append the perf sweep to the given mewc-ledger/1 file
      --rev REV      git revision to record in the ledger entry (the bench
                     never shells out; default "unknown")
@@ -180,16 +181,15 @@ let run_smoke ~jobs =
 
 let run_frontier_smoke ~jobs =
   (* The event-driven engine's CI gate. Rows are a pure function of the
-     point (each builds its own seed, PKI and RNG), so the legacy and
-     event-driven engines must render every row byte-identically — the
-     engine-diff test suite proves it per message, this gate re-proves it
-     end to end on every build over the frontier grid's small points. *)
-  let points, _capped = Sweep.frontier_grid `Event_driven in
+     point (each builds its own seed, PKI and RNG), so the event-driven
+     engine and its dense oracle (every machine's wake query ignored) must
+     render every row byte-identically — the engine-diff test suite proves
+     it per message, this gate re-proves it end to end on every build over
+     the frontier grid's small points. *)
+  let points, _capped = Sweep.frontier_grid in
   let points = List.filter (fun (p : Sweep.point) -> p.Sweep.n <= 101) points in
   let jobs = match jobs with Some j -> Some j | None -> Some 2 in
-  let report =
-    Sweep.run_perf ?jobs ~scheduler:`Event_driven ~shard_counts:[ 1; 2 ] points
-  in
+  let report = Sweep.run_perf ?jobs ~shard_counts:[ 1; 2 ] points in
   print_report report;
   if not report.Sweep.identical then begin
     prerr_endline "[FRONTIER] FATAL: parallel sweep diverged from sequential";
@@ -208,11 +208,11 @@ let run_frontier_smoke ~jobs =
   if not (List.equal String.equal (lines report.Sweep.rows) (lines oracle))
   then begin
     prerr_endline
-      "[FRONTIER] FATAL: event-driven rows diverged from the legacy oracle";
+      "[FRONTIER] FATAL: event-driven rows diverged from the dense oracle";
     exit 1
   end;
   Printf.printf
-    "[FRONTIER] ok: %d event-driven points byte-identical to the legacy \
+    "[FRONTIER] ok: %d event-driven points byte-identical to the dense \
      oracle\n\
      %!"
     (List.length points)

@@ -549,7 +549,7 @@ let default_options =
     monitors = None;
     profile = None;
     faults = Faults.none;
-    scheduler = `Legacy;
+    scheduler = `Event_driven;
     shards = 1;
     metrics = None;
   }

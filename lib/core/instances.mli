@@ -205,7 +205,9 @@ type 'm options = {
   profile : Mewc_sim.Profile.t option;
       (** charge engine phases, crypto hot paths and serialization to spans *)
   faults : Mewc_sim.Faults.plan;  (** default {!Mewc_sim.Faults.none} *)
-  scheduler : Mewc_sim.Engine.scheduler;  (** default [`Legacy] *)
+  scheduler : Mewc_sim.Engine.scheduler;
+      (** default [`Event_driven]; [`Legacy] selects the dense test oracle
+          ({!Mewc_sim.Engine.scheduler}) *)
   shards : int;  (** intra-run domains (default 1) *)
   metrics : Mewc_obs.Metrics.t option;
       (** live-telemetry registry (default [None]). Threaded into
@@ -216,7 +218,7 @@ type 'm options = {
 
 val default_options : 'm options
 (** Seed [1L], in-order delivery, no trace, standard monitors, no profile,
-    no faults, legacy scheduler, one shard. *)
+    no faults, event-driven scheduler, one shard. *)
 
 val retarget : 'a options -> 'b options
 (** The same options for a protocol with a different message type. The

@@ -23,7 +23,7 @@ let of_report ~rev ~date ~grid ?profile (r : Sweep.report) =
     rev;
     date;
     grid;
-    scheduler = Mewc_sim.Engine.scheduler_to_string r.Sweep.scheduler;
+    scheduler = Mewc_sim.Engine.scheduler_to_string `Event_driven;
     jobs = r.Sweep.jobs;
     cores = r.Sweep.cores;
     sequential_s = r.Sweep.sequential_s;
@@ -39,27 +39,6 @@ let of_report ~rev ~date ~grid ?profile (r : Sweep.report) =
           (fun (c, s) -> (Mewc_sim.Profile.category_name c, s))
           (Mewc_sim.Profile.rollup p));
     rows = r.Sweep.rows;
-  }
-
-(* A scheduler-ratio baseline entry: one sequential pass, no across-points
-   parallelism and no shard curve, so the parallel fields collapse to the
-   sequential ones. [mewc report] pairs the latest "ratio" entry per
-   scheduler and divides per-point wall clocks. *)
-let of_baseline ~rev ~date ~scheduler ~wall_s rows =
-  {
-    rev;
-    date;
-    grid = "ratio";
-    scheduler = Mewc_sim.Engine.scheduler_to_string scheduler;
-    jobs = 1;
-    cores = Pool.default_jobs ();
-    sequential_s = wall_s;
-    parallel_s = wall_s;
-    speedup = 1.0;
-    shards = [];
-    parallelism = "sequential baseline";
-    rollup = [];
-    rows;
   }
 
 let entry_to_json e =

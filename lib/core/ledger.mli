@@ -23,9 +23,11 @@ type entry = {
   date : string;  (** ISO date supplied by the caller *)
   grid : string;  (** grid name, e.g. ["standard"], ["smoke"] or ["ratio"] *)
   scheduler : string;
-      (** which engine scheduler ran the grid ("legacy" / "event-driven");
-          ["legacy"] when parsed from pre-scheduler entries, all of which
-          that engine wrote *)
+      (** which engine scheduler ran the grid: ["event-driven"] for every
+          entry written now; ["legacy"] in older entries, including
+          pre-scheduler ones, all of which that engine wrote. The committed
+          [grid = "ratio"] entries, one per scheduler, stay readable: they
+          feed the report's frozen scheduler-ratio figure. *)
   jobs : int;
   cores : int;
   sequential_s : float;
@@ -54,19 +56,6 @@ val of_report :
   entry
 (** Package a {!Sweep.run_perf} report (and the profiler that instrumented
     its sequential pass, if any) as a ledger entry. *)
-
-val of_baseline :
-  rev:string ->
-  date:string ->
-  scheduler:Mewc_sim.Engine.scheduler ->
-  wall_s:float ->
-  Sweep.row list ->
-  entry
-(** Package one {!Sweep.run_baseline} pass as a [grid = "ratio"] entry:
-    jobs 1, no shard curve, parallel fields collapsed onto the sequential
-    wall clock. [mewc report] pairs the latest such entry per scheduler
-    and derives the event-vs-legacy wall-clock ratio curve from per-row
-    {!Sweep.row.wall_s}. *)
 
 val entry_to_json : entry -> Mewc_prelude.Jsonx.t
 val entry_of_json : Mewc_prelude.Jsonx.t -> (entry, string) result

@@ -31,11 +31,10 @@ let f_of_spec ~t = function
   | s -> invalid_arg ("Sweep: unknown f spec " ^ s)
 
 (* The standalone A_fallback is Θ(n²) words over Θ(t) rounds — ~n³ work —
-   so its largest points would dwarf the rest of the grid. Under the legacy
-   lock-step engine the wall is n = 201; the event-driven scheduler steps
-   only woken processes, which buys one more doubling before the n³ message
+   so its largest points would dwarf the rest of the grid. The engine steps
+   only woken processes, so the wall is n = 401, where the n³ message
    volume itself dominates. *)
-let fallback_cap = function `Legacy -> 201 | `Event_driven -> 401
+let fallback_cap = 401
 
 (* Returns (points, capped): the grid plus the points the fallback cap
    dropped, so reports can say what was not measured instead of silently
@@ -68,8 +67,7 @@ let standard_grid = fst (grid ~cap:201 ~ns:[ 21; 101; 201; 401 ] ~full_f_at:21)
 let smoke_grid = fst (grid ~cap:201 ~ns:[ 9; 13 ] ~full_f_at:13)
 let frontier_ns = [ 21; 101; 201; 401; 1001; 2001 ]
 
-let frontier_grid scheduler =
-  grid ~cap:(fallback_cap scheduler) ~ns:frontier_ns ~full_f_at:21
+let frontier_grid = grid ~cap:fallback_cap ~ns:frontier_ns ~full_f_at:21
 
 (* Every point runs from its own seed, derived from nothing but the point:
    reruns — sequential, parallel, or out of order — replay bit for bit. *)
@@ -172,29 +170,6 @@ let run_all ?(jobs = 1) ?(options = Instances.default_options) ?progress points
        nothing per point rather than interleaving writes across domains. *)
     Pool.map_list ~jobs (fun p -> run_point ~options p) points
 
-(* The scheduler-ratio baseline: the failure-free column only — the ratio
-   isolates scheduler overhead, and f > 0 points confound it with fault
-   handling — with the standalone fallback capped at 201 under {e both}
-   schedulers, so a legacy and an event-driven baseline cover the same
-   point set and the ratio curve never divides by a missing row. *)
-let ratio_ns = [ 21; 101; 201; 401; 1001 ]
-
-let ratio_grid =
-  List.concat_map
-    (fun n ->
-      List.filter_map
-        (fun protocol ->
-          if String.equal protocol "fallback" && n > 201 then None
-          else Some { protocol; n; f_spec = "0" })
-        protocols)
-    ratio_ns
-
-let run_baseline ?progress ~scheduler () =
-  let options = { Instances.default_options with Instances.scheduler } in
-  let t0 = Unix.gettimeofday () in
-  let rows = run_all ~jobs:1 ~options ?progress ratio_grid in
-  (rows, Unix.gettimeofday () -. t0)
-
 let row_to_line r =
   Printf.sprintf
     "%s n=%d t=%d f_spec=%s f=%d words=%d messages=%d signatures=%d latency=%d \
@@ -288,7 +263,6 @@ type report = {
   cores : int;
   speedup : float;
   identical : bool;
-  scheduler : Mewc_sim.Engine.scheduler;
   capped : point list;
   shard_wall_s : (int * float) list;
   shards_identical : bool;
@@ -299,15 +273,15 @@ let parallelism_note ~cores =
   if cores = 1 then "degraded (1 core)"
   else Printf.sprintf "ok (%d cores)" cores
 
-let run_perf ?jobs ?profile ?(scheduler = `Legacy) ?(capped = [])
-    ?(shard_counts = [ 1; 2; 4; 8 ]) ?progress points =
+let run_perf ?jobs ?profile ?(capped = []) ?(shard_counts = [ 1; 2; 4; 8 ])
+    ?progress points =
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   let timed f =
     let t0 = Unix.gettimeofday () in
     let v = f () in
     (v, Unix.gettimeofday () -. t0)
   in
-  let base = { Instances.default_options with Instances.scheduler } in
+  let base = Instances.default_options in
   (* Only the sequential pass is profiled: spans would race across domains,
      and the parallel pass exists to time raw throughput anyway. *)
   let seq_rows, sequential_s =
@@ -346,7 +320,6 @@ let run_perf ?jobs ?profile ?(scheduler = `Legacy) ?(capped = [])
     cores;
     speedup = (if parallel_s > 0.0 then sequential_s /. parallel_s else 1.0);
     identical;
-    scheduler;
     capped;
     shard_wall_s = List.map fst shard_results;
     shards_identical = List.for_all snd shard_results;
@@ -399,7 +372,8 @@ let report_to_json r =
                  [ ("shards", Jsonx.Int shards); ("wall_s", Jsonx.Float wall) ])
              r.shard_wall_s) );
       ("shards_identical_to_sequential", Jsonx.Bool r.shards_identical);
-      ("scheduler", Jsonx.Str (Mewc_sim.Engine.scheduler_to_string r.scheduler));
+      ( "scheduler",
+        Jsonx.Str (Mewc_sim.Engine.scheduler_to_string `Event_driven) );
       ( "capped_points",
         (* What the fallback cap dropped — reported, never silently
            truncated. *)

@@ -12,7 +12,7 @@
     (words, latency, signatures, crypto-cache counters …) are what the
     "parallel output ≡ sequential output" byte-level comparisons see. The
     one advisory exception is {!row.wall_s} — the point's own wall clock,
-    stored so scheduler-ratio figures can be derived from ledger rows — and
+    stored so wall-clock ratios can be derived from ledger rows — and
     it is excluded from {!row_to_line} and {!row_core_line}. *)
 
 type point = {
@@ -53,19 +53,18 @@ val smoke_grid : point list
     big enough to cross the fallback threshold, small enough to gate every
     build. *)
 
-val fallback_cap : Mewc_sim.Engine.scheduler -> int
-(** The largest n at which the standalone A_fallback is kept on a grid:
-    201 under the legacy lock-step engine, 401 under the event-driven
-    scheduler. Dropped points are returned by {!frontier_grid} (and
+val fallback_cap : int
+(** The largest n (401) at which the standalone A_fallback is kept on the
+    frontier grid. Dropped points are returned by {!frontier_grid} (and
     reported as [capped_points] in the mewc-perf/2 JSON) rather than
     silently truncated. *)
 
 val frontier_ns : int list
 (** n ∈ \{21, 101, 201, 401, 1001, 2001\} — the words-vs-n frontier. *)
 
-val frontier_grid : Mewc_sim.Engine.scheduler -> point list * point list
-(** [(points, capped)] over {!frontier_ns}: the runnable frontier under the
-    given scheduler plus the standalone-fallback points its cap dropped.
+val frontier_grid : point list * point list
+(** [(points, capped)] over {!frontier_ns}: the runnable frontier plus the
+    standalone-fallback points {!fallback_cap} dropped.
     Weak BA keeps all four f-specs at every n — at n = 2001 its f = t point
     is the paper's adaptive showcase — while the other protocols run
     failure-free beyond n = 21, as on {!standard_grid}. *)
@@ -77,9 +76,10 @@ val run_point : ?options:'m Instances.options -> point -> row
     branch installs its own standard suite. The honored knobs are the
     engine's: [profile] charges the run's phases, crypto hot paths and
     serialization to the given profiler (rows are unaffected — timing never
-    leaks into the deterministic facts); [scheduler] (default [`Legacy])
-    changes wall-clock only, rows are byte-identical across schedulers (the
-    engine-diff suite's invariant); [shards] (default 1) shards the run
+    leaks into the deterministic facts); [scheduler] (default
+    [`Event_driven]) changes wall-clock only, rows are byte-identical
+    across schedulers (the engine-diff suite's invariant); [shards]
+    (default 1) shards the run
     itself across domains ({!Mewc_sim.Engine.options.shards}), with every
     row field except the crypto-cache split invariant under it. *)
 
@@ -97,25 +97,6 @@ val run_all :
     writes across domains. Raises [Invalid_argument] if [options.profile]
     is combined with [jobs] > 1: a {!Mewc_sim.Profile.t} is not
     domain-safe. *)
-
-val ratio_ns : int list
-(** n ∈ \{21, 101, 201, 401, 1001\} — the scheduler-ratio baseline axis. *)
-
-val ratio_grid : point list
-(** The failure-free column (f_spec = "0") of every protocol over
-    {!ratio_ns}, with the standalone fallback capped at n = 201 under both
-    schedulers — so a legacy and an event-driven baseline cover the same
-    point set and per-point wall-clock ratios are always well-defined. *)
-
-val run_baseline :
-  ?progress:(unit -> unit) ->
-  scheduler:Mewc_sim.Engine.scheduler ->
-  unit ->
-  row list * float
-(** One sequential timed pass over {!ratio_grid} under the given scheduler:
-    [(rows, total_wall_s)], each row carrying its own {!row.wall_s}. The
-    ratio figure in [mewc report] divides event-driven by legacy row
-    timings from two such ledger entries. *)
 
 val row_to_json : row -> Mewc_prelude.Jsonx.t
 val row_to_line : row -> string
@@ -141,7 +122,6 @@ type report = {
   cores : int;  (** [Pool.default_jobs ()] on this machine *)
   speedup : float;  (** sequential_s /. parallel_s *)
   identical : bool;  (** parallel rows ≡ sequential rows, byte for byte *)
-  scheduler : Mewc_sim.Engine.scheduler;  (** which engine ran the grid *)
   capped : point list;
       (** points the fallback cap dropped from the requested grid; [[]]
           unless the caller passed them through *)
@@ -159,7 +139,6 @@ type report = {
 val run_perf :
   ?jobs:int ->
   ?profile:Mewc_sim.Profile.t ->
-  ?scheduler:Mewc_sim.Engine.scheduler ->
   ?capped:point list ->
   ?shard_counts:int list ->
   ?progress:(unit -> unit) ->
@@ -181,6 +160,7 @@ val run_perf :
 val report_to_json : report -> Mewc_prelude.Jsonx.t
 (** Schema ["mewc-perf/2"]: machine facts (cores, jobs), the
     [parallelism] note, both wall-clock times, the speedup, per-shard-count
-    wall clocks and their identity verdict, the scheduler, the points the
+    wall clocks and their identity verdict, the scheduler (always
+    ["event-driven"]; older artifacts may say ["legacy"]), the points the
     fallback cap excluded ([capped_points]), per-protocol crypto-cache hit
     rates, and every row. *)

@@ -16,8 +16,8 @@ module Make (V : Value.S) = struct
 
   let decision_of_state = P.decision
 
-  let run ~cfg ?(seed = 1L) ?(round_len = 1) ?(record_trace = false)
-      ?(scheduler = `Legacy) ~inputs ~adversary () =
+  let run ~cfg ?(seed = 1L) ?(round_len = 1) ?(record_trace = false) ~inputs
+      ~adversary () =
     let n = cfg.Config.n in
     if Array.length inputs <> n then
       invalid_arg "Standalone.run: need one input per process";
@@ -35,7 +35,7 @@ module Make (V : Value.S) = struct
     let horizon = P.horizon cfg ~round_len in
     let res =
       Engine.run ~cfg
-        ~options:{ Engine.default_options with record_trace; scheduler }
+        ~options:{ Engine.default_options with record_trace }
         ~words:P.words ~horizon ~protocol ~adversary ()
     in
     {

@@ -26,7 +26,6 @@ module Make (V : Mewc_sim.Value.S) : sig
     ?seed:int64 ->
     ?round_len:int ->
     ?record_trace:bool ->
-    ?scheduler:Mewc_sim.Engine.scheduler ->
     inputs:V.t array ->
     adversary:(P.state, P.msg) Mewc_sim.Adversary.factory ->
     unit ->

@@ -16,13 +16,6 @@ let scheduler_to_string = function
   | `Legacy -> "legacy"
   | `Event_driven -> "event-driven"
 
-let scheduler_of_string = function
-  | "legacy" -> Ok `Legacy
-  | "event-driven" -> Ok `Event_driven
-  | s ->
-    Error
-      (Printf.sprintf "unknown scheduler %S (expected legacy or event-driven)" s)
-
 type ('s, 'm) options = {
   record_trace : bool;
   shuffle_seed : int64 option;
@@ -43,7 +36,7 @@ let default_options =
     decided = None;
     profile = None;
     faults = Faults.none;
-    scheduler = `Legacy;
+    scheduler = `Event_driven;
     shards = 1;
     metrics = None;
   }
@@ -51,7 +44,7 @@ let default_options =
 (* Live-telemetry handles, resolved once per run. Every recorded quantity is
    scheduler- and shard-invariant by construction: all increments happen on
    the main domain, in the sequential post/merge phases, and count the same
-   events both schedulers produce byte-identically. *)
+   events the dense and event-driven modes produce byte-identically. *)
 type engine_meters = {
   slots_c : Mewc_obs.Metrics.counter;
   messages_c : Mewc_obs.Metrics.counter;
@@ -85,8 +78,8 @@ let mincr meters get =
    Within a slot, [Process.step ~slot ~inbox state] reads nothing but its
    own state and inbox — every cross-process effect flows through [post].
    That makes the step phase (where all the crypto lives) embarrassingly
-   parallel: shard the pid space across domains with static striding
-   (pid [p] on shard [p mod shards]), have each shard compute its
+   parallel: stripe the slot's ascending active set across domains (lane
+   [w] takes entries [w], [w + lanes], ...), have each lane compute its
    processes' results — the new state, plus each outgoing message already
    paired with its word count and fault fate, both pure functions of the
    message — into distinct slots of a results array, then merge on the
@@ -102,376 +95,6 @@ type ('s, 'm) step_out =
   | Stepped of 's * ('m * Pid.t * int * Faults.link_fault option) list
   | Failed of exn
 
-let compute_steps ws ~n ~active ~step_one results =
-  let lanes = Pool.size ws in
-  ignore
-    (Pool.exec ws
-       (Array.init lanes (fun w () ->
-            let p = ref w in
-            while !p < n do
-              if active !p then results.(!p) <- step_one !p;
-              p := !p + lanes
-            done)))
-
-let run_legacy ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
-  let {
-    record_trace;
-    shuffle_seed;
-    monitors;
-    decided;
-    profile;
-    faults;
-    scheduler = _;
-    shards = _;
-    metrics;
-  } =
-    options
-  in
-  let meters = engine_meters_of metrics in
-  let slot_words = ref 0 in
-  (* Sections are per slot, not per message, so an unprofiled run pays one
-     closure and one match per section per slot — noise. *)
-  let timed category name f =
-    match profile with
-    | None -> f ()
-    | Some p -> Profile.span p ~category name f
-  in
-  let n = cfg.Config.n in
-  let shuffle_rng = Option.map Rng.create shuffle_seed in
-  (* [None] when the plan is empty, so the reliable path is byte-identical
-     to a faultless build: no extra draws, allocations, or branches that
-     could perturb traces. *)
-  let faults_rt =
-    if Faults.is_none faults then None else Some (Faults.start ~n faults)
-  in
-  let faulty_seen = Array.make n false in
-  let faulty_order = ref [] in
-  let machines = Array.init n protocol in
-  let states = Array.map (fun m -> m.Process.init) machines in
-  let corrupted = Array.make n false in
-  let corruption_order = ref [] in
-  let corruption_count = ref 0 in
-  let meter = Meter.create () in
-  let trace = Trace.create ~enabled:record_trace in
-  (* Events are only materialized when someone is looking: a recording trace
-     or at least one monitor. The meter's per-slot series is always on. *)
-  let observing = record_trace || monitors <> [] in
-  let emit ev =
-    Trace.record trace ev;
-    List.iter (fun m -> m.Monitor.on_event ev) monitors
-  in
-  let prev_decided = Array.make n None in
-  let next_id = ref 0 in
-  let pending = Array.make n [] in
-  (* [pending.(p)] accumulates (reversed) the (id, envelope) pairs to
-     deliver to [p] at the start of the next slot. Envelope ids are assigned
-     in post order, so ids increase monotonically along the trace and a
-     message's id is always smaller than any message it causally feeds. *)
-  let inbox_ids = Array.make n [] in
-  (* [inbox_ids.(p)] — ids of the messages delivered to [p] this slot, in
-     inbox order; the provenance [parents] of anything [p] emits now. *)
-  let delayed = Hashtbl.create 8 in
-  (* [delayed] buckets messages a [Faults.Delayed] verdict postponed, keyed
-     by delivery slot. Kept apart from [pending] so the reliable path never
-     touches it. Buckets past the horizon are simply never flushed: the
-     message is lost to the end of time, which is what a late message in a
-     terminated synchronous protocol is. *)
-  let flush_delayed slot =
-    match Hashtbl.find_opt delayed slot with
-    | None -> ()
-    | Some entries ->
-      Hashtbl.remove delayed slot;
-      (* Entries were consed (newest first); re-reverse and cons onto
-         [pending] so after the final [List.rev] they land after the slot's
-         punctual messages, in original send order. *)
-      List.iter
-        (fun (dst, entry) -> pending.(dst) <- entry :: pending.(dst))
-        (List.rev entries)
-  in
-  let is_down p =
-    match faults_rt with None -> false | Some rt -> Faults.is_down rt p
-  in
-  let deliver () =
-    let order messages =
-      (* Shuffling the (id, envelope) pairs draws exactly what shuffling the
-         bare envelopes drew, so traces stay byte-identical across the id
-         refactor for any fixed shuffle seed. *)
-      match shuffle_rng with
-      | None -> List.rev messages
-      | Some rng -> Rng.shuffle rng messages
-    in
-    let pairs = Array.map order pending in
-    Array.fill pending 0 n [];
-    (* A down process receives nothing: whatever was addressed to it this
-       slot is lost, exactly like a crashed machine's NIC. *)
-    let pairs =
-      if faults_rt = None then pairs
-      else Array.mapi (fun p inbox -> if is_down p then [] else inbox) pairs
-    in
-    Array.iteri (fun p l -> inbox_ids.(p) <- List.map fst l) pairs;
-    Array.map (List.map snd) pairs
-  in
-  let fate_for ~slot ~src ~dst ~seq =
-    match faults_rt with
-    | None -> None
-    | Some rt -> Faults.fate ~seq rt ~slot ~src ~dst
-  in
-  (* [post_pre] consumes a send whose word count and fault fate were already
-     computed — pure functions of the message, so shard workers precompute
-     them off the main domain. Everything order-sensitive (the envelope id,
-     the meter charge, trace emission, delayed buckets) happens here, on the
-     main domain, in legacy post order. *)
-  let post_pre ~slot ~src (msg, dst, word_count, fault) =
-    if not (Pid.is_valid ~n dst) then
-      invalid_arg
-        (Printf.sprintf "Engine.run: p%d sent a message to unknown process %d"
-           src dst);
-    let envelope = { Envelope.src; dst; sent_at = slot; msg } in
-    let byzantine = corrupted.(src) in
-    let charged = Meter.charge meter ~byzantine ~src ~dst ~words:word_count in
-    (match meters with
-    | None -> ()
-    | Some m ->
-      Mewc_obs.Metrics.incr m.messages_c;
-      Mewc_obs.Metrics.add m.words_c word_count;
-      slot_words := !slot_words + word_count);
-    let id = !next_id in
-    incr next_id;
-    if observing then
-      emit
-        (Trace.Send
-           {
-             id;
-             envelope;
-             byzantine_sender = byzantine;
-             words = word_count;
-             charged;
-             parents = inbox_ids.(src);
-           });
-    match fault with
-    | None -> pending.(dst) <- (id, envelope) :: pending.(dst)
-    | Some fault ->
-      (* The send happened — it was charged and traced above; only its
-         delivery is tampered with here. *)
-      mincr meters (fun m -> m.link_faults_c);
-      if observing then emit (Trace.Link_fault { slot; id; src; dst; fault });
-      (match fault with
-      | Faults.Omitted | Faults.Partitioned | Faults.Dropped -> ()
-      | Faults.Delayed k ->
-        let at = slot + 1 + k in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt delayed at) in
-        Hashtbl.replace delayed at ((dst, (id, envelope)) :: prev)
-      | Faults.Duplicated ->
-        pending.(dst) <- (id, envelope) :: (id, envelope) :: pending.(dst))
-  in
-  let post ~slot ~src ~seq (msg, dst) =
-    post_pre ~slot ~src (msg, dst, words msg, fate_for ~slot ~src ~dst ~seq)
-  in
-  let step_results = Array.make n Skipped in
-  for slot = 0 to horizon - 1 do
-    Meter.begin_slot meter ~slot;
-    mincr meters (fun m -> m.slots_c);
-    if observing then emit (Trace.Slot_start slot);
-    (match faults_rt with
-    | None -> ()
-    | Some rt ->
-      List.iter
-        (fun (pid, event) ->
-          if not faulty_seen.(pid) then begin
-            faulty_seen.(pid) <- true;
-            faulty_order := pid :: !faulty_order
-          end;
-          if observing then emit (Trace.Process_fault { slot; pid; event }))
-        (Faults.transitions rt ~slot);
-      flush_delayed slot);
-    let inboxes = timed Profile.Engine "engine.deliver" deliver in
-    (* The defensive copies are lazy: honest/crash adversaries never force
-       them, so the common sweep point pays nothing for the snapshot. *)
-    let view outgoing =
-      {
-        Adversary.slot;
-        cfg;
-        states = lazy (Array.copy states);
-        corrupted = lazy (Array.copy corrupted);
-        inboxes = lazy (Array.copy inboxes);
-        correct_outgoing = outgoing;
-      }
-    in
-    (* 1. Adaptive corruption, before correct processes act this slot. *)
-    let new_corruptions =
-      timed Profile.Adversary "adversary.corrupt" (fun () ->
-          adversary.Adversary.corrupt (view (Lazy.from_val [])))
-    in
-    List.iter
-      (fun p ->
-        if not (Pid.is_valid ~n p) then
-          invalid_arg (Printf.sprintf "Engine.run: cannot corrupt unknown process %d" p);
-        if not corrupted.(p) then begin
-          if !corruption_count >= cfg.Config.t then
-            invalid_arg
-              (Printf.sprintf
-                 "Engine.run: adversary %s exceeded the corruption budget t=%d"
-                 adversary.Adversary.name cfg.Config.t);
-          corrupted.(p) <- true;
-          corruption_order := p :: !corruption_order;
-          incr corruption_count;
-          mincr meters (fun m -> m.corruptions_c);
-          if observing then
-            emit (Trace.Corruption { slot; pid = p; f = !corruption_count })
-        end)
-      new_corruptions;
-    (* 2. Correct processes step. A down process neither steps nor sends; a
-       corrupted one is the adversary's problem regardless of injected
-       faults. *)
-    let correct_sends = ref [] in
-    timed Profile.Machine "machine.step" (fun () ->
-        let active p = (not corrupted.(p)) && not (is_down p) in
-        let step_one p =
-          match machines.(p).Process.step ~slot ~inbox:inboxes.(p) states.(p) with
-          | state', sends ->
-            let pres =
-              List.mapi
-                (fun seq (msg, dst) ->
-                  (msg, dst, words msg, fate_for ~slot ~src:p ~dst ~seq))
-                sends
-            in
-            Stepped (state', pres)
-          | exception e -> Failed e
-        in
-        match workers with
-        | None ->
-          for p = 0 to n - 1 do
-            if active p then begin
-              match step_one p with
-              | Stepped (state', pres) ->
-                states.(p) <- state';
-                correct_sends := (p, pres) :: !correct_sends
-              | Failed e -> raise e
-              | Skipped -> ()
-            end
-          done
-        | Some ws ->
-          compute_steps ws ~n ~active ~step_one step_results;
-          (* Merge in ascending pid order — the legacy step order — raising
-             the lowest failing pid's exception, exactly as the sequential
-             scan would surface it. *)
-          for p = 0 to n - 1 do
-            match step_results.(p) with
-            | Skipped -> ()
-            | Stepped (state', pres) ->
-              step_results.(p) <- Skipped;
-              states.(p) <- state';
-              correct_sends := (p, pres) :: !correct_sends
-            | Failed e -> raise e
-          done);
-    (* 2b. Decision transitions, for the observability stream. *)
-    (match decided with
-    | Some decided when observing ->
-      for p = 0 to n - 1 do
-        if not corrupted.(p) then begin
-          match (prev_decided.(p), decided states.(p)) with
-          | None, (Some value as d) ->
-            prev_decided.(p) <- d;
-            mincr meters (fun m -> m.decisions_c);
-            emit
-              (Trace.Decision { slot; pid = p; value; parents = inbox_ids.(p) })
-          | Some v0, (Some value as d) when not (String.equal v0 value) ->
-            (* A re-decision is a protocol bug; surface it to the monitors
-               rather than silencing it here. *)
-            prev_decided.(p) <- d;
-            mincr meters (fun m -> m.decisions_c);
-            emit
-              (Trace.Decision { slot; pid = p; value; parents = inbox_ids.(p) })
-          | _ -> ()
-        end
-      done
-    | _ -> ());
-    let correct_sends = List.rev !correct_sends in
-    (* Built only if an adversary forces it: honest and crash adversaries
-       never read this slot's correct envelopes. *)
-    let correct_outgoing =
-      lazy
-        (List.concat_map
-           (fun (src, pres) ->
-             List.map
-               (fun (msg, dst, _, _) -> { Envelope.src; dst; sent_at = slot; msg })
-               pres)
-           correct_sends)
-    in
-    (* 3. Byzantine processes step, seeing this slot's correct sends. *)
-    let byz_view = view correct_outgoing in
-    let byz_sends = ref [] in
-    timed Profile.Adversary "adversary.byz_step" (fun () ->
-        for p = 0 to n - 1 do
-          if corrupted.(p) then
-            byz_sends :=
-              (p, adversary.Adversary.byz_step ~pid:p byz_view) :: !byz_sends
-        done);
-    (* 4. Post everything. *)
-    timed Profile.Engine "engine.post" (fun () ->
-        List.iter
-          (fun (src, pres) -> List.iter (post_pre ~slot ~src) pres)
-          correct_sends;
-        (* Byzantine sends go through the unsplit [post]: their fates are
-           derived from their own per-sender [seq] indices, disjoint from
-           nothing — (slot, src) already isolates them, since a corrupted
-           process never reaches the correct step phase. *)
-        List.iter
-          (fun (src, sends) ->
-            List.iteri (fun seq m -> post ~slot ~src ~seq m) sends)
-          (List.rev !byz_sends));
-    (match meters with
-    | None -> ()
-    | Some m ->
-      Mewc_obs.Metrics.observe m.slot_words_h !slot_words;
-      slot_words := 0)
-  done;
-  List.iter (fun m -> m.Monitor.on_finish ~slots:horizon) monitors;
-  {
-    states;
-    corrupted = List.rev !corruption_order;
-    f = !corruption_count;
-    faulty = List.rev !faulty_order;
-    meter;
-    trace;
-    slots = horizon;
-  }
-
-(* The event-driven scheduler. Observationally equivalent to [run_legacy] —
-   same seed, same options, same fault plan ⇒ byte-identical traces, meter
-   series, decisions, and final states — but a slot's cost scales with the
-   processes that actually have something to do (a delivery, or a wake
-   filed for the slot) instead of with [n]. The four load-bearing
-   identities:
-
-   - {e Delivery order and shuffle draws.} Only processes with pooled
-     messages are visited, in ascending pid order. The legacy dense pass
-     visits everyone in ascending pid order too, but shuffling an empty
-     inbox draws nothing from the RNG, so skipping empty pools replays the
-     exact shuffle stream. Pools are flat [Vec]s appended in post order;
-     reading them newest-first reproduces the legacy cons lists.
-
-   - {e Step order and event order.} Active processes step in ascending pid
-     order, so send ids, meter charges, and trace events interleave exactly
-     as under legacy. Skipped steps are no-ops by the [Process.wake]
-     contract, so their absence is invisible to states and traces.
-
-   - {e The wake calendar.} A process is active in a slot iff it has a
-     delivery or the slot is the one its next-wake query named. The query
-     runs once at start and once after each of the process's steps, so a
-     quiet process costs nothing per slot and a quiet slot costs O(1). The
-     query reads only the process's own state, which nothing but a step
-     changes, so the filed slot is the first slot at which the legacy
-     loop's empty-inbox step would act.
-
-   - {e Provenance.} [inbox_ids] is maintained as a persistent array that
-     is [[]] for every process without deliveries this slot — exactly what
-     the legacy dense rebuild yields — so [parents] of sends (including
-     byzantine sends and timer-driven sends) match byte for byte. *)
-
-(* The sharded step phase over an explicit ascending pid set: lane [w] takes
-   entries [w], [w + lanes], ... so the lanes split the active set rather
-   than the whole pid space. *)
 let compute_active_steps ws ~pids ~count ~step_one results =
   let lanes = Pool.size ws in
   ignore
@@ -510,7 +133,44 @@ let drain_ascending set flag out =
   Vec.clear set;
   len
 
-let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
+(* The slot loop. A slot's cost scales with the processes that actually
+   have something to do (a delivery, or a wake filed for the slot) instead
+   of with [n]. The load-bearing identities:
+
+   - {e Delivery order and shuffle draws.} Only processes with pooled
+     messages are visited, in ascending pid order. Shuffling an empty inbox
+     draws nothing from the RNG, so skipping empty pools replays the shuffle
+     stream of a pass over every process. Pools are flat [Vec]s appended in
+     post order; a process's inbox is its pool read newest-first, reversed
+     (or shuffled).
+
+   - {e Step order and event order.} Active processes step in ascending pid
+     order, so send ids, meter charges and trace events interleave exactly
+     as if every process stepped. Skipped steps are no-ops by the
+     [Process.wake] contract, so their absence is invisible to states and
+     traces.
+
+   - {e The wake calendar.} A process is active in a slot iff it has a
+     delivery or the slot is the one its next-wake query named. The query
+     runs once at start and once after each of the process's steps, so a
+     quiet process costs nothing per slot and a quiet slot costs O(1). The
+     query reads only the process's own state, which nothing but a step
+     changes, so the filed slot is the first slot at which an empty-inbox
+     step would act.
+
+   - {e Provenance.} [inbox_ids] is maintained as a persistent array that
+     is [[]] for every process without deliveries this slot, so [parents]
+     of sends (including byzantine sends and timer-driven sends) are the
+     ids of exactly this slot's deliveries.
+
+   The dense mode ([`Legacy]) is this same loop over machines whose [wake]
+   is forced to [None]: the calendar then files every live correct process
+   for every slot (a down one re-files, a corrupted one drops), so every
+   live correct process steps every slot and the decision scan over the
+   active set covers every state that can have changed. It is the test
+   oracle for the wake queries: a query that answers too late diverges
+   from it. *)
+let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   let {
     record_trace;
     shuffle_seed;
@@ -518,7 +178,7 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     decided;
     profile;
     faults;
-    scheduler = _;
+    scheduler;
     shards = _;
     metrics;
   } =
@@ -526,6 +186,8 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   in
   let meters = engine_meters_of metrics in
   let slot_words = ref 0 in
+  (* Sections are per slot, not per message, so an unprofiled run pays one
+     closure and one match per section per slot — noise. *)
   let timed category name f =
     match profile with
     | None -> f ()
@@ -533,18 +195,28 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   in
   let n = cfg.Config.n in
   let shuffle_rng = Option.map Rng.create shuffle_seed in
+  (* [None] when the plan is empty, so the reliable path is byte-identical
+     to a faultless build: no extra draws, allocations, or branches that
+     could perturb traces. *)
   let faults_rt =
     if Faults.is_none faults then None else Some (Faults.start ~n faults)
   in
   let faulty_seen = Array.make n false in
   let faulty_order = ref [] in
-  let machines = Array.init n protocol in
+  let machines =
+    match scheduler with
+    | `Event_driven -> Array.init n protocol
+    | `Legacy ->
+      Array.init n (fun p -> { (protocol p) with Process.wake = None })
+  in
   let states = Array.map (fun m -> m.Process.init) machines in
   let corrupted = Array.make n false in
   let corruption_order = ref [] in
   let corruption_count = ref 0 in
   let meter = Meter.create () in
   let trace = Trace.create ~enabled:record_trace in
+  (* Events are only materialized when someone is looking: a recording trace
+     or at least one monitor. The meter's per-slot series is always on. *)
   let observing = record_trace || monitors <> [] in
   let emit ev =
     Trace.record trace ev;
@@ -553,8 +225,10 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   let prev_decided = Array.make n None in
   let next_id = ref 0 in
   (* Flat per-process pools, appended in post order (oldest first) and
-     reused slot after slot; [Vec.to_rev_list] recovers the legacy
-     newest-first cons list. *)
+     reused slot after slot; [Vec.to_rev_list] reads one newest-first.
+     Envelope ids are assigned in post order, so ids increase monotonically
+     along the trace and a message's id is always smaller than any message
+     it causally feeds. *)
   let pools = Array.init n (fun _ -> Vec.create ()) in
   (* The processes whose pool is nonempty — the only ones the next delivery
      pass must visit. Collected unsorted with a flag for O(1) dedup, sorted
@@ -570,19 +244,23 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   (* Persistent inbox arrays: entries are [[]] except for this slot's
      delivered processes, and are reset at slot end. [post] reads
      [inbox_ids.(src)] for every sender — including timer-woken and
-     byzantine ones, whose provenance must be empty exactly as under the
-     legacy dense rebuild. *)
+     byzantine ones, whose provenance is therefore empty. *)
   let inboxes = Array.make n [] in
   let inbox_ids = Array.make n [] in
+  (* [delayed] buckets messages a [Faults.Delayed] verdict postponed, keyed
+     by delivery slot. Kept apart from the pools so the reliable path never
+     touches it. Buckets past the horizon are simply never flushed: the
+     message is lost to the end of time, which is what a late message in a
+     terminated synchronous protocol is. *)
   let delayed = Hashtbl.create 8 in
   let flush_delayed slot =
     match Hashtbl.find_opt delayed slot with
     | None -> ()
     | Some entries ->
       Hashtbl.remove delayed slot;
-      (* Oldest-first appends at the pool's end: reading newest-first then
-         yields flushed messages (newest first) ahead of the slot's punctual
-         ones — the legacy cons order. *)
+      (* Oldest-first appends at the pool's end: after the delivery pass
+         reverses the pool, flushed messages land after the slot's punctual
+         ones, in original send order. *)
       List.iter
         (fun (dst, entry) ->
           Vec.push pools.(dst) entry;
@@ -602,9 +280,11 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     | None -> None
     | Some rt -> Faults.fate ~seq rt ~slot ~src ~dst
   in
-  (* See [run_legacy]'s [post_pre]: the word count and fate arrive
-     precomputed (pure, shard-safe); the order-sensitive effects happen
-     here in post order. *)
+  (* [post_pre] consumes a send whose word count and fault fate were already
+     computed — pure functions of the message, so shard workers precompute
+     them off the main domain. Everything order-sensitive (the envelope id,
+     the meter charge, trace emission, delayed buckets) happens here, on the
+     main domain, in post order. *)
   let post_pre ~slot ~src (msg, dst, word_count, fault) =
     if not (Pid.is_valid ~n dst) then
       invalid_arg
@@ -637,6 +317,8 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
       Vec.push pools.(dst) (id, envelope);
       mark_dirty dst
     | Some fault ->
+      (* The send happened — it was charged and traced above; only its
+         delivery is tampered with here. *)
       mincr meters (fun m -> m.link_faults_c);
       if observing then emit (Trace.Link_fault { slot; id; src; dst; fault });
       (match fault with
@@ -734,8 +416,8 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
           for i = 0 to count - 1 do
             let p = delivered.(i) in
             (* Shuffle draws happen for every nonempty pool — even a down
-               process's, whose inbox legacy blanks only after ordering
-               it. *)
+               process's, which receives nothing: whatever was addressed to
+               it is lost after ordering, like a crashed machine's NIC. *)
             let pairs = order (Vec.to_rev_list pools.(p)) in
             Vec.clear pools.(p);
             if not (is_down p) then begin
@@ -842,8 +524,8 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     in
     (* 2b. Decision transitions. Slot 0 scans everyone (an init state may
        already be decided); afterwards only stepped processes can have
-       transitioned, so the scan follows the active set — in the same
-       ascending pid order as the legacy dense scan. *)
+       transitioned, so the scan follows the active set, in ascending pid
+       order. *)
     (match decided with
     | Some decided when observing ->
       let scan p =
@@ -855,6 +537,8 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
             emit
               (Trace.Decision { slot; pid = p; value; parents = inbox_ids.(p) })
           | Some v0, (Some value as d) when not (String.equal v0 value) ->
+            (* A re-decision is a protocol bug; surface it to the monitors
+               rather than silencing it here. *)
             prev_decided.(p) <- d;
             mincr meters (fun m -> m.decisions_c);
             emit
@@ -935,11 +619,7 @@ let run ~cfg ?(options = default_options) ~words ~horizon ~protocol ~adversary
   if options.shards > 1 && options.profile <> None then
     invalid_arg "Engine.run: profiling requires shards = 1";
   let go workers =
-    match options.scheduler with
-    | `Legacy ->
-      run_legacy ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary ()
-    | `Event_driven ->
-      run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary ()
+    run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary ()
   in
   if options.shards = 1 then go None
   else

@@ -40,27 +40,27 @@ type ('s, 'm) outcome = {
 }
 
 type scheduler = [ `Legacy | `Event_driven ]
-(** Which hot loop executes the run.
+(** Which processes the one slot loop steps.
 
-    - [`Legacy] — the original dense loop: every process steps every slot,
-      every inbox is rebuilt every slot. O(n) work per slot even when the
-      protocol is quiescent. Kept verbatim as the oracle.
-    - [`Event_driven] — per-process pending-delivery pools and a wake
-      calendar; a slot only visits processes that received something or
-      that filed the slot through their {!Process.wake} query, so a quiet
-      slot costs O(1). Raises [Invalid_argument] from {!run} if a wake
-      query answers a slot before the one it was asked about.
+    - [`Event_driven] (the default) — per-process pending-delivery pools
+      and a wake calendar; a slot only visits processes that received
+      something or that filed the slot through their {!Process.wake} query,
+      so a quiet slot costs O(1). Raises [Invalid_argument] from {!run} if
+      a wake query answers a slot before the one it was asked about.
+    - [`Legacy] — the dense test oracle of the same loop: every machine's
+      [wake] is ignored (forced to [None] when the machines are built), so
+      every live correct process steps every slot. O(n) work per slot even
+      when the protocol is quiescent.
 
-    The two are {e observationally equivalent}: same seed, same options,
-    same fault plan ⇒ byte-identical [mewc-trace/4] traces, decisions,
-    meter series, word counts, monitor verdicts, and final states. The
-    differential suite ([test_engine_diff]) enforces this across protocols,
-    fuzz scenarios, and chaos fault plans. *)
+    The two are {e observationally equivalent} for any machine that keeps
+    the {!Process.wake} contract: same seed, same options, same fault plan
+    ⇒ byte-identical [mewc-trace/4] traces, decisions, meter series, word
+    counts, monitor verdicts, and final states. The differential suite
+    ([test_engine_diff]) enforces this across protocols, fuzz scenarios,
+    and chaos fault plans. *)
 
 val scheduler_to_string : scheduler -> string
 (** ["legacy"] / ["event-driven"]. *)
-
-val scheduler_of_string : string -> (scheduler, string) result
 
 type ('s, 'm) options = {
   record_trace : bool;  (** materialize the run's {!Trace.t} *)
@@ -87,20 +87,19 @@ type ('s, 'm) options = {
           Raises [Invalid_argument] from {!run} if the plan fails
           {!Faults.validate}. *)
   scheduler : scheduler;
-      (** which hot loop runs the slots; [`Legacy] by default. *)
+      (** which processes step each slot; [`Event_driven] by default. *)
   shards : int;
       (** number of domains a run shards its processes across (default 1 =
           fully sequential, no domains involved). Within a slot, the
-          stepping processes are striped across the shards — under
-          [`Legacy] process [p] runs on shard [p mod shards], under
-          [`Event_driven] the [i]-th process of the slot's ascending active
-          set runs on shard [i mod shards]. Each shard runs its processes'
-          steps — where all the signature crypto lives — and precomputes
-          their new states,
-          word counts, and fault fates, and the main domain merges them in
-          ascending pid order before the sequential post phase assigns
-          envelope ids, meter charges, and trace events. Sharding composes
-          with both schedulers and is {e observationally invisible}: any
+          stepping processes are striped across the shards: the [i]-th
+          process of the slot's ascending active set runs on shard
+          [i mod shards] (in the dense mode the active set is every live
+          correct process). Each shard runs its processes' steps — where
+          all the signature crypto lives — and precomputes their new
+          states, word counts, and fault fates, and the main domain merges
+          them in ascending pid order before the sequential post phase
+          assigns envelope ids, meter charges, and trace events. Sharding
+          composes with both modes and is {e observationally invisible}: any
           shard count produces byte-identical traces, decisions, meter
           series, and final states (the cache hit/miss {e split} in
           {!Mewc_crypto.Pki.cache_stats} is the one legitimate exception —
@@ -124,7 +123,7 @@ type ('s, 'm) options = {
 
 val default_options : ('s, 'm) options
 (** No trace, in-order delivery, no monitors, no decision projection, no
-    faults, legacy scheduler, one shard, no metrics. *)
+    faults, event-driven scheduler, one shard, no metrics. *)
 
 val run :
   cfg:Config.t ->

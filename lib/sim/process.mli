@@ -29,14 +29,15 @@ type ('s, 'm) t = {
           (a skipped step must never alter any future send, decision, or
           state projection; internally inert bookkeeping such as
           materializing an empty scratch table is tolerated). Answering too
-          early is always safe (the process merely steps, as the legacy
-          scheduler makes it do every slot); answering too late breaks
+          early is always safe (the process merely steps, as the dense
+          oracle makes it do every slot); answering too late breaks
           scheduler equivalence, and answering a slot below [after] makes
           {!Engine.run} raise [Invalid_argument]. The query runs once per
           step, so it must be cheap: plain slot arithmetic, no allocation.
           [None] means "always step" — the conservative default that makes
-          any machine event-scheduler-correct. The legacy scheduler ignores
-          this field entirely. *)
+          any machine event-scheduler-correct. The dense oracle
+          ([`Legacy], see {!Engine.scheduler}) ignores this field entirely:
+          it forces every machine's [wake] to [None]. *)
 }
 
 val never : int

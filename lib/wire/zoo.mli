@@ -96,7 +96,7 @@ val find : string -> entry option
 
 val oracle :
   entry -> cfg:Mewc_sim.Config.t -> seed:int64 -> salt:int -> fingerprint
-(** One honest lock-step run ([Instances.run], legacy scheduler), with
+(** One honest lock-step run ([Instances.run], default options), with
     params [mutate_params (default_params cfg) ~salt]. *)
 
 val async :

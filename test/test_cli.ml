@@ -45,7 +45,6 @@ let help_cases =
     check_code "chaos --help" 0 "chaos --help";
     check_code "throughput --help" 0 "throughput --help";
     check_code "report --help" 0 "report --help";
-    check_code "perf baseline --help" 0 "perf baseline --help";
     check_code "wire --help" 0 "wire --help";
   ]
 
@@ -111,22 +110,20 @@ let test_fuzz_rejects_foreign_schema () =
       Alcotest.(check int) "foreign schema rejected" 124
         (run (Printf.sprintf "fuzz --replay %s" (Filename.quote tmp))))
 
-(* ---- --scheduler --------------------------------------------------------- *)
+(* ---- the retired --scheduler flag --------------------------------------- *)
 
+(* The engine runs event-driven everywhere; the dense oracle is a test-side
+   engine option, not a flag. Stale scripts that still pass --scheduler
+   fail loudly with cmdliner's parse error on every surface that had it. *)
 let scheduler_cases =
   [
-    check_code "run accepts legacy" 0 "run -p weak-ba -n 9 --scheduler legacy";
-    check_code "run accepts event-driven" 0
+    check_code "run rejects event-driven" cli_error
       "run -p weak-ba -n 9 --scheduler event-driven";
-    (* the flag is validated in the command body, so an unknown value is a
-       misuse (1), not a cmdliner parse error (124) *)
-    check_code "run rejects unknown scheduler" 1
+    check_code "run rejects unknown scheduler" cli_error
       "run -p weak-ba -n 9 --scheduler nonesuch";
-    check_code "bench rejects unknown scheduler" 1
+    check_code "bench rejects unknown scheduler" cli_error
       "bench --smoke --scheduler nonesuch";
-    check_code "bench accepts event-driven" 0
-      "bench --smoke --scheduler event-driven";
-    check_code "baselines reject event-driven" 1
+    check_code "baselines reject event-driven" cli_error
       "run -p dolev-strong -n 5 --scheduler event-driven";
     check_code "bench --smoke --frontier is misuse" 1 "bench --smoke --frontier";
   ]
@@ -135,32 +132,6 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
-
-let test_scheduler_default_documented () =
-  (* --help must say what you get when the flag is absent. *)
-  List.iter
-    (fun cmd ->
-      let code, out = run_out (cmd ^ " --help") in
-      Alcotest.(check int) (cmd ^ " --help exits 0") 0 code;
-      Alcotest.(check bool) (cmd ^ " --help names --scheduler") true
-        (contains out "--scheduler");
-      Alcotest.(check bool) (cmd ^ " --help documents the default") true
-        (contains out "absent=legacy" || contains out "default"))
-    [ "run"; "bench" ]
-
-let test_scheduler_same_decisions () =
-  let strip_timing out =
-    (* `run` prints no wall-clock, so whole-output equality is fair game *)
-    out
-  in
-  let code_l, out_l = run_out "run -p weak-ba -n 9 -a crash -f 2 --scheduler legacy" in
-  let code_e, out_e =
-    run_out "run -p weak-ba -n 9 -a crash -f 2 --scheduler event-driven"
-  in
-  Alcotest.(check int) "legacy exit" 0 code_l;
-  Alcotest.(check int) "event exit" 0 code_e;
-  Alcotest.(check string) "identical output" (strip_timing out_l)
-    (strip_timing out_e)
 
 (* ---- trace cone / unsupported combinations ------------------------------ *)
 
@@ -259,11 +230,13 @@ let throughput_cases =
   [
     check_code "single cell exits 0" 0
       "throughput -n 9 --workload steady --depth deep";
-    (* workload/depth/scheduler are validated in the command body: misuse
-       (1), not a cmdliner parse error (124) *)
+    (* workload/depth are validated in the command body: misuse (1), not a
+       cmdliner parse error (124) *)
     check_code "unknown workload" 1 "throughput --workload nonesuch";
     check_code "unknown depth" 1 "throughput --depth nonesuch";
-    check_code "unknown scheduler" 1 "throughput --smoke --scheduler nonesuch";
+    (* the retired --scheduler flag is a parse error here too *)
+    check_code "unknown scheduler" cli_error
+      "throughput --smoke --scheduler nonesuch";
     check_code "zero shards" 1 "throughput --smoke --shards 0";
     check_code "unknown flag" cli_error "throughput --bogus-flag";
     check_code "non-int n" cli_error "throughput -n many";
@@ -342,7 +315,7 @@ let runtime_cases =
       "run -p weak-ba -n 5 --runtime sync";
     check_code "run accepts --runtime async" 0
       "run -p weak-ba -n 5 --runtime async";
-    (* validated in the command body, like --scheduler: misuse, not 124 *)
+    (* validated in the command body: misuse, not 124 *)
     check_code "run rejects unknown runtime" 1
       "run -p weak-ba -n 5 --runtime nonesuch";
     (* the async runtime executes honest runs only: every lock-step-engine
@@ -405,14 +378,7 @@ let () =
     [
       ("help", help_cases);
       ("parse errors", error_cases);
-      ( "scheduler flag",
-        scheduler_cases
-        @ [
-            Alcotest.test_case "--help documents the default" `Quick
-              test_scheduler_default_documented;
-            Alcotest.test_case "legacy and event-driven print identically"
-              `Quick test_scheduler_same_decisions;
-          ] );
+      ("scheduler flag", scheduler_cases);
       ( "trace surfaces",
         trace_cases
         @ [

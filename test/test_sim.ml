@@ -384,12 +384,11 @@ let timer_machine ~log ~timers ?(sends = fun ~pid:_ ~slot:_ -> []) pid =
     wake = Some first_at_or_after;
   }
 
-let run_timers ?(shards = 1) ?(faults = Faults.none)
+let run_timers ?(scheduler = `Event_driven) ?(shards = 1) ?(faults = Faults.none)
     ?(adversary = Adversary.honest ~name:"h") ?(n = 3) ~horizon protocol =
   let cfg = Config.create ~n ~t:((n - 1) / 2) in
   Engine.run ~cfg
-    ~options:
-      { Engine.default_options with scheduler = `Event_driven; shards; faults }
+    ~options:{ Engine.default_options with scheduler; shards; faults }
     ~words:(fun _ -> 1) ~horizon ~protocol ~adversary ()
 
 let steps_of log pid = List.rev log.(pid)
@@ -475,6 +474,45 @@ let calendar_none_steps_every_slot () =
         (steps_of log p))
     [ 0; 1; 2 ]
 
+let calendar_dense_oracle_ignores_wake () =
+  (* p0's and p2's queries answer [never]; p1 is a plain timer machine
+     that fires at slot 0 and sends p0 one message. Event-driven, p0 then
+     steps only on that delivery (slot 1) and p2 never steps. The dense
+     oracle must ignore every query and step every live correct process
+     every slot — p1 until its corruption at slot 3, p2 around its down
+     window [2, 5). If it ever honoured [wake], the engine differentials
+     would compare the event-driven loop with itself. *)
+  let faults =
+    {
+      Faults.none with
+      Faults.processes = [ (2, Faults.Crash_recovery { down_at = 2; up_at = 5 }) ];
+    }
+  in
+  let sends ~pid ~slot = if pid = 1 && slot = 0 then [ (99, 0) ] else [] in
+  let run scheduler shards =
+    let log = Array.make 3 [] in
+    let timers = function 1 -> [ 0 ] | _ -> [] in
+    let protocol pid =
+      let m = timer_machine ~log ~timers ~sends pid in
+      if pid = 1 then m else { m with wake = Some (fun ~after:_ _ -> Process.never) }
+    in
+    ignore
+      (run_timers ~scheduler ~shards ~faults
+         ~adversary:(Adversary.crash ~at:3 ~victims:[ 1 ] ())
+         ~horizon:8 protocol);
+    List.map (steps_of log) [ 0; 1; 2 ]
+  in
+  List.iter
+    (fun shards ->
+      let label what = Printf.sprintf "shards=%d %s" shards what in
+      Alcotest.(check (list (list int)))
+        (label "dense")
+        [ [ 0; 1; 2; 3; 4; 5; 6; 7 ]; [ 0; 1; 2 ]; [ 0; 1; 5; 6; 7 ] ]
+        (run `Legacy shards);
+      Alcotest.(check (list (list int)))
+        (label "event-driven") [ [ 1 ]; [ 0 ]; [] ] (run `Event_driven shards))
+    [ 1; 2 ]
+
 let calendar_rejects_past_answers () =
   let protocol _ =
     {
@@ -535,6 +573,8 @@ let () =
           Alcotest.test_case "drops corrupted and late" `Quick
             calendar_drops_corrupted_and_late;
           Alcotest.test_case "None steps every slot" `Quick calendar_none_steps_every_slot;
+          Alcotest.test_case "dense oracle ignores wake" `Quick
+            calendar_dense_oracle_ignores_wake;
           Alcotest.test_case "rejects past answers" `Quick calendar_rejects_past_answers;
         ] );
       ( "composition",
