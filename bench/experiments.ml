@@ -11,6 +11,12 @@ open Mewc_prelude
 open Mewc_sim
 open Mewc_core
 module W = Instances.Weak_str
+module Wp = Instances.Weak_ba_protocol
+module Bp = Instances.Bb_protocol
+module Sp = Instances.Strong_ba_protocol
+module Fp = Instances.Fallback_protocol
+module Ds = Instances.Dolev_strong_protocol
+module Nb = Instances.Naive_bb_protocol
 
 let honest ~pki ~secrets =
   Adversary.const (Adversary.honest ~name:"honest") ~pki ~secrets
@@ -23,38 +29,36 @@ let cfg n = Config.optimal ~n
 
 (* Word counts for the standard sweeps. *)
 let bb_words ~n ~f =
-  let o = Instances.run_bb ~cfg:(cfg n) ~input:"payload" ~adversary:(crash_first f) () in
+  let o = Instances.run (module Bp) ~cfg:(cfg n) ~params:{ Bp.sender = 0; input = "payload" } ~adversary:(crash_first f) () in
   o.Instances.words
 
 let weak_words ~n ~f =
   let o =
-    Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+    Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n))
       ~adversary:(crash_first f) ()
   in
   o.Instances.words
 
 let strong_words ~n ~f =
   let o =
-    Instances.run_strong_ba ~cfg:(cfg n) ~inputs:(Array.make n true)
+    Instances.run (module Sp) ~cfg:(cfg n) ~params:(Sp.default_params (cfg n))
       ~adversary:(crash_first f) ()
   in
   o.Instances.words
 
 let epk_words ~n ~f =
   let o =
-    Instances.run_fallback ~cfg:(cfg n)
-      ~inputs:(Array.init n (fun i -> Printf.sprintf "x%d" (i mod 3)))
+    Instances.run (module Fp) ~cfg:(cfg n)
+      ~params:
+        {
+          (Fp.default_params (cfg n)) with
+          inputs = Array.init n (fun i -> Printf.sprintf "x%d" (i mod 3));
+        }
       ~adversary:(crash_first f) ()
   in
   o.Instances.words
 
 let fs = [ "0"; "1"; "t/2"; "t" ]
-let f_of_spec ~t = function
-  | "0" -> 0
-  | "1" -> min 1 t
-  | "t/2" -> t / 2
-  | "t" -> t
-  | s -> failwith ("unknown f spec " ^ s)
 
 let sweep_table ~title ~measure ~ns =
   let table =
@@ -66,7 +70,7 @@ let sweep_table ~title ~measure ~ns =
       let t = (cfg n).Config.t in
       List.iter
         (fun spec ->
-          let f = f_of_spec ~t spec in
+          let f = Sweep.f_of_spec ~t spec in
           let w = measure ~n ~f in
           Ascii_table.add_row table
             [
@@ -136,7 +140,8 @@ let table1_strong () =
   List.iter
     (fun n ->
       let o =
-        Instances.run_binary_bb ~cfg:(cfg n) ~input:true ~adversary:honest ()
+        Instances.run (module Instances.Binary_bb_protocol) ~cfg:(cfg n)
+          ~params:(Instances.Binary_bb_protocol.default_params (cfg n)) ~adversary:honest ()
       in
       let w = o.Instances.words in
       Ascii_table.add_row table
@@ -189,8 +194,8 @@ let table1_fit () =
   fit "A_fallback, f=0" "O(n^2)" (fun n -> epk_words ~n ~f:0) [ 9; 17; 33; 65 ];
   fit "Dolev-Strong BB, f=0" "O(n^2) (baseline)"
     (fun n ->
-      (Mewc_baselines.Dolev_strong.run ~cfg:(cfg n) ~input:"v" ~adversary:honest ())
-        .Mewc_baselines.Dolev_strong.words)
+      (Instances.run (module Ds) ~cfg:(cfg n) ~params:(Ds.default_params (cfg n)) ~adversary:honest ())
+        .Instances.words)
     [ 9; 17; 33; 65 ];
   Ascii_table.add_row table
     [ "(*)"; "our A_fallback is O(n^2 (k+1));"; "see DESIGN.md"; "" ];
@@ -205,12 +210,12 @@ let figure1 () =
      (which invokes the fallback too). *)
   let n = 9 in
   let t = (cfg n).Config.t in
-  ignore (Instances.run_bb ~cfg:(cfg n) ~input:"v" ~adversary:honest ());
+  ignore (Instances.run (module Bp) ~cfg:(cfg n) ~params:(Bp.default_params (cfg n)) ~adversary:honest ());
   ignore
-    (Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+    (Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n))
        ~adversary:(crash_first t) ());
   ignore
-    (Instances.run_strong_ba ~cfg:(cfg n) ~inputs:(Array.make n true)
+    (Instances.run (module Sp) ~cfg:(cfg n) ~params:(Sp.default_params (cfg n))
        ~adversary:(crash_first 1) ());
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
@@ -243,7 +248,7 @@ let claim_adaptivity () =
   List.iter
     (fun f ->
       let o =
-        Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+        Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n))
           ~adversary:(crash_first f) ()
       in
       Ascii_table.add_row table
@@ -260,7 +265,7 @@ let claim_adaptivity () =
     (fun f ->
       let leaders = List.init f (fun i -> i + 1) in
       let o =
-        Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+        Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n))
           ~adversary:(Attacks.wba_busy_byz_leaders ~cfg:(cfg n) ~leaders)
           ()
       in
@@ -287,7 +292,8 @@ let claim_failure_free () =
   List.iter
     (fun n ->
       let o =
-        Instances.run_strong_ba ~cfg:(cfg n) ~inputs:(Array.init n (fun i -> i mod 2 = 0))
+        Instances.run (module Sp) ~cfg:(cfg n)
+          ~params:{ Sp.leader = 0; inputs = Array.init n (fun i -> i mod 2 = 0) }
           ~adversary:honest ()
       in
       Ascii_table.add_row table
@@ -318,7 +324,7 @@ let claim_fallback_threshold () =
   List.iter
     (fun f ->
       let o =
-        Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+        Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n))
           ~adversary:(crash_first f) ()
       in
       Ascii_table.add_row table
@@ -348,7 +354,7 @@ let claim_help_linear () =
     (fun k ->
       let spammers = List.init k (fun i -> n - 1 - i) in
       let o =
-        Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+        Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n))
           ~adversary:
             (if k = 0 then honest
              else Attacks.wba_help_req_spammers ~cfg:(cfg n) ~spammers)
@@ -378,14 +384,14 @@ let baseline_comparison () =
     (fun (n, f) ->
       let adaptive = bb_words ~n ~f in
       let naive =
-        (Mewc_baselines.Naive_bb.run ~cfg:(cfg n) ~input:"v"
+        (Instances.run (module Nb) ~cfg:(cfg n) ~params:(Nb.default_params (cfg n))
            ~adversary:(crash_first f) ())
-          .Mewc_baselines.Naive_bb.words
+          .Instances.words
       in
       let ds =
-        (Mewc_baselines.Dolev_strong.run ~cfg:(cfg n) ~input:"v"
+        (Instances.run (module Ds) ~cfg:(cfg n) ~params:(Ds.default_params (cfg n))
            ~adversary:(crash_first f) ())
-          .Mewc_baselines.Dolev_strong.words
+          .Instances.words
       in
       Ascii_table.add_row table
         [
@@ -430,16 +436,16 @@ let signature_table () =
   in
   List.iter
     (fun n ->
-      let o = Instances.run_bb ~cfg:(cfg n) ~input:"v" ~adversary:honest () in
+      let o = Instances.run (module Bp) ~cfg:(cfg n) ~params:(Bp.default_params (cfg n)) ~adversary:honest () in
       row "adaptive BB" n 0 o.Instances.signatures o.Instances.words;
       let t = (cfg n).Config.t in
-      let o = Instances.run_bb ~cfg:(cfg n) ~input:"v" ~adversary:(crash_first t) () in
+      let o = Instances.run (module Bp) ~cfg:(cfg n) ~params:(Bp.default_params (cfg n)) ~adversary:(crash_first t) () in
       row "adaptive BB" n t o.Instances.signatures o.Instances.words;
       let d =
-        Mewc_baselines.Dolev_strong.run ~cfg:(cfg n) ~input:"v" ~adversary:honest ()
+        Instances.run (module Ds) ~cfg:(cfg n) ~params:(Ds.default_params (cfg n)) ~adversary:honest ()
       in
-      row "Dolev-Strong BB" n 0 d.Mewc_baselines.Dolev_strong.signatures
-        d.Mewc_baselines.Dolev_strong.words)
+      row "Dolev-Strong BB" n 0 d.Instances.signatures
+        d.Instances.words)
     [ 9; 17; 33 ];
   table
 
@@ -458,7 +464,7 @@ let latency_table () =
     Ascii_table.add_row table
       [ proto; string_of_int n; adversary_name; string_of_int latency ]
   in
-  let weak adversary = (Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v") ~adversary ()).Instances.latency in
+  let weak adversary = (Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n)) ~adversary ()).Instances.latency in
   row "weak BA" "honest" (weak honest);
   row "weak BA" "1 busy byz leader"
     (weak (Attacks.wba_busy_byz_leaders ~cfg:(cfg n) ~leaders:[ 1 ]));
@@ -466,13 +472,13 @@ let latency_table () =
     (weak (Attacks.wba_busy_byz_leaders ~cfg:(cfg n) ~leaders:[ 1; 2; 3 ]));
   row "weak BA" "f = t crash (fallback)" (weak (crash_first 4));
   row "BB" "honest"
-    (Instances.run_bb ~cfg:(cfg n) ~input:"v" ~adversary:honest ()).Instances.latency;
+    (Instances.run (module Bp) ~cfg:(cfg n) ~params:(Bp.default_params (cfg n)) ~adversary:honest ()).Instances.latency;
   row "strong BA" "honest"
-    (Instances.run_strong_ba ~cfg:(cfg n) ~inputs:(Array.make n true)
+    (Instances.run (module Sp) ~cfg:(cfg n) ~params:(Sp.default_params (cfg n))
        ~adversary:honest ())
       .Instances.latency;
   row "strong BA" "1 crash (fallback)"
-    (Instances.run_strong_ba ~cfg:(cfg n) ~inputs:(Array.make n true)
+    (Instances.run (module Sp) ~cfg:(cfg n) ~params:(Sp.default_params (cfg n))
        ~adversary:(crash_first 1) ())
       .Instances.latency;
   table
@@ -495,8 +501,9 @@ let ablation_quorum () =
       in
       let distinct ?quorum_override q =
         let o =
-          Instances.run_weak_ba ~cfg:c ?quorum_override
-            ~inputs:(Array.make n "input") ~adversary:(attack q) ()
+          Instances.run (module Wp) ~cfg:c
+            ~params:{ (Wp.default_params c) with inputs = Array.make n "input"; quorum_override }
+            ~adversary:(attack q) ()
         in
         Array.to_list o.Instances.decisions
         |> List.filteri (fun p _ -> not (List.mem p o.Instances.corrupted))
@@ -536,7 +543,7 @@ let ablation_resilience () =
     (fun (n, t, regime) ->
       let c = Config.create ~n ~t in
       let o =
-        Instances.run_weak_ba ~cfg:c ~inputs:(Array.make n "v")
+        Instances.run (module Wp) ~cfg:c ~params:(Wp.default_params c)
           ~adversary:(crash_first t) ()
       in
       let decided =
@@ -587,7 +594,7 @@ let ablation_fallback () =
       let t = c.Config.t in
       let victims = List.init t (fun i -> i + 1) in
       let epk =
-        Instances.run_weak_ba ~cfg:c ~inputs:(Array.make n "v")
+        Instances.run (module Wp) ~cfg:c ~params:(Wp.default_params c)
           ~adversary:(crash_first t) ()
       in
       Ascii_table.add_row table
@@ -655,15 +662,15 @@ let observability_json () =
   let runs =
     List.concat_map
       (fun spec ->
-        let f = f_of_spec ~t spec in
+        let f = Sweep.f_of_spec ~t spec in
         [
           entry ~protocol:"bb" ~spec
-            (Instances.run_bb ~cfg:c ~input:"payload" ~adversary:(crash_first f) ());
+            (Instances.run (module Bp) ~cfg:c ~params:{ Bp.sender = 0; input = "payload" } ~adversary:(crash_first f) ());
           entry ~protocol:"weak-ba" ~spec
-            (Instances.run_weak_ba ~cfg:c ~inputs:(Array.make n "v")
+            (Instances.run (module Wp) ~cfg:c ~params:(Wp.default_params c)
                ~adversary:(crash_first f) ());
           entry ~protocol:"strong-ba" ~spec
-            (Instances.run_strong_ba ~cfg:c ~inputs:(Array.make n true)
+            (Instances.run (module Sp) ~cfg:c ~params:(Sp.default_params c)
                ~adversary:(crash_first f) ());
         ])
       fs

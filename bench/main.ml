@@ -21,6 +21,11 @@
 
 open Mewc_sim
 open Mewc_core
+module Wp = Instances.Weak_ba_protocol
+module Bp = Instances.Bb_protocol
+module Sp = Instances.Strong_ba_protocol
+module Fp = Instances.Fallback_protocol
+module Ds = Instances.Dolev_strong_protocol
 
 let run_tables () =
   List.iter
@@ -47,32 +52,32 @@ let bench_tests =
   let open Bechamel in
   [
     Test.make ~name:"table1/bb n=21 f=0" (Staged.stage (fun () ->
-        ignore (Instances.run_bb ~cfg:(cfg n) ~input:"v" ~adversary:honest ())));
+        ignore (Instances.run (module Bp) ~cfg:(cfg n) ~params:(Bp.default_params (cfg n)) ~adversary:honest ())));
     Test.make ~name:"table1/bb n=21 f=t" (Staged.stage (fun () ->
-        ignore (Instances.run_bb ~cfg:(cfg n) ~input:"v" ~adversary:(crash_first t) ())));
+        ignore (Instances.run (module Bp) ~cfg:(cfg n) ~params:(Bp.default_params (cfg n)) ~adversary:(crash_first t) ())));
     Test.make ~name:"table1/weak-ba n=21 f=0" (Staged.stage (fun () ->
         ignore
-          (Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+          (Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n))
              ~adversary:honest ())));
     Test.make ~name:"table1/weak-ba n=21 f=t" (Staged.stage (fun () ->
         ignore
-          (Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+          (Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n))
              ~adversary:(crash_first t) ())));
     Test.make ~name:"table1/strong-ba n=21 f=0" (Staged.stage (fun () ->
         ignore
-          (Instances.run_strong_ba ~cfg:(cfg n) ~inputs:(Array.make n true)
+          (Instances.run (module Sp) ~cfg:(cfg n) ~params:(Sp.default_params (cfg n))
              ~adversary:honest ())));
     Test.make ~name:"table1/strong-ba n=21 f=1" (Staged.stage (fun () ->
         ignore
-          (Instances.run_strong_ba ~cfg:(cfg n) ~inputs:(Array.make n true)
+          (Instances.run (module Sp) ~cfg:(cfg n) ~params:(Sp.default_params (cfg n))
              ~adversary:(crash_first 1) ())));
     Test.make ~name:"table1/a-fallback n=21 f=0" (Staged.stage (fun () ->
         ignore
-          (Instances.run_fallback ~cfg:(cfg n) ~inputs:(Array.make n "v")
+          (Instances.run (module Fp) ~cfg:(cfg n) ~params:(Fp.default_params (cfg n))
              ~adversary:honest ())));
     Test.make ~name:"baseline/dolev-strong n=21 f=0" (Staged.stage (fun () ->
         ignore
-          (Mewc_baselines.Dolev_strong.run ~cfg:(cfg n) ~input:"v"
+          (Instances.run (module Ds) ~cfg:(cfg n) ~params:(Ds.default_params (cfg n))
              ~adversary:honest ())));
   ]
 

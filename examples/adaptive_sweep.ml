@@ -30,15 +30,13 @@ let () =
       ~headers:[ "f"; "BB words"; "weak BA words"; "strong BA words"; "fallback?" ]
   in
   for f = 0 to t do
-    let bb = Instances.run_bb ~cfg ~input:"v" ~adversary:(crash_first f) () in
-    let weak =
-      Instances.run_weak_ba ~cfg ~inputs:(Array.make n "v")
+    let run (type p s m d) ((module P) : (p, s, m, d) Protocol.t) =
+      Instances.run (module P) ~cfg ~params:(P.default_params cfg)
         ~adversary:(crash_first f) ()
     in
-    let strong =
-      Instances.run_strong_ba ~cfg ~inputs:(Array.make n true)
-        ~adversary:(crash_first f) ()
-    in
+    let bb = run (module Instances.Bb_protocol) in
+    let weak = run (module Instances.Weak_ba_protocol) in
+    let strong = run (module Instances.Strong_ba_protocol) in
     Ascii_table.add_row table
       [
         string_of_int f;

@@ -36,7 +36,10 @@ let () =
 
   Printf.printf "Byzantine Broadcast (n = %d):\n" n;
   let bb name ?(validity = fun _ -> true) adversary =
-    let o = Instances.run_bb ~cfg ~input:"v" ~adversary () in
+    let o =
+      Instances.run (module Instances.Bb_protocol) ~cfg
+        ~params:(Instances.Bb_protocol.default_params cfg) ~adversary ()
+    in
     let ds = correct_decisions o in
     check name ~decided_same:(all_same ds) ~extra:(validity ds)
   in
@@ -55,8 +58,13 @@ let () =
     (Attacks.bb_selective_sender ~cfg ~sender:0 ~value:"rare" ~recipients:[ 5 ]);
 
   Printf.printf "\nWeak BA (n = %d):\n" n;
-  let weak name ?validate ?(validity = fun _ -> true) ~inputs adversary =
-    let o = Instances.run_weak_ba ~cfg ?validate ~inputs ~adversary () in
+  let weak name ?(validate = fun _ -> true) ?(validity = fun _ -> true) ~inputs
+      adversary =
+    let o =
+      Instances.run (module Instances.Weak_ba_protocol) ~cfg
+        ~params:{ Instances.Weak_ba_protocol.inputs; validate; quorum_override = None }
+        ~adversary ()
+    in
     let ds = correct_decisions o in
     check name ~decided_same:(all_same ds) ~extra:(validity ds)
   in
@@ -79,7 +87,10 @@ let () =
 
   Printf.printf "\nStrong BA (n = %d):\n" n;
   let strong name ?(validity = fun _ -> true) ~inputs adversary =
-    let o = Instances.run_strong_ba ~cfg ~inputs ~adversary () in
+    let o =
+      Instances.run (module Instances.Strong_ba_protocol) ~cfg
+        ~params:{ Instances.Strong_ba_protocol.leader = 0; inputs } ~adversary ()
+    in
     let ds = correct_decisions o in
     check name ~decided_same:(all_same ds) ~extra:(validity ds)
   in
@@ -94,7 +105,11 @@ let () =
 
   Printf.printf "\nA_fallback / echo phase king (n = %d):\n" n;
   let epk name ?(validity = fun _ -> true) ~inputs adversary =
-    let o = Instances.run_fallback ~cfg ~inputs ~adversary () in
+    let o =
+      Instances.run (module Instances.Fallback_protocol) ~cfg
+        ~params:{ (Instances.Fallback_protocol.default_params cfg) with inputs }
+        ~adversary ()
+    in
     let ds = correct_decisions o in
     check name ~decided_same:(all_same ds) ~extra:(validity ds)
   in

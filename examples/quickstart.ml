@@ -36,14 +36,17 @@ let () =
   (* Failure-free: one round of sender dissemination, silent vetting, and a
      single weak-BA phase — O(n) words. *)
   let honest = Adversary.const (Adversary.honest ~name:"honest") in
+  let bb input = { Instances.Bb_protocol.sender = 0; input } in
   describe "run 1: failure-free"
-    (Instances.run_bb ~cfg ~input:"attack-at-dawn" ~adversary:honest ());
+    (Instances.run (module Instances.Bb_protocol) ~cfg
+       ~params:(bb "attack-at-dawn") ~adversary:honest ());
 
   (* Two crashes: still O(n) — the word count barely moves. That is the
      paper's point: pay for actual failures, not for the worst case. *)
   let crash2 = Adversary.const (Adversary.crash ~victims:[ 3; 7 ] ()) in
   describe "run 2: two crashed processes"
-    (Instances.run_bb ~cfg ~input:"attack-at-dawn" ~adversary:crash2 ());
+    (Instances.run (module Instances.Bb_protocol) ~cfg
+       ~params:(bb "attack-at-dawn") ~adversary:crash2 ());
 
   (* A Byzantine sender that signs two different values: agreement still
      holds (everyone decides the same thing — possibly ⊥). *)
@@ -51,4 +54,5 @@ let () =
     Attacks.bb_equivocating_sender ~cfg ~sender:0 ~v1:"attack" ~v2:"retreat"
   in
   describe "run 3: equivocating Byzantine sender"
-    (Instances.run_bb ~cfg ~input:"ignored" ~adversary:equivocator ())
+    (Instances.run (module Instances.Bb_protocol) ~cfg ~params:(bb "ignored")
+       ~adversary:equivocator ())

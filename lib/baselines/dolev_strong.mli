@@ -15,58 +15,13 @@
     prove sender equivocation). After round [t + 1]: decide the unique
     extracted value, or ⊥. *)
 
-type value = string
-
 type msg = {
-  value : value;
+  value : string;
   chain : Mewc_crypto.Pki.Sig.t list;
       (** distinct signers, sender's signature first *)
 }
 
-type state
-type decision = Decided of value | No_decision
-
-val equal_decision : decision -> decision -> bool
-val pp_decision : Format.formatter -> decision -> unit
-
-val words : msg -> int
-(** 1 + chain length: signature chains do not batch (threshold schemes
-    cannot aggregate signatures over different message prefixes). *)
-
-val sender_purpose : string
-
-val init :
-  cfg:Mewc_sim.Config.t ->
-  pki:Mewc_crypto.Pki.t ->
-  secret:Mewc_crypto.Pki.Secret.t ->
-  pid:Mewc_prelude.Pid.t ->
-  sender:Mewc_prelude.Pid.t ->
-  input:value option ->
-  start_slot:int ->
-  state
-
-val step :
-  slot:int ->
-  inbox:msg Mewc_sim.Envelope.t list ->
-  state ->
-  state * (msg * Mewc_prelude.Pid.t) list
-
-val decision : state -> decision option
-val horizon : Mewc_sim.Config.t -> int
-
-type outcome = {
-  decisions : decision option array;
-  f : int;
-  words : int;
-  messages : int;
-  signatures : int;
-}
-
-val run :
-  cfg:Mewc_sim.Config.t ->
-  ?seed:int64 ->
-  ?sender:Mewc_prelude.Pid.t ->
-  input:value ->
-  adversary:(state, msg) Mewc_sim.Adversary.factory ->
-  unit ->
-  outcome
+include Baseline.S with type msg := msg
+(** [words] is 1 + chain length: signature chains do not batch (threshold
+    schemes cannot aggregate signatures over different message prefixes).
+    [decided_at] is round [t + 2] after [start_slot]. *)

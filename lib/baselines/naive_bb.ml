@@ -4,6 +4,8 @@ open Mewc_sim
 
 type value = string
 
+let name = "naive-bb"
+
 module Opt_value = struct
   type t = value option
 
@@ -35,6 +37,10 @@ let pp_decision fmt = function
   | No_decision -> Format.pp_print_string fmt "decide(⊥)"
 
 let words = function Send _ -> 2 | Ba m -> Ba.words m
+
+let pp_msg fmt = function
+  | Send { value; _ } -> Format.fprintf fmt "send(%s)" value
+  | Ba m -> Format.fprintf fmt "ba:%a" Ba.pp_msg m
 
 type state = {
   cfg : Config.t;
@@ -74,6 +80,8 @@ let decision st =
     | None -> None
     | Some (Some v) -> Some (Decided v)
     | Some None -> Some No_decision)
+
+let decided_at st = Option.bind st.ba Ba.decided_at
 
 let step ~slot ~inbox st =
   let rel = slot - st.start_slot in
@@ -128,36 +136,3 @@ let step ~slot ~inbox st =
     in
     (st, sends)
   end
-
-type outcome = {
-  decisions : decision option array;
-  f : int;
-  words : int;
-  messages : int;
-  signatures : int;
-}
-
-let run ~cfg ?(seed = 1L) ?(sender = 0) ~input ~adversary () =
-  let n = cfg.Config.n in
-  let pki, secrets = Pki.setup ~seed ~n () in
-  let protocol pid =
-    {
-      Process.init =
-        init ~cfg ~pki ~secret:secrets.(pid) ~pid ~sender
-          ~input:(if pid = sender then Some input else None)
-          ~start_slot:0;
-      step = (fun ~slot ~inbox st -> step ~slot ~inbox st);
-      wake = None;
-    }
-  in
-  let adversary = adversary ~pki ~secrets in
-  let res =
-    Engine.run ~cfg ~words ~horizon:(horizon cfg) ~protocol ~adversary ()
-  in
-  {
-    decisions = Array.map decision res.Engine.states;
-    f = res.Engine.f;
-    words = Meter.correct_words res.Engine.meter;
-    messages = Meter.correct_messages res.Engine.meter;
-    signatures = Pki.signatures_created pki;
-  }

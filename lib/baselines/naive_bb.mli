@@ -8,52 +8,7 @@
     Cost: O(n²) words in {e every} run, including failure-free ones — the
     comparator that makes the adaptive protocol's O(n(f+1)) meaningful. *)
 
-type value = string
+module Opt_value : Mewc_sim.Value.S with type t = string option
 
-module Opt_value : Mewc_sim.Value.S with type t = value option
-
-type msg
-type state
-type decision = Decided of value | No_decision
-
-val equal_decision : decision -> decision -> bool
-val pp_decision : Format.formatter -> decision -> unit
-val words : msg -> int
-
-val sender_purpose : string
-
-val init :
-  cfg:Mewc_sim.Config.t ->
-  pki:Mewc_crypto.Pki.t ->
-  secret:Mewc_crypto.Pki.Secret.t ->
-  pid:Mewc_prelude.Pid.t ->
-  sender:Mewc_prelude.Pid.t ->
-  input:value option ->
-  start_slot:int ->
-  state
-
-val step :
-  slot:int ->
-  inbox:msg Mewc_sim.Envelope.t list ->
-  state ->
-  state * (msg * Mewc_prelude.Pid.t) list
-
-val decision : state -> decision option
-val horizon : Mewc_sim.Config.t -> int
-
-type outcome = {
-  decisions : decision option array;
-  f : int;
-  words : int;
-  messages : int;
-  signatures : int;
-}
-
-val run :
-  cfg:Mewc_sim.Config.t ->
-  ?seed:int64 ->
-  ?sender:Mewc_prelude.Pid.t ->
-  input:value ->
-  adversary:(state, msg) Mewc_sim.Adversary.factory ->
-  unit ->
-  outcome
+include Baseline.S
+(** [decided_at] is the slot the embedded strong BA decided at. *)

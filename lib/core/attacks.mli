@@ -125,7 +125,7 @@ val wba_small_quorum_split :
     ablated to [quorum = t + 1] this yields two conflicting finalize
     certificates and an agreement violation; against the sound
     ⌈(n+t+1)/2⌉ quorum the same attack cannot complete either certificate.
-    Run it with {!Instances.run_weak_ba}'s [quorum_override]. *)
+    Run it with {!Instances.Weak_ba_protocol}'s [quorum_override]. *)
 
 val wba_fuzzer :
   cfg:Config.t ->

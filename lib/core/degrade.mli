@@ -31,8 +31,9 @@ val cfg : Config.t
     suite's size. *)
 
 val protocols : string list
-(** The five instances, in grid order:
-    [fallback; weak-ba; bb; binary-bb; strong-ba]. *)
+(** The five paper protocols, by {!Registry} name, in grid order:
+    [fallback; weak-ba; bb; binary-bb; strong-ba]. Each cell runs the
+    entry's run preset at input ["x"]. *)
 
 val profiles : string list
 (** Fault profiles, in grid order:

@@ -119,7 +119,7 @@ end
 module Strong_bool = Ff_strong_ba.Make (Fallback_bool)
 module Binary_bb_bool = Binary_bb.Make (Fallback_bool)
 
-(* ---- the five Protocol.S instances ------------------------------------- *)
+(* ---- the paper's five Protocol.S instances ------------------------------ *)
 
 (* Every [encode_msg] takes its message explicitly: a point-free
    [Format.asprintf "%a" pp] builds one buffer and formatter when the module
@@ -155,7 +155,7 @@ module Fallback_protocol = struct
 
   let validate_params ~cfg ~params =
     if Array.length params.inputs <> cfg.Config.n then
-      invalid_arg "run_fallback: need one input per process"
+      invalid_arg "fallback: need one input per process"
 
   let horizon ~cfg ~params = Epk_str.horizon cfg ~round_len:params.round_len
 
@@ -216,7 +216,7 @@ module Weak_ba_protocol = struct
 
   let validate_params ~cfg ~params =
     if Array.length params.inputs <> cfg.Config.n then
-      invalid_arg "run_weak_ba: need one input per process"
+      invalid_arg "weak-ba: need one input per process"
 
   let horizon ~cfg ~params:_ = Weak_str.horizon cfg
 
@@ -491,7 +491,7 @@ module Strong_ba_protocol = struct
 
   let validate_params ~cfg ~params =
     if Array.length params.inputs <> cfg.Config.n then
-      invalid_arg "run_strong_ba: need one input per process"
+      invalid_arg "strong-ba: need one input per process"
 
   let horizon ~cfg ~params:_ = Strong_bool.horizon cfg
 
@@ -526,6 +526,64 @@ module Strong_ba_protocol = struct
 
   let spray = None
 end
+
+(* ---- the Table-1 baselines --------------------------------------------- *)
+
+(* Dolev-Strong and the naive BB-to-strong-BA reduction: every process
+   steps every slot ([wake = None]). No adaptive word or latency bound
+   applies, so their suite is the safety core plus termination. *)
+module Baseline (B : Mewc_baselines.Baseline.S) =
+struct
+  type value = string
+  type params = { sender : Pid.t; input : string }
+  type state = B.state
+  type msg = B.msg
+  type decision = B.decision
+
+  let name = B.name
+  let words = B.words
+  let encode_msg m = Format.asprintf "%a" B.pp_msg m
+  let default_params _cfg = { sender = 0; input = "v" }
+
+  let mutate_params p ~salt =
+    { p with input = Printf.sprintf "%s~%d" p.input salt }
+
+  let validate_params ~cfg:_ ~params:_ = ()
+  let horizon ~cfg ~params:_ = B.horizon cfg
+
+  let machine ~cfg ~pki ~secret ~params ~pid =
+    {
+      Process.init =
+        B.init ~cfg ~pki ~secret ~pid ~sender:params.sender
+          ~input:(if pid = params.sender then Some params.input else None)
+          ~start_slot:0;
+      step = (fun ~slot ~inbox st -> B.step ~slot ~inbox st);
+      wake = None;
+    }
+
+  let decision = B.decision
+
+  let decided_str st =
+    Option.map (Format.asprintf "%a" B.pp_decision) (B.decision st)
+
+  let decided_at = B.decided_at
+
+  let monitors ~cfg ~params:_ =
+    [
+      Monitor.corruption_budget ~cfg;
+      Monitor.agreement ();
+      Monitor.termination ~cfg;
+      Monitor.metering ();
+    ]
+
+  let counters _ =
+    { Protocol.fallback_runs = 0; nonsilent_phases = 0; help_requests = 0 }
+
+  let spray = None
+end
+
+module Dolev_strong_protocol = Baseline (Mewc_baselines.Dolev_strong)
+module Naive_bb_protocol = Baseline (Mewc_baselines.Naive_bb)
 
 (* ---- run options ------------------------------------------------------- *)
 
@@ -675,42 +733,3 @@ let run (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
              Profile.span p ~category:Profile.Serialize "trace.to_json" encode)
        else None);
   }
-
-(* ---- legacy entry points (thin wrappers over [run]) -------------------- *)
-
-let run_fallback ~cfg ?options ?(round_len = 1) ?(start_slot = fun _ -> 0)
-    ~inputs ~adversary () =
-  run
-    (module Fallback_protocol)
-    ~cfg ?options
-    ~params:{ Fallback_protocol.inputs; round_len; start_slot }
-    ~adversary ()
-
-let run_weak_ba ~cfg ?options ?(validate = fun _ -> true) ?quorum_override
-    ~inputs ~adversary () =
-  run
-    (module Weak_ba_protocol)
-    ~cfg ?options
-    ~params:{ Weak_ba_protocol.inputs; validate; quorum_override }
-    ~adversary ()
-
-let run_bb ~cfg ?options ?(sender = 0) ~input ~adversary () =
-  run
-    (module Bb_protocol)
-    ~cfg ?options
-    ~params:{ Bb_protocol.sender; input }
-    ~adversary ()
-
-let run_binary_bb ~cfg ?options ?(sender = 0) ~input ~adversary () =
-  run
-    (module Binary_bb_protocol)
-    ~cfg ?options
-    ~params:{ Binary_bb_protocol.sender; input }
-    ~adversary ()
-
-let run_strong_ba ~cfg ?options ?(leader = 0) ~inputs ~adversary () =
-  run
-    (module Strong_ba_protocol)
-    ~cfg ?options
-    ~params:{ Strong_ba_protocol.leader; inputs }
-    ~adversary ()

@@ -1,7 +1,8 @@
 (** Ready-made protocol instantiations over the two value domains the paper
     considers (multi-valued and binary), with the fallback black box plugged
-    in — each packaged as a first-class {!Protocol.S} module — plus the one
-    generic runner {!run} used by tests, examples, benchmarks and the fuzzer.
+    in, and the two Table-1 baselines — each packaged as a first-class
+    {!Protocol.S} module — plus the one generic runner {!run} used by the
+    CLI, tests, examples, benchmarks and the fuzzer.
 
     Every run installs the instance's standard online monitor suite
     ({!Mewc_sim.Monitor}): corruption-budget sanity, agreement-once-decided
@@ -10,9 +11,11 @@
     over the decision's happens-before cone), its early-termination latency
     envelope, and meter/engine consistency. A violated invariant raises {!Mewc_sim.Monitor.Violation}
     with the run's [seed]/[shuffle_seed] appended, so every failure is a
-    replayable counterexample. The one exception: weak BA with
+    replayable counterexample. Two exceptions: weak BA with
     [quorum_override] (the deliberately unsafe ablation) keeps only the
-    budget and metering monitors, since breaking agreement is the point. *)
+    budget and metering monitors, since breaking agreement is the point;
+    and the baselines, which promise no adaptive word or latency envelope,
+    keep the safety core plus termination. *)
 
 module Epk_str : module type of Mewc_fallback.Echo_phase_king.Make (Mewc_sim.Value.Str)
 (** The echo-phase-king instance over multi-valued inputs, with its full
@@ -179,6 +182,33 @@ module Strong_ba_protocol : sig
 end
 (** §7 strong BA; [nonsilent_phases] counts correct fast deciders. *)
 
+module Dolev_strong_protocol : sig
+  type params = { sender : Mewc_prelude.Pid.t; input : string }
+
+  include
+    Protocol.S
+      with type params := params
+       and type value = string
+       and type state = Mewc_baselines.Dolev_strong.state
+       and type msg = Mewc_baselines.Dolev_strong.msg
+       and type decision = Mewc_baselines.Dolev_strong.decision
+end
+(** Dolev–Strong authenticated BB, the Table-1 baseline. *)
+
+module Naive_bb_protocol : sig
+  type params = { sender : Mewc_prelude.Pid.t; input : string }
+
+  include
+    Protocol.S
+      with type params := params
+       and type value = string
+       and type state = Mewc_baselines.Naive_bb.state
+       and type msg = Mewc_baselines.Naive_bb.msg
+       and type decision = Mewc_baselines.Naive_bb.decision
+end
+(** The non-adaptive BB-to-strong-BA reduction: O(n²) words in every run.
+    Both baselines' counters read 0. *)
+
 (** {2 Run options}
 
     Every run knob that is not part of the protocol's own parameters,
@@ -224,8 +254,8 @@ val retarget : 'a options -> 'b options
 (** The same options for a protocol with a different message type. The
     [monitors] override — the only ['m]-typed field — is dropped back to
     [None]; everything else is preserved. Generic drivers ({!Sweep},
-    {!Degrade}, the fuzzer) use this to re-type one caller-supplied record
-    per protocol branch. *)
+    {!Degrade}, the fuzzer, the CLI) use this to re-type one caller-supplied
+    record for whichever protocol they run. *)
 
 (** {2 The generic runner} *)
 
@@ -257,62 +287,3 @@ val run :
     byte-identical observable results — only [crypto] (the cache hit/miss
     split) may legitimately differ across shard counts, which is why it is
     excluded from equivalence fingerprints. *)
-
-(** {2 Legacy entry points}
-
-    Deprecated thin wrappers over {!run}: each builds the instance's
-    [params] from the historical protocol-specific optional arguments and
-    delegates, forwarding [?options] untouched. Behavior is identical to
-    the pre-{!Protocol.S} runners; new code should call {!run} directly. *)
-
-val run_fallback :
-  cfg:Mewc_sim.Config.t ->
-  ?options:Epk_str.msg options ->
-  ?round_len:int ->
-  ?start_slot:(Mewc_prelude.Pid.t -> int) ->
-  inputs:string array ->
-  adversary:(Epk_str.state, Epk_str.msg) Mewc_sim.Adversary.factory ->
-  unit ->
-  string agreement_outcome
-(** [run (module Fallback_protocol)] with params from the arguments. *)
-
-val run_weak_ba :
-  cfg:Mewc_sim.Config.t ->
-  ?options:Weak_str.msg options ->
-  ?validate:(string -> bool) ->
-  ?quorum_override:int ->
-  inputs:string array ->
-  adversary:(Weak_str.state, Weak_str.msg) Mewc_sim.Adversary.factory ->
-  unit ->
-  Weak_str.outcome agreement_outcome
-(** [run (module Weak_ba_protocol)] with params from the arguments. *)
-
-val run_bb :
-  cfg:Mewc_sim.Config.t ->
-  ?options:Adaptive_bb.msg options ->
-  ?sender:Mewc_prelude.Pid.t ->
-  input:string ->
-  adversary:(Adaptive_bb.state, Adaptive_bb.msg) Mewc_sim.Adversary.factory ->
-  unit ->
-  Adaptive_bb.decision agreement_outcome
-(** [run (module Bb_protocol)] with params from the arguments. *)
-
-val run_binary_bb :
-  cfg:Mewc_sim.Config.t ->
-  ?options:Binary_bb_bool.msg options ->
-  ?sender:Mewc_prelude.Pid.t ->
-  input:bool ->
-  adversary:(Binary_bb_bool.state, Binary_bb_bool.msg) Mewc_sim.Adversary.factory ->
-  unit ->
-  bool agreement_outcome
-(** [run (module Binary_bb_protocol)] with params from the arguments. *)
-
-val run_strong_ba :
-  cfg:Mewc_sim.Config.t ->
-  ?options:Strong_bool.msg options ->
-  ?leader:Mewc_prelude.Pid.t ->
-  inputs:bool array ->
-  adversary:(Strong_bool.state, Strong_bool.msg) Mewc_sim.Adversary.factory ->
-  unit ->
-  bool agreement_outcome
-(** [run (module Strong_ba_protocol)] with params from the arguments. *)

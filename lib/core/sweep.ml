@@ -20,7 +20,14 @@ type row = {
 let pp_point fmt p =
   Format.fprintf fmt "%s n=%d f=%s" p.protocol p.n p.f_spec
 
-let protocols = [ "bb"; "weak-ba"; "strong-ba"; "fallback" ]
+(* The swept registry entries at their run presets, except strong BA: its
+   rows (and so the committed ledger) use unanimous inputs, its default
+   params, where the preset alternates them. *)
+let entries =
+  let unanimous cfg ~input:_ = Instances.Strong_ba_protocol.default_params cfg in
+  Registry.[ E bb; E weak_ba; E { strong_ba with params = unanimous }; E fallback ]
+
+let protocols = List.map Registry.entry_name entries
 let f_specs = [ "0"; "1"; "t/2"; "t" ]
 
 let f_of_spec ~t = function
@@ -84,9 +91,8 @@ let run_point ?(options = Instances.default_options) point =
   let f = f_of_spec ~t point.f_spec in
   let seed = seed_of point in
   (* The point owns its seed (reruns replay bit for bit whatever the caller
-     passed); the monitors override is dropped by [retarget] — each branch
+     passed); the monitors override is dropped by [retarget] — the run
      installs its protocol's standard suite. *)
-  let opts () = { (Instances.retarget options) with Instances.seed } in
   let t0 = Unix.gettimeofday () in
   let of_outcome (o : _ Instances.agreement_outcome) =
     {
@@ -106,51 +112,14 @@ let run_point ?(options = Instances.default_options) point =
       wall_s = Unix.gettimeofday () -. t0;
     }
   in
-  match point.protocol with
-  | "bb" ->
+  match List.find_opt (fun e -> Registry.entry_name e = point.protocol) entries with
+  | Some (Registry.E e) ->
     of_outcome
-      (Instances.run
-         (module Instances.Bb_protocol)
-         ~cfg ~options:(opts ())
-         ~params:{ Instances.Bb_protocol.sender = 0; input = "payload" }
+      (Instances.run e.Registry.protocol ~cfg
+         ~options:{ (Instances.retarget options) with Instances.seed }
+         ~params:(e.Registry.params cfg ~input:"x")
          ~adversary:(crash_first f) ())
-  | "weak-ba" ->
-    of_outcome
-      (Instances.run
-         (module Instances.Weak_ba_protocol)
-         ~cfg ~options:(opts ())
-         ~params:
-           {
-             Instances.Weak_ba_protocol.inputs = Array.make point.n "v";
-             validate = (fun _ -> true);
-             quorum_override = None;
-           }
-         ~adversary:(crash_first f) ())
-  | "strong-ba" ->
-    of_outcome
-      (Instances.run
-         (module Instances.Strong_ba_protocol)
-         ~cfg ~options:(opts ())
-         ~params:
-           {
-             Instances.Strong_ba_protocol.leader = 0;
-             inputs = Array.make point.n true;
-           }
-         ~adversary:(crash_first f) ())
-  | "fallback" ->
-    of_outcome
-      (Instances.run
-         (module Instances.Fallback_protocol)
-         ~cfg ~options:(opts ())
-         ~params:
-           {
-             Instances.Fallback_protocol.inputs =
-               Array.init point.n (fun i -> Printf.sprintf "x%d" (i mod 3));
-             round_len = 1;
-             start_slot = (fun _ -> 0);
-           }
-         ~adversary:(crash_first f) ())
-  | p -> invalid_arg ("Sweep.run_point: unknown protocol " ^ p)
+  | None -> invalid_arg ("Sweep.run_point: unknown protocol " ^ point.protocol)
 
 let run_all ?(jobs = 1) ?(options = Instances.default_options) ?progress points
     =

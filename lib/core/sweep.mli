@@ -39,6 +39,15 @@ type row = {
 
 val pp_point : Format.formatter -> point -> unit
 
+val protocols : string list
+(** The swept {!Registry} entries, in grid order: bb, weak-ba, strong-ba,
+    fallback. Each runs at its registry preset with input ["x"], except
+    strong BA, which runs on unanimous inputs (its default params). *)
+
+val f_of_spec : t:int -> string -> int
+(** Resolve an f-spec against [t]; raises [Invalid_argument] on an unknown
+    spec. *)
+
 val standard_grid : point list
 (** The perf-baseline grid: n ∈ \{21, 101, 201, 401\}. All four f-specs at
     n = 21; at larger n the f = t/2 and f = t points are kept only for

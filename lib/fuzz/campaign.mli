@@ -29,8 +29,8 @@ type target =
       -> target
 
 val zoo : target list
-(** All fuzzable configurations: the five protocol instances under default
-    params, plus ["weak-ba-ablated"] — weak BA with [quorum_override] set to
+(** All fuzzable configurations: every {!Mewc_core.Registry} entry under
+    its default params, in registry order, plus ["weak-ba-ablated"] — weak BA with [quorum_override] set to
     the small quorum, the planted unsoundness the smoke campaign must
     rediscover. *)
 

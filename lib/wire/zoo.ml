@@ -916,23 +916,21 @@ type report = {
 
 type entry =
   | E : {
-      proto : ('p, 's, 'm, 'd) Protocol.t;
+      reg : ('p, 's, 'm, 'd) Registry.t;
       codec : 'm Codec.t;
     }
       -> entry
 
 let entries =
   [
-    E { proto = (module Instances.Fallback_protocol); codec = epk_str_msg };
-    E { proto = (module Instances.Weak_ba_protocol); codec = weak_str_msg };
-    E { proto = (module Instances.Bb_protocol); codec = adaptive_bb_msg };
-    E { proto = (module Instances.Binary_bb_protocol); codec = binary_bb_msg };
-    E { proto = (module Instances.Strong_ba_protocol); codec = strong_bool_msg };
+    E { reg = Registry.fallback; codec = epk_str_msg };
+    E { reg = Registry.weak_ba; codec = weak_str_msg };
+    E { reg = Registry.bb; codec = adaptive_bb_msg };
+    E { reg = Registry.binary_bb; codec = binary_bb_msg };
+    E { reg = Registry.strong_ba; codec = strong_bool_msg };
   ]
 
-let entry_name (E e) =
-  let module P = (val e.proto) in
-  P.name
+let entry_name (E e) = Registry.name e.reg
 
 let find name = List.find_opt (fun e -> String.equal (entry_name e) name) entries
 
@@ -941,10 +939,10 @@ let params_of (type p s m d) (proto : (p, s, m, d) Protocol.t) ~cfg ~salt : p =
   P.mutate_params (P.default_params cfg) ~salt
 
 let oracle (E e) ~cfg ~seed ~salt =
-  let module P = (val e.proto) in
-  let params = params_of e.proto ~cfg ~salt in
+  let proto = e.reg.Registry.protocol in
+  let params = params_of proto ~cfg ~salt in
   let o =
-    Instances.run e.proto ~cfg
+    Instances.run proto ~cfg
       ~options:{ Instances.default_options with seed }
       ~params
       ~adversary:(Adversary.const (Adversary.honest ~name:"honest"))
@@ -1002,9 +1000,10 @@ let classify (o : _ Runtime.outcome) : Monitor.classification =
         }
 
 let async (E e) ~cfg ~seed ~salt ?delta ?deadman ?byte_faults () =
-  let params = params_of e.proto ~cfg ~salt in
+  let proto = e.reg.Registry.protocol in
+  let params = params_of proto ~cfg ~salt in
   let o =
-    Runtime.run e.proto ~codec:e.codec ~cfg ~seed ?delta ?deadman ?byte_faults
+    Runtime.run proto ~codec:e.codec ~cfg ~seed ?delta ?deadman ?byte_faults
       ~params ()
   in
   {

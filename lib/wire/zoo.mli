@@ -11,8 +11,8 @@
     built from, so each exported codec is a [Codec.t] for the instance's
     own [msg] type — no casts, no re-encoding through strings.
 
-    The harness side packages each sound protocol with its codec as an
-    {!entry}, runs it under both runtimes, and compares {!fingerprint}s:
+    The harness side pairs each codec-bearing registry entry with its codec
+    as an {!entry}, runs it under both runtimes, and compares {!fingerprint}s:
     the differential gate of [test_wire_diff] and [mewc wire]. *)
 
 open Mewc_core
@@ -85,11 +85,17 @@ type report = {
   wire_events : string Mewc_sim.Trace.event list;
 }
 
-type entry
-(** One sound protocol packaged with its codec. *)
+type entry =
+  | E : {
+      reg : ('p, 's, 'm, 'd) Registry.t;
+      codec : 'm Codec.t;
+    }
+      -> entry
+(** One {!Mewc_core.Registry} entry packaged with its codec. *)
 
 val entries : entry list
-(** The five sound protocols: fallback, weak-ba, bb, binary-bb, strong-ba. *)
+(** Every registry entry that has a codec, in registry order: the five
+    paper protocols fallback, weak-ba, bb, binary-bb, strong-ba. *)
 
 val entry_name : entry -> string
 val find : string -> entry option

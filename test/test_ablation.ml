@@ -10,6 +10,9 @@
 open Mewc_sim
 open Mewc_core
 module W = Instances.Weak_str
+module Wp = Instances.Weak_ba_protocol
+module Bp = Instances.Bb_protocol
+module Sp = Instances.Strong_ba_protocol
 
 let cfg = Test_util.cfg
 
@@ -29,8 +32,9 @@ let quorum_ablation_breaks_agreement () =
   let c = cfg n in
   let small = Config.small_quorum c in
   let o =
-    Instances.run_weak_ba ~cfg:c ~quorum_override:small
-      ~inputs:(Array.make n "input")
+    Instances.run (module Wp) ~cfg:c
+      ~params:
+        { (Wp.default_params c) with inputs = Array.make n "input"; quorum_override = Some small }
       ~adversary:(Attacks.wba_small_quorum_split ~cfg:c ~quorum:small ~v1:"A" ~v2:"B")
       ()
   in
@@ -53,8 +57,8 @@ let sound_quorum_resists_the_same_attack () =
   let c = cfg n in
   let big = Config.big_quorum c in
   let o =
-    Instances.run_weak_ba ~cfg:c
-      ~inputs:(Array.make n "input")
+    Instances.run (module Wp) ~cfg:c
+      ~params:{ (Wp.default_params c) with inputs = Array.make n "input" }
       ~adversary:(Attacks.wba_small_quorum_split ~cfg:c ~quorum:big ~v1:"A" ~v2:"B")
       ()
   in
@@ -69,8 +73,8 @@ let ablation_attack_certificates_rejected () =
   let c = cfg n in
   let small = Config.small_quorum c in
   let o =
-    Instances.run_weak_ba ~cfg:c
-      ~inputs:(Array.make n "input")
+    Instances.run (module Wp) ~cfg:c
+      ~params:{ (Wp.default_params c) with inputs = Array.make n "input" }
       ~adversary:
         (Attacks.wba_small_quorum_split ~cfg:c ~quorum:small ~v1:"A" ~v2:"B")
       ()
@@ -92,7 +96,7 @@ let resilience_beyond_optimal () =
     (fun f ->
       let victims = List.init f (fun i -> i + 1) in
       let o =
-        Instances.run_weak_ba ~cfg:c ~inputs:(Array.make 11 "v")
+        Instances.run (module Wp) ~cfg:c ~params:(Wp.default_params c)
           ~adversary:(Adversary.const (Adversary.crash ~victims ()))
           ()
       in
@@ -109,7 +113,7 @@ let resilience_fallback_threshold_shifts () =
      so the fallback is never needed at all. *)
   let c = Config.create ~n:13 ~t:3 in
   let o =
-    Instances.run_weak_ba ~cfg:c ~inputs:(Array.make 13 "v")
+    Instances.run (module Wp) ~cfg:c ~params:(Wp.default_params c)
       ~adversary:(Adversary.const (Adversary.crash ~victims:[ 1; 2; 3 ] ()))
       ()
   in
@@ -129,7 +133,7 @@ let smallest_system () =
   in
   let check_weak adversary expect =
     let o =
-      Instances.run_weak_ba ~cfg:c ~inputs:(Array.make 3 "v") ~adversary ()
+      Instances.run (module Wp) ~cfg:c ~params:(Wp.default_params c) ~adversary ()
     in
     let got =
       Test_util.check_agreement ~pp:W.pp_outcome ~equal:W.equal_outcome
@@ -139,7 +143,10 @@ let smallest_system () =
   in
   check_weak honest (W.Value "v");
   check_weak one_crash (W.Value "v");
-  let o = Instances.run_bb ~cfg:c ~input:"m" ~adversary:honest () in
+  let o =
+    Instances.run (module Bp) ~cfg:c ~params:{ Bp.sender = 0; input = "m" }
+      ~adversary:honest ()
+  in
   let got =
     Test_util.check_agreement ~pp:Adaptive_bb.pp_decision
       ~equal:Adaptive_bb.equal_decision ~corrupted:o.corrupted o.decisions
@@ -147,14 +154,20 @@ let smallest_system () =
   Alcotest.(check bool) "bb decides m" true
     (Adaptive_bb.equal_decision got (Adaptive_bb.Decided "m"));
   let o =
-    Instances.run_strong_ba ~cfg:c ~inputs:[| true; false; true |]
+    Instances.run (module Sp) ~cfg:c ~params:{ Sp.leader = 0; inputs = [| true; false; true |] }
       ~adversary:honest ()
   in
   ignore
     (Test_util.check_agreement ~pp:Format.pp_print_bool ~equal:Bool.equal
        ~corrupted:o.corrupted o.decisions);
   let o =
-    Instances.run_fallback ~cfg:c ~inputs:[| "a"; "b"; "c" |] ~adversary:one_crash ()
+    Instances.run (module Instances.Fallback_protocol) ~cfg:c
+      ~params:
+        {
+          (Instances.Fallback_protocol.default_params c) with
+          inputs = [| "a"; "b"; "c" |];
+        }
+      ~adversary:one_crash ()
   in
   ignore
     (Test_util.check_agreement ~pp:Test_util.pp_str ~equal:String.equal
@@ -168,20 +181,23 @@ let latency_failure_free () =
     Adversary.const (Adversary.honest ~name:"h") ~pki ~secrets
   in
   let weak =
-    Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+    Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n))
       ~adversary:honest ()
   in
   (* Weak BA: phase 1 spans slots 0-4; the finalize certificate lands at
      slot 5. *)
   Alcotest.(check int) "weak BA latency" 5 weak.latency;
   let strong =
-    Instances.run_strong_ba ~cfg:(cfg n) ~inputs:(Array.make n true)
+    Instances.run (module Sp) ~cfg:(cfg n) ~params:(Sp.default_params (cfg n))
       ~adversary:honest ()
   in
   (* Algorithm 5 decides in round 5 = slot 4 ("4 all-to-leader and
      leader-to-all rounds", §7.1). *)
   Alcotest.(check int) "strong BA latency" 4 strong.latency;
-  let bb = Instances.run_bb ~cfg:(cfg n) ~input:"v" ~adversary:honest () in
+  let bb =
+    Instances.run (module Bp) ~cfg:(cfg n) ~params:(Bp.default_params (cfg n))
+      ~adversary:honest ()
+  in
   (* BB: 1 dissemination slot + 3n vetting slots + the weak BA's 5. *)
   Alcotest.(check int) "BB latency" (1 + (3 * n) + 5) bb.latency
 
@@ -190,7 +206,7 @@ let latency_grows_with_byzantine_leaders () =
   let lat k =
     let leaders = List.init k (fun i -> i + 1) in
     let o =
-      Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+      Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n))
         ~adversary:
           (if k = 0 then Adversary.const (Adversary.honest ~name:"h")
            else Attacks.wba_busy_byz_leaders ~cfg:(cfg n) ~leaders)
@@ -206,7 +222,7 @@ let latency_grows_with_byzantine_leaders () =
 let latency_reported_under_fallback () =
   let n = 9 in
   let o =
-    Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+    Instances.run (module Wp) ~cfg:(cfg n) ~params:(Wp.default_params (cfg n))
       ~adversary:(Adversary.const (Adversary.crash ~victims:[ 1; 2; 3; 4 ] ()))
       ()
   in
@@ -231,9 +247,13 @@ let order_insensitive protocol_run =
 let shuffle_weak_ba () =
   order_insensitive (fun shuffle_seed ->
       let o =
-        Instances.run_weak_ba ~cfg:(cfg 9) 
+        Instances.run (module Wp) ~cfg:(cfg 9)
           ~options:{ Instances.default_options with Instances.shuffle_seed }
-          ~inputs:(Array.init 9 (fun i -> Printf.sprintf "x%d" (i mod 3)))
+          ~params:
+            {
+              (Wp.default_params (cfg 9)) with
+              inputs = Array.init 9 (fun i -> Printf.sprintf "x%d" (i mod 3));
+            }
           ~adversary:(Adversary.const (Adversary.crash ~victims:[ 1; 2 ] ()))
           ()
       in
@@ -242,9 +262,9 @@ let shuffle_weak_ba () =
 let shuffle_weak_ba_fallback_path () =
   order_insensitive (fun shuffle_seed ->
       let o =
-        Instances.run_weak_ba ~cfg:(cfg 9) 
+        Instances.run (module Wp) ~cfg:(cfg 9)
           ~options:{ Instances.default_options with Instances.shuffle_seed }
-          ~inputs:(Array.make 9 "v")
+          ~params:(Wp.default_params (cfg 9))
           ~adversary:(Adversary.const (Adversary.crash ~victims:[ 1; 2; 3; 4 ] ()))
           ()
       in
@@ -253,9 +273,9 @@ let shuffle_weak_ba_fallback_path () =
 let shuffle_bb () =
   order_insensitive (fun shuffle_seed ->
       let o =
-        Instances.run_bb ~cfg:(cfg 9)
+        Instances.run (module Bp) ~cfg:(cfg 9)
           ~options:{ Instances.default_options with Instances.shuffle_seed }
-          ~input:"v"
+          ~params:(Bp.default_params (cfg 9))
           ~adversary:(Adversary.const (Adversary.crash ~victims:[ 0 ] ()))
           ()
       in
@@ -268,10 +288,10 @@ let shuffle_equivocating_sender_agreement () =
   List.iter
     (fun seed ->
       let o =
-        Instances.run_bb ~cfg:(cfg 9)
+        Instances.run (module Bp) ~cfg:(cfg 9)
           ~options:
             { Instances.default_options with Instances.shuffle_seed = Some seed }
-          ~input:"ignored"
+          ~params:{ Bp.sender = 0; input = "ignored" }
           ~adversary:
             (Attacks.bb_equivocating_sender ~cfg:(cfg 9) ~sender:0 ~v1:"a" ~v2:"b")
           ()
@@ -284,9 +304,9 @@ let shuffle_equivocating_sender_agreement () =
 let shuffle_strong_ba () =
   order_insensitive (fun shuffle_seed ->
       let o =
-        Instances.run_strong_ba ~cfg:(cfg 9)
+        Instances.run (module Sp) ~cfg:(cfg 9)
           ~options:{ Instances.default_options with Instances.shuffle_seed }
-          ~inputs:(Array.init 9 (fun i -> i mod 2 = 0))
+          ~params:{ Sp.leader = 0; inputs = Array.init 9 (fun i -> i mod 2 = 0) }
           ~adversary:(Adversary.const (Adversary.crash ~victims:[ 0; 5 ] ()))
           ()
       in

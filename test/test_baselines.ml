@@ -2,14 +2,17 @@
 
 open Mewc_sim
 open Mewc_baselines
+module Instances = Mewc_core.Instances
 
 let cfg = Test_util.cfg
 
 let ds_run ?(adversary = Adversary.const (Adversary.honest ~name:"h")) ~n input =
-  Dolev_strong.run ~cfg:(cfg n) ~input ~adversary ()
+  Instances.run (module Instances.Dolev_strong_protocol) ~cfg:(cfg n)
+    ~params:{ Instances.Dolev_strong_protocol.sender = 0; input } ~adversary ()
 
 let naive_run ?(adversary = Adversary.const (Adversary.honest ~name:"h")) ~n input =
-  Naive_bb.run ~cfg:(cfg n) ~input ~adversary ()
+  Instances.run (module Instances.Naive_bb_protocol) ~cfg:(cfg n)
+    ~params:{ Instances.Naive_bb_protocol.sender = 0; input } ~adversary ()
 
 let ds_agree ~corrupted ?expect decisions =
   let got =
@@ -23,13 +26,13 @@ let ds_agree ~corrupted ?expect decisions =
 
 let ds_correct_sender () =
   let o = ds_run ~n:9 "v" in
-  ds_agree ~corrupted:[] ~expect:(Dolev_strong.Decided "v") o.Dolev_strong.decisions
+  ds_agree ~corrupted:[] ~expect:(Dolev_strong.Decided "v") o.Instances.decisions
 
 let ds_crashed_sender () =
   let o =
     ds_run ~n:9 ~adversary:(Adversary.const (Adversary.crash ~victims:[ 0 ] ())) "v"
   in
-  ds_agree ~corrupted:[ 0 ] ~expect:Dolev_strong.No_decision o.Dolev_strong.decisions
+  ds_agree ~corrupted:[ 0 ] ~expect:Dolev_strong.No_decision o.Instances.decisions
 
 let ds_crashes_tolerated () =
   let o =
@@ -38,12 +41,12 @@ let ds_crashes_tolerated () =
       "v"
   in
   ds_agree ~corrupted:[ 1; 2; 3; 4 ] ~expect:(Dolev_strong.Decided "v")
-    o.Dolev_strong.decisions
+    o.Instances.decisions
 
 let ds_quadratic_even_failure_free () =
   (* The point of the comparison: Dolev-Strong is Θ(n²) words even with
      f = 0, adaptive BB is Θ(n). *)
-  let words n = (ds_run ~n "v").Dolev_strong.words in
+  let words n = (ds_run ~n "v").Instances.words in
   let pts = List.map (fun n -> (float_of_int n, float_of_int (words n))) [ 9; 17; 33 ] in
   let fit = Mewc_prelude.Stats.loglog_fit pts in
   Alcotest.(check bool)
@@ -75,8 +78,12 @@ let ds_equivocating_sender () =
         end
         else [])
   in
-  let o = Dolev_strong.run ~cfg:c ~input:"ignored" ~adversary () in
-  ds_agree ~corrupted:[ 0 ] ~expect:Dolev_strong.No_decision o.Dolev_strong.decisions
+  let o =
+    Instances.run (module Instances.Dolev_strong_protocol) ~cfg:c
+      ~params:{ Instances.Dolev_strong_protocol.sender = 0; input = "ignored" }
+      ~adversary ()
+  in
+  ds_agree ~corrupted:[ 0 ] ~expect:Dolev_strong.No_decision o.Instances.decisions
 
 let naive_agree ~corrupted ?expect decisions =
   let got =
@@ -90,13 +97,13 @@ let naive_agree ~corrupted ?expect decisions =
 
 let naive_correct_sender () =
   let o = naive_run ~n:9 "v" in
-  naive_agree ~corrupted:[] ~expect:(Naive_bb.Decided "v") o.Naive_bb.decisions
+  naive_agree ~corrupted:[] ~expect:(Naive_bb.Decided "v") o.Instances.decisions
 
 let naive_crashed_sender () =
   let o =
     naive_run ~n:9 ~adversary:(Adversary.const (Adversary.crash ~victims:[ 0 ] ())) "v"
   in
-  naive_agree ~corrupted:[ 0 ] ~expect:Naive_bb.No_decision o.Naive_bb.decisions
+  naive_agree ~corrupted:[ 0 ] ~expect:Naive_bb.No_decision o.Instances.decisions
 
 let naive_crashes_tolerated () =
   let o =
@@ -104,10 +111,10 @@ let naive_crashes_tolerated () =
       ~adversary:(Adversary.const (Adversary.crash ~victims:[ 2; 3; 6 ] ()))
       "v"
   in
-  naive_agree ~corrupted:[ 2; 3; 6 ] ~expect:(Naive_bb.Decided "v") o.Naive_bb.decisions
+  naive_agree ~corrupted:[ 2; 3; 6 ] ~expect:(Naive_bb.Decided "v") o.Instances.decisions
 
 let naive_quadratic_failure_free () =
-  let words n = (naive_run ~n "v").Naive_bb.words in
+  let words n = (naive_run ~n "v").Instances.words in
   let pts = List.map (fun n -> (float_of_int n, float_of_int (words n))) [ 9; 17; 33 ] in
   let fit = Mewc_prelude.Stats.loglog_fit pts in
   Alcotest.(check bool)
@@ -120,12 +127,13 @@ let adaptive_beats_baselines_failure_free () =
      baseline once n grows. *)
   let n = 33 in
   let adaptive =
-    (Mewc_core.Instances.run_bb ~cfg:(cfg n) ~input:"v"
+    (Instances.run (module Instances.Bb_protocol) ~cfg:(cfg n)
+       ~params:(Instances.Bb_protocol.default_params (cfg n))
        ~adversary:(Adversary.const (Adversary.honest ~name:"h")) ())
-      .Mewc_core.Instances.words
+      .Instances.words
   in
-  let ds = (ds_run ~n "v").Dolev_strong.words in
-  let naive = (naive_run ~n "v").Naive_bb.words in
+  let ds = (ds_run ~n "v").Instances.words in
+  let naive = (naive_run ~n "v").Instances.words in
   Alcotest.(check bool)
     (Printf.sprintf "adaptive %d < ds %d and naive %d" adaptive ds naive)
     true

@@ -7,7 +7,8 @@ let cfg = Test_util.cfg
 
 let run ?(sender = 0) ?(adversary = Adversary.const (Adversary.honest ~name:"h"))
     ~n input =
-  Instances.run_bb ~cfg:(cfg n) ~sender ~input ~adversary ()
+  Instances.run (module Instances.Bb_protocol) ~cfg:(cfg n)
+    ~params:{ Instances.Bb_protocol.sender; input } ~adversary ()
 
 let agree ?expect (o : _ Instances.agreement_outcome) =
   let got =

@@ -7,7 +7,8 @@ let cfg = Test_util.cfg
 
 let run ?(sender = 0) ?(adversary = Adversary.const (Adversary.honest ~name:"h"))
     ~n input =
-  Instances.run_binary_bb ~cfg:(cfg n) ~sender ~input ~adversary ()
+  Instances.run (module Instances.Binary_bb_protocol) ~cfg:(cfg n)
+    ~params:{ Instances.Binary_bb_protocol.sender; input } ~adversary ()
 
 let agree ?expect (o : bool Instances.agreement_outcome) =
   let got =

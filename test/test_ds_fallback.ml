@@ -88,7 +88,8 @@ let costlier_than_epk () =
   let n = 9 in
   let _, _, ds_words, _ = run ~n ~victims:[ 1; 2; 3; 4 ] (List.init n (fun _ -> "v")) in
   let epk =
-    Instances.run_weak_ba ~cfg:(cfg n) ~inputs:(Array.make n "v")
+    Instances.run (module Instances.Weak_ba_protocol) ~cfg:(cfg n)
+      ~params:(Instances.Weak_ba_protocol.default_params (cfg n))
       ~adversary:(Adversary.const (Adversary.crash ~victims:[ 1; 2; 3; 4 ] ()))
       ()
   in

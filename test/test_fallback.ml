@@ -6,10 +6,12 @@ open Mewc_core
 
 let cfg = Test_util.cfg
 
-let run ?round_len ?start_slot ?(adversary = Adversary.const (Adversary.honest ~name:"h"))
-    ~n inputs =
-  Instances.run_fallback ~cfg:(cfg n) ?round_len ?start_slot
-    ~inputs:(Array.of_list inputs) ~adversary ()
+let run ?(round_len = 1) ?(start_slot = fun _ -> 0)
+    ?(adversary = Adversary.const (Adversary.honest ~name:"h")) ~n inputs =
+  Instances.run (module Instances.Fallback_protocol) ~cfg:(cfg n)
+    ~params:
+      { Instances.Fallback_protocol.inputs = Array.of_list inputs; round_len; start_slot }
+    ~adversary ()
 
 let agree ?expect (o : _ Instances.agreement_outcome) =
   let got =

@@ -241,7 +241,7 @@ let trace_string o =
 
 let run_traced ~fault_seed () =
   let c = cfg 9 in
-  Instances.run_weak_ba ~cfg:c
+  Instances.run (module Instances.Weak_ba_protocol) ~cfg:c
     ~options:
       {
         Instances.default_options with
@@ -250,7 +250,11 @@ let run_traced ~fault_seed () =
         faults =
           { Faults.none with Faults.seed = fault_seed; drop = 0.3; dup = 0.1 };
       }
-    ~inputs:(Array.init 9 (fun i -> Printf.sprintf "v%d" (i mod 2)))
+    ~params:
+      {
+        (Instances.Weak_ba_protocol.default_params c) with
+        inputs = Array.init 9 (fun i -> Printf.sprintf "v%d" (i mod 2));
+      }
     ~adversary:(Adversary.const (Adversary.honest ~name:"honest"))
     ()
 
@@ -349,6 +353,13 @@ let planted_cell_unsafe () =
       | _ -> ())
     Degrade.protocols
 
+let matrix_protocols_registered () =
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (p ^ " is a registry entry") true
+        (List.mem p Registry.names))
+    Degrade.protocols
+
 let () =
   Alcotest.run "faults"
     [
@@ -373,6 +384,8 @@ let () =
             cells_shard_invariant;
           Alcotest.test_case "matrix jobs-independent" `Quick
             matrix_jobs_independent;
+          Alcotest.test_case "matrix protocols are registry entries" `Quick
+            matrix_protocols_registered;
         ] );
       ( "planted",
         [ Alcotest.test_case "split cell unsafe" `Quick planted_cell_unsafe ] );

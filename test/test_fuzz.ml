@@ -265,6 +265,16 @@ let test_corpus_schema_gate () =
     in
     Alcotest.(check bool) "names the schema" true (contains e "mewc-trace/2")
 
+(* The sound targets are exactly the registry, in registry order; the
+   ablated target is the one addition. *)
+let test_zoo_is_registry () =
+  Alcotest.(check (list string))
+    "sound targets" Mewc_core.Registry.names
+    (List.filter_map
+       (fun t ->
+         if Campaign.target_ablated t then None else Some (Campaign.target_name t))
+       Campaign.zoo)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -280,6 +290,7 @@ let () =
       ( "campaign",
         [
           Alcotest.test_case "deterministic" `Quick test_run_deterministic;
+          Alcotest.test_case "zoo is the registry" `Quick test_zoo_is_registry;
           Alcotest.test_case "jobs invariant" `Quick test_campaign_jobs_invariant;
           Alcotest.test_case "verdicts shard-invariant" `Quick
             test_verdict_shard_invariant;

@@ -222,14 +222,18 @@ let qcheck_zoo_accepted =
       let c = cfg n in
       let o =
         try
-          Instances.run_weak_ba ~cfg:c
+          Instances.run (module Instances.Weak_ba_protocol) ~cfg:c
             ~options:
               {
                 Instances.default_options with
                 Instances.seed = Int64.of_int seed;
                 record_trace = true;
               }
-            ~inputs:(Array.init n (fun i -> Printf.sprintf "v%d" (i mod 2)))
+            ~params:
+              {
+                (Instances.Weak_ba_protocol.default_params c) with
+                inputs = Array.init n (fun i -> Printf.sprintf "v%d" (i mod 2));
+              }
             ~adversary:(Test_util.to_weak_adversary c pick) ()
         with Monitor.Violation v ->
           QCheck2.Test.fail_reportf "online rejection: adversary=%s: %s"

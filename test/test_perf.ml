@@ -180,6 +180,13 @@ let sweep_caches_hit () =
   Alcotest.(check bool) "verify cache hit" true (c.Mewc_crypto.Pki.verify_hits > 0);
   Alcotest.(check bool) "aggregate cache hit" true (c.Mewc_crypto.Pki.agg_hits > 0)
 
+let sweep_protocols_registered () =
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (p ^ " is a registry entry") true
+        (List.mem p Registry.names))
+    Sweep.protocols
+
 let () =
   Alcotest.run "perf"
     [
@@ -202,6 +209,8 @@ let () =
           Alcotest.test_case "parallel byte-identical to sequential" `Quick
             sweep_parallel_identical;
           Alcotest.test_case "reruns deterministic" `Quick sweep_rerun_deterministic;
+          Alcotest.test_case "swept protocols are registry entries" `Quick
+            sweep_protocols_registered;
           Alcotest.test_case "perf report: identity + mewc-perf/2 round-trip" `Quick
             sweep_report;
           Alcotest.test_case "sharded core rows byte-identical" `Quick

@@ -4,12 +4,16 @@
 open Mewc_sim
 open Mewc_core
 module W = Instances.Weak_str
+module Wp = Instances.Weak_ba_protocol
 
 let cfg = Test_util.cfg
 let pp_pick = Test_util.pp_pick
 let clamp_victims = Test_util.clamp_victims
 let gen_pick = Test_util.gen_pick
 let to_weak_adversary = Test_util.to_weak_adversary
+
+let weak ?(validate = fun _ -> true) inputs =
+  { Wp.inputs; validate; quorum_override = None }
 
 let correct_decisions (o : _ Instances.agreement_outcome) =
   Array.to_list o.decisions
@@ -30,7 +34,7 @@ let weak_ba_safety =
         Array.init n (fun i -> Printf.sprintf "v%d" (i mod (palette + 1)))
       in
       let o =
-        Instances.run_weak_ba ~cfg:c ~inputs
+        Instances.run (module Wp) ~cfg:c ~params:(weak inputs)
           ~adversary:(to_weak_adversary c pick) ()
       in
       let ds = correct_decisions o in
@@ -59,8 +63,8 @@ let weak_ba_unanimity =
       let c = cfg n in
       let victims = clamp_victims ~n ~t:c.Config.t victims in
       let o =
-        Instances.run_weak_ba ~cfg:c
-          ~inputs:(Array.make n "u")
+        Instances.run (module Wp) ~cfg:c
+          ~params:(weak (Array.make n "u"))
           ~adversary:(Adversary.const (Adversary.crash ~victims ()))
           ()
       in
@@ -79,7 +83,8 @@ let bb_validity_random =
       let c = cfg n in
       let victims = clamp_victims ~n ~t:c.Config.t victims in
       let o =
-        Instances.run_bb ~cfg:c ~input:"msg"
+        Instances.run (module Instances.Bb_protocol) ~cfg:c
+          ~params:{ Instances.Bb_protocol.sender = 0; input = "msg" }
           ~adversary:
             (Adversary.const (Adversary.staggered_crash ~victims ~every))
           ()
@@ -98,8 +103,12 @@ let epk_unanimity_random_kings =
     (fun (n, king) ->
       let c = cfg n in
       let o =
-        Instances.run_fallback ~cfg:c
-          ~inputs:(Array.make n "good")
+        Instances.run (module Instances.Fallback_protocol) ~cfg:c
+          ~params:
+            {
+              (Instances.Fallback_protocol.default_params c) with
+              inputs = Array.make n "good";
+            }
           ~adversary:(Attacks.epk_equivocating_king ~cfg:c ~king ~v1:"e1" ~v2:"e2")
           ()
       in
@@ -112,13 +121,13 @@ let determinism =
       let c = cfg n in
       let go () =
         let o =
-          Instances.run_weak_ba ~cfg:c
+          Instances.run (module Wp) ~cfg:c
             ~options:
               {
                 Instances.default_options with
                 Instances.seed = Int64.of_int seed;
               }
-            ~inputs:(Array.init n (fun i -> Printf.sprintf "v%d" (i mod 2)))
+            ~params:(weak (Array.init n (fun i -> Printf.sprintf "v%d" (i mod 2))))
             ~adversary:
               (Adversary.const (Adversary.crash ~victims:[ 1 ] ()))
             ()
@@ -139,7 +148,7 @@ let trace_replay_byte_identical =
       let c = cfg n in
       let go () =
         let o =
-          Instances.run_weak_ba ~cfg:c
+          Instances.run (module Wp) ~cfg:c
             ~options:
               {
                 Instances.default_options with
@@ -147,7 +156,7 @@ let trace_replay_byte_identical =
                 shuffle_seed = Some (Int64.of_int shuffle);
                 record_trace = true;
               }
-            ~inputs:(Array.init n (fun i -> Printf.sprintf "v%d" (i mod 2)))
+            ~params:(weak (Array.init n (fun i -> Printf.sprintf "v%d" (i mod 2))))
             ~adversary:(to_weak_adversary c pick) ()
         in
         match o.Instances.trace_json with
@@ -166,7 +175,7 @@ let signature_complexity_tracks_words =
     (fun n ->
       let c = cfg n in
       let o =
-        Instances.run_weak_ba ~cfg:c ~inputs:(Array.make n "v")
+        Instances.run (module Wp) ~cfg:c ~params:(Wp.default_params c)
           ~adversary:(Adversary.const (Adversary.honest ~name:"h"))
           ()
       in
@@ -190,7 +199,7 @@ let fuzzer_safety =
         Array.init n (fun i -> Printf.sprintf "x%d" (i mod (palette + 1)))
       in
       let o =
-        Instances.run_weak_ba ~cfg:c ~validate ~inputs
+        Instances.run (module Wp) ~cfg:c ~params:(weak ~validate inputs)
           ~adversary:
             (Attacks.wba_fuzzer ~cfg:c ~victims ~seed:(Int64.of_int seed))
           ()

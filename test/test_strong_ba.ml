@@ -7,7 +7,8 @@ let cfg = Test_util.cfg
 
 let run ?(leader = 0) ?(adversary = Adversary.const (Adversary.honest ~name:"h"))
     ~n inputs =
-  Instances.run_strong_ba ~cfg:(cfg n) ~leader ~inputs:(Array.of_list inputs)
+  Instances.run (module Instances.Strong_ba_protocol) ~cfg:(cfg n)
+    ~params:{ Instances.Strong_ba_protocol.leader; inputs = Array.of_list inputs }
     ~adversary ()
 
 let agree ?expect (o : bool Instances.agreement_outcome) =

@@ -56,8 +56,14 @@ let weak_ba_with_quorum_predicate () =
   let cfg = Mewc_sim.Config.optimal ~n:9 in
   let whitelist = Validity.make ~name:"whitelist" (fun v -> v = "commit" || v = "abort") in
   let o =
-    Instances.run_weak_ba ~cfg ~validate:(Validity.validate whitelist)
-      ~inputs:(Array.init 9 (fun i -> if i mod 2 = 0 then "commit" else "abort"))
+    Instances.run (module Instances.Weak_ba_protocol) ~cfg
+      ~params:
+        {
+          Instances.Weak_ba_protocol.inputs =
+            Array.init 9 (fun i -> if i mod 2 = 0 then "commit" else "abort");
+          validate = Validity.validate whitelist;
+          quorum_override = None;
+        }
       ~adversary:
         (Mewc_sim.Adversary.const (Mewc_sim.Adversary.crash ~victims:[ 2; 3 ] ()))
       ()

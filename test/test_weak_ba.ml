@@ -7,9 +7,11 @@ module W = Instances.Weak_str
 
 let cfg = Test_util.cfg
 
-let run ?validate ?(adversary = Adversary.const (Adversary.honest ~name:"h")) ~n
-    inputs =
-  Instances.run_weak_ba ~cfg:(cfg n) ?validate ~inputs:(Array.of_list inputs)
+let run ?(validate = fun _ -> true)
+    ?(adversary = Adversary.const (Adversary.honest ~name:"h")) ~n inputs =
+  Instances.run (module Instances.Weak_ba_protocol) ~cfg:(cfg n)
+    ~params:
+      { Instances.Weak_ba_protocol.inputs = Array.of_list inputs; validate; quorum_override = None }
     ~adversary ()
 
 let agree ?expect (o : _ Instances.agreement_outcome) =

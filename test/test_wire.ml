@@ -292,6 +292,22 @@ let fake_clock_sleep_advances () =
   clock.Clock.sleep 2.5;
   Alcotest.(check (float 0.0001)) "slept" 12.5 (clock.Clock.now ())
 
+(* The wire zoo is the codec-bearing subset of the registry, in registry
+   order: the five paper protocols, not the two baselines. *)
+let zoo_is_registry_subset () =
+  let zoo = List.map Mewc_wire.Zoo.entry_name Mewc_wire.Zoo.entries in
+  Alcotest.(check (list string))
+    "registry order" zoo
+    (List.filter (fun n -> List.mem n zoo) Registry.names);
+  Alcotest.(check (list string))
+    "codec-bearing entries"
+    [ "fallback"; "weak-ba"; "bb"; "binary-bb"; "strong-ba" ]
+    zoo;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " found") true (Mewc_wire.Zoo.find n <> None))
+    zoo
+
 let () =
   Alcotest.run "wire"
     [
@@ -301,6 +317,8 @@ let () =
           Alcotest.test_case "frame digest and prefixes" `Quick frame_errors;
           Alcotest.test_case "scan resync" `Quick scan_resync;
           Alcotest.test_case "fuzz battery" `Quick fuzz_battery;
+          Alcotest.test_case "zoo is the codec-bearing registry" `Quick
+            zoo_is_registry_subset;
         ] );
       ( "laws",
         [
