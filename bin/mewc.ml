@@ -55,6 +55,22 @@ let die_parse fmt =
       exit 124)
     fmt
 
+(* Every file the CLI writes goes through here, so an unwritable path is a
+   misuse (exit 1) like any other, never an uncaught exception. *)
+let write_file path text =
+  match Out_channel.with_open_text path (fun oc -> output_string oc text) with
+  | () -> ()
+  | exception Sys_error e -> die_misuse "cannot write %s: %s" path e
+
+let json_text j = Jsonx.to_string j ^ "\n"
+
+(* A ledger append: a ledger that does not parse is a parse error (124),
+   one that cannot be written an operational failure (1). *)
+let appended ~cmd path = function
+  | Ok count -> count
+  | Error (`Malformed e) -> die_parse "%s: %s" cmd e
+  | Error (`Unwritable e) -> die_misuse "cannot write %s: %s" path e
+
 (* Protocols come from the registry: `-p NAME` selects an entry, and every
    command below runs it through one generic path. *)
 let protocol_conv =
@@ -385,14 +401,10 @@ let trace_cmd protocol n adversary f seed input format output cone dot =
   in
   match output with
   | None -> print_string text
-  | Some path -> (
-    match open_out path with
-    | exception Sys_error e -> die_misuse "cannot write %s: %s" path e
-    | oc ->
-      output_string oc text;
-      close_out oc;
-      pr "wrote %s (%s, protocol=%s adversary=%s f=%d seed=%Ld)\n" path what
-        (Registry.entry_name protocol) adversary f seed)
+  | Some path ->
+    write_file path text;
+    pr "wrote %s (%s, protocol=%s adversary=%s f=%d seed=%Ld)\n" path what
+      (Registry.entry_name protocol) adversary f seed
 
 (* ---- `bench` --------------------------------------------------------------- *)
 
@@ -427,15 +439,34 @@ let heartbeat_of enabled ~label ~total =
     (Some (fun () -> Mewc_obs.Heartbeat.tick hb),
      fun () -> Mewc_obs.Heartbeat.finish hb)
 
-let bench_cmd jobs smoke frontier shards output progress =
-  if shards < 1 then die_misuse "--shards %d: need at least one shard" shards;
+(* The one sweep behind `bench` and every perf subcommand, and its two
+   identity gates. [sweep] only measures; [gate] then requires the parallel
+   and every sharded pass to match the sequential rows, so `bench` can
+   still print and write a diverged report before failing, while no
+   diverged sweep ever reaches a ledger. *)
+let sweep ?profile ?(progress = false) ~smoke ~frontier ~jobs ~shard_counts () =
   let grid, capped, grid_name = select_grid ~smoke ~frontier in
-  let shard_counts = shard_counts_upto shards in
   let tick, finish =
     heartbeat_of progress ~label:"bench" ~total:(List.length grid)
   in
-  let report = Sweep.run_perf ?jobs ~capped ~shard_counts ?progress:tick grid in
+  let report =
+    Sweep.run_perf ?jobs ?profile ~capped ~shard_counts ?progress:tick grid
+  in
   finish ();
+  (report, grid_name)
+
+let gate (report : Sweep.report) =
+  if not report.Sweep.identical then
+    die_misuse "parallel sweep diverged from sequential (BUG)";
+  if not report.Sweep.shards_identical then
+    die_misuse "sharded sweep diverged from sequential (BUG)"
+
+let bench_cmd jobs smoke frontier shards output progress =
+  if shards < 1 then die_misuse "--shards %d: need at least one shard" shards;
+  let report, grid_name =
+    sweep ~progress ~smoke ~frontier ~jobs
+      ~shard_counts:(shard_counts_upto shards) ()
+  in
   pr
     "mewc bench: %d points (%s grid), %d cores, jobs=%d\n\
     \  parallelism   %s\n\
@@ -463,12 +494,9 @@ let bench_cmd jobs smoke frontier shards output progress =
   (match output with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    output_string oc (Jsonx.to_string (Sweep.report_to_json report));
-    output_char oc '\n';
-    close_out oc;
+    write_file path (json_text (Sweep.report_to_json report));
     pr "wrote %s (schema mewc-perf/2)\n" path);
-  if not (report.Sweep.identical && report.Sweep.shards_identical) then exit 1
+  gate report
 
 (* ---- `perf`: the regression ledger -------------------------------------- *)
 
@@ -483,31 +511,27 @@ let load_ledger path =
 
 let entry_label (e : Ledger.entry) = Printf.sprintf "%s@%s" e.Ledger.rev e.Ledger.date
 
-(* One profiled sweep; every perf subcommand funnels through here so the
-   parallel-equals-sequential gate also guards the ledger's inputs. *)
+(* One profiled, gated sweep for every perf subcommand. The smoke grid
+   keeps its shard passes cheap; the real grids record the full doubling
+   curve the ledger exists to track. *)
 let perf_sweep ~smoke ~frontier ~jobs =
-  let grid, capped, grid_name = select_grid ~smoke ~frontier in
   let profile = Profile.create () in
-  (* The smoke grid keeps its shard passes cheap; the real grids record the
-     full doubling curve the ledger exists to track. *)
-  let shard_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let report = Sweep.run_perf ?jobs ~profile ~capped ~shard_counts grid in
-  if not report.Sweep.identical then
-    die_misuse "perf: parallel sweep diverged from sequential (BUG)";
-  if not report.Sweep.shards_identical then
-    die_misuse "perf: sharded sweep diverged from sequential (BUG)";
+  let report, grid_name =
+    sweep ~profile ~smoke ~frontier ~jobs
+      ~shard_counts:(if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ])
+      ()
+  in
+  gate report;
   (report, profile, grid_name)
 
 let perf_append ledger rev date smoke frontier jobs =
   let report, profile, grid = perf_sweep ~smoke ~frontier ~jobs in
   let entry = Ledger.of_report ~rev ~date ~grid ~profile report in
-  (match Ledger.append ledger entry with
-  | Ok count ->
-    pr "mewc perf: appended %s (%s grid, %d rows) to %s (%d entries)\n"
-      (entry_label entry) grid
-      (List.length report.Sweep.rows)
-      ledger count
-  | Error e -> die_parse "perf: %s" e);
+  let count = appended ~cmd:"perf" ledger (Ledger.append ledger entry) in
+  pr "mewc perf: appended %s (%s grid, %d rows) to %s (%d entries)\n"
+    (entry_label entry) grid
+    (List.length report.Sweep.rows)
+    ledger count;
   print_string (Profile.flame profile)
 
 let perf_list ledger =
@@ -579,23 +603,24 @@ let perf_diff ledger threshold json_out against smoke jobs sel_a sel_b =
 (* The CI gate: sweep the smoke grid, append it to a scratch ledger, read
    the ledger back, and require (a) byte-identical row round-trip and (b) a
    zero-delta self-diff. Catches schema drift between the ledger's writer
-   and reader before a real regression ever needs it. *)
+   and reader before a real regression ever needs it. A scratch ledger is
+   removed at exit, so a failing gate (whose `exit` does not unwind) leaves
+   nothing behind either. *)
 let perf_smoke ledger =
-  let path, scratch =
+  let path =
     match ledger with
-    | Some p -> (p, false)
+    | Some p -> p
     | None ->
       let p = Filename.temp_file "mewc-ledger-smoke" ".json" in
       Sys.remove p;
-      (p, true)
+      at_exit (fun () -> if Sys.file_exists p then Sys.remove p);
+      p
   in
   let report, profile, grid =
     perf_sweep ~smoke:true ~frontier:false ~jobs:None
   in
   let entry = Ledger.of_report ~rev:"smoke" ~date:"smoke" ~grid ~profile report in
-  (match Ledger.append path entry with
-  | Ok _ -> ()
-  | Error e -> die_parse "perf: %s" e);
+  ignore (appended ~cmd:"perf" path (Ledger.append path entry) : int);
   let entries = load_ledger path in
   let last =
     match Ledger.find entries "-1" with
@@ -612,7 +637,6 @@ let perf_smoke ledger =
     || d.Ledger.only_b <> []
     || List.exists (fun (dl : Ledger.delta) -> dl.Ledger.words_ratio <> 1.0) d.Ledger.matched
   then die_misuse "perf smoke: self-diff is not a zero delta";
-  if scratch then Sys.remove path;
   pr "mewc perf: smoke ok — %d rows appended, round-tripped byte-identically, \
       self-diff is zero\n"
     (List.length report.Sweep.rows)
@@ -633,15 +657,11 @@ let perf_frontier_csv ledger selector output =
   let csv = Mewc_report.Figure.frontier_csv entry.Ledger.rows in
   match output with
   | None -> print_string csv
-  | Some path -> (
-    match open_out path with
-    | exception Sys_error e -> die_misuse "cannot write %s: %s" path e
-    | oc ->
-      output_string oc csv;
-      close_out oc;
-      pr "wrote %s (%d rows from ledger entry %s)\n" path
-        (List.length entry.Ledger.rows)
-        (entry_label entry))
+  | Some path ->
+    write_file path csv;
+    pr "wrote %s (%d rows from ledger entry %s)\n" path
+      (List.length entry.Ledger.rows)
+      (entry_label entry)
 
 (* ---- `report`: figures + consistency from the committed artifacts ------- *)
 
@@ -819,13 +839,8 @@ let parse_cell spec =
   | _ -> bad ()
 
 let write_matrix path cells =
-  match open_out path with
-  | exception Sys_error e -> die_misuse "cannot write %s: %s" path e
-  | oc ->
-    output_string oc (Jsonx.to_string (Degrade.matrix_to_json cells));
-    output_char oc '\n';
-    close_out oc;
-    pr "wrote %s (schema mewc-degrade/1)\n" path
+  write_file path (json_text (Degrade.matrix_to_json cells));
+  pr "wrote %s (schema mewc-degrade/1)\n" path
 
 let chaos_cmd jobs smoke cell output progress =
   match cell with
@@ -940,23 +955,16 @@ let throughput_cmd smoke n workload depth rev date ledger output shards
     print_string (Throughput.render entry);
     (match output with
     | None -> ()
-    | Some path -> (
-      match open_out path with
-      | exception Sys_error e -> die_misuse "cannot write %s: %s" path e
-      | oc ->
-        output_string oc
-          (Jsonx.to_string (Throughput.to_json [ Throughput.entry_to_json entry ]));
-        output_char oc '\n';
-        close_out oc;
-        pr "wrote %s (schema %s)\n" path Throughput.schema));
+    | Some path ->
+      write_file path
+        (json_text (Throughput.to_json [ Throughput.entry_to_json entry ]));
+      pr "wrote %s (schema %s)\n" path Throughput.schema);
     match ledger with
     | None -> ()
     | Some path -> (
-      match Throughput.append path entry with
-      | Ok count ->
-        pr "mewc throughput: appended %s@%s to %s (%d entries)\n" rev date path
-          count
-      | Error e -> die_parse "throughput: %s" e)
+      let count = appended ~cmd:"throughput" path (Throughput.append path entry) in
+      pr "mewc throughput: appended %s@%s to %s (%d entries)\n" rev date path
+        count)
   end
 
 open Cmdliner
@@ -1604,8 +1612,8 @@ let wire_chaos ~n ~seed =
   let cfg = Config.optimal ~n in
   List.iter (wire_chaos_cell ~cfg ~seed) Wire.Zoo.entries
 
-(* The CI leg (`dune build @wire-smoke`): fixed seeds regardless of flags so
-   the alias is deterministic — a fuzz budget, the fault-free differential
+(* The CI leg (a test_cli case): fixed seeds regardless of flags so the
+   gate is deterministic — a fuzz budget, the fault-free differential
    gate over all five sound protocols at n=5, and one byte-fault chaos cell
    that must stay safe. *)
 let wire_smoke () =
@@ -1662,7 +1670,7 @@ let wire_term =
       value & flag
       & info [ "smoke" ]
           ~doc:
-            "The fixed-seed CI leg (`dune build @wire-smoke`): a fuzz \
+            "The fixed-seed CI gate (run by $(b,dune runtest)): a fuzz \
              budget, the fault-free differential gate at n=5, and one \
              byte-fault chaos cell that must stay safe.")
   in

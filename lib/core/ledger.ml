@@ -198,9 +198,12 @@ let save path entries =
   Sys.rename tmp path
 
 let append path entry =
-  let* entries = load path in
-  save path (entries @ [ entry ]);
-  Ok (List.length entries + 1)
+  match load path with
+  | Error e -> Error (`Malformed e)
+  | Ok entries -> (
+    match save path (entries @ [ entry ]) with
+    | () -> Ok (List.length entries + 1)
+    | exception Sys_error e -> Error (`Unwritable e))
 
 (* Entry selection for the CLI: an integer index (negative counts from the
    end, Python-style) or a unique git-rev prefix. *)

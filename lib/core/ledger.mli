@@ -71,9 +71,11 @@ val load : string -> (entry list, string) result
 val save : string -> entry list -> unit
 (** Atomic rewrite (write-then-rename). *)
 
-val append : string -> entry -> (int, string) result
+val append :
+  string -> entry -> (int, [ `Malformed of string | `Unwritable of string ]) result
 (** [append path entry] loads, appends and saves; returns the new entry
-    count. [Error] if the existing file does not parse. *)
+    count. [`Malformed] if the existing file does not parse, [`Unwritable]
+    if the new file cannot be written. *)
 
 val find : entry list -> string -> (entry, string) result
 (** Select an entry by integer index (negative counts from the end, so

@@ -4,9 +4,9 @@
     builds its own PKI, RNG, meter and trace from a seed that is a pure
     function of the point, so points can run in any order — or in parallel
     on OCaml 5 domains via {!Mewc_prelude.Pool} — and produce identical
-    {!row}s. [bench/main.exe], [mewc bench] and the CI smoke gate all run
-    through this module, and the byte-identical-under-parallelism property
-    is enforced by tests and by {!run_perf} itself on every invocation.
+    {!row}s. [mewc bench] and [mewc perf] run through this module, and
+    the byte-identical-under-parallelism property is enforced by tests and
+    by {!run_perf} itself on every invocation.
 
     Timing lives {e outside} the row identity: a row's deterministic facts
     (words, latency, signatures, crypto-cache counters …) are what the

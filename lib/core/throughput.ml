@@ -201,10 +201,13 @@ let save path entries =
   Sys.rename tmp path
 
 let append path entry =
-  let* entries = load path in
-  let entries = entries @ [ entry_to_json entry ] in
-  save path entries;
-  Ok (List.length entries)
+  match load path with
+  | Error e -> Error (`Malformed e)
+  | Ok entries -> (
+    let entries = entries @ [ entry_to_json entry ] in
+    match save path entries with
+    | () -> Ok (List.length entries)
+    | exception Sys_error e -> Error (`Unwritable e))
 
 let render e =
   let b = Buffer.create 1024 in

@@ -121,8 +121,10 @@ val load : string -> (Mewc_prelude.Jsonx.t list, string) result
     wrong-schema or unparsable file is an [Error]. Entries are kept as
     JSON — the ledger is append-only provenance, not a diff input. *)
 
-val append : string -> entry -> (int, string) result
-(** Load, append, atomic rewrite (write-then-rename); the new count. *)
+val append :
+  string -> entry -> (int, [ `Malformed of string | `Unwritable of string ]) result
+(** Load, append, atomic rewrite (write-then-rename); the new count, or
+    which of the two steps failed (as {!Ledger.append}). *)
 
 val render : entry -> string
 (** Human-readable tables: the grid's four metrics per cell, then the

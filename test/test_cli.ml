@@ -329,6 +329,13 @@ let test_perf_append_then_diff_codes () =
 let test_perf_smoke_gate () =
   Alcotest.(check int) "perf smoke" 0 (run "perf smoke")
 
+(* `bench` runs the sweep and both identity gates end to end. *)
+let test_bench_smoke_sharded () =
+  let code, out = run_out "bench --smoke --shards 2" in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check bool) "sharded identity line" true
+    (contains out "sharded output == sequential output")
+
 (* ---- throughput: the repeated-BA service --------------------------------- *)
 
 let throughput_cases =
@@ -512,6 +519,16 @@ let () =
           Alcotest.test_case "append/diff exit codes" `Quick
             test_perf_append_then_diff_codes;
           Alcotest.test_case "smoke gate" `Quick test_perf_smoke_gate;
+          (* an unwritable file is an operational failure, not an
+             uncaught exception *)
+          check_code "unwritable ledger" 1
+            "perf append --smoke --ledger /nonexistent/l.json";
+        ] );
+      ( "bench",
+        [
+          Alcotest.test_case "smoke, sharded" `Quick test_bench_smoke_sharded;
+          check_code "unwritable -o" 1
+            "bench --smoke --shards 1 -o /nonexistent/x.json";
         ] );
       ( "fuzz modes",
         [
@@ -524,12 +541,20 @@ let () =
             test_fuzz_rejects_tampered_entry;
           Alcotest.test_case "foreign schema" `Quick
             test_fuzz_rejects_foreign_schema;
+          (* the planted ablation is found, minimized and replayed *)
+          check_code "smoke gate" 0 "fuzz --smoke";
+          (* every committed counterexample still reproduces its recorded
+             violation byte-identically *)
+          check_code "committed corpus replays" 0 "fuzz --replay-dir ../corpus";
         ] );
       ( "throughput",
         throughput_cases
         @ [
             Alcotest.test_case "malformed ledger" `Quick
               test_throughput_rejects_malformed_ledger;
+            check_code "unwritable ledger" 1
+              "throughput -n 9 --workload steady --depth seq --ledger \
+               /nonexistent/t.json";
             Alcotest.test_case "ledger round-trip" `Quick
               test_throughput_ledger_roundtrip;
             Alcotest.test_case "smoke gate" `Slow test_throughput_smoke_gate;

@@ -172,6 +172,28 @@ let sweep_sharded_core_rows_identical () =
               points)))
     [ 2; 4; 8 ]
 
+let sweep_frontier_matches_dense_oracle () =
+  (* The event-driven engine end to end. Rows are a pure function of the
+     point, so over the frontier grid's small points the event-driven rows
+     must be byte-identical to the dense oracle's (every machine's wake
+     query ignored, every live process stepping every slot), and the
+     parallel and sharded passes must match the sequential one. *)
+  let points, _capped = Sweep.frontier_grid in
+  let points = List.filter (fun (p : Sweep.point) -> p.Sweep.n <= 101) points in
+  let report = Sweep.run_perf ~jobs:2 ~shard_counts:[ 1; 2 ] points in
+  Alcotest.(check bool) "parallel == sequential" true report.Sweep.identical;
+  Alcotest.(check bool) "sharded == sequential" true
+    report.Sweep.shards_identical;
+  let oracle =
+    Sweep.run_all
+      ~options:{ Instances.default_options with Instances.scheduler = `Legacy }
+      points
+  in
+  Alcotest.(check (list string))
+    "event-driven == dense oracle"
+    (List.map Sweep.row_to_line oracle)
+    (List.map Sweep.row_to_line report.Sweep.rows)
+
 let sweep_caches_hit () =
   (* The crypto caches must actually fire on a fallback-heavy point —
      otherwise the hot-path optimization silently regressed. *)
@@ -187,9 +209,28 @@ let sweep_protocols_registered () =
         (List.mem p Registry.names))
     Sweep.protocols
 
+(* The sweeps run before the pool group: [pool_map_order] spawns up to 100
+   domains, and every multi-domain sweep after that runs several times
+   slower on OCaml 5.1 (the frontier case: ~1.5 s before, ~10 s after). *)
 let () =
   Alcotest.run "perf"
     [
+      ( "sweep",
+        [
+          Alcotest.test_case "parallel byte-identical to sequential" `Quick
+            sweep_parallel_identical;
+          Alcotest.test_case "reruns deterministic" `Quick sweep_rerun_deterministic;
+          Alcotest.test_case "swept protocols are registry entries" `Quick
+            sweep_protocols_registered;
+          Alcotest.test_case "perf report: identity + mewc-perf/2 round-trip" `Quick
+            sweep_report;
+          Alcotest.test_case "sharded core rows byte-identical" `Quick
+            sweep_sharded_core_rows_identical;
+          Alcotest.test_case "frontier n<=101: event-driven == dense oracle"
+            `Quick sweep_frontier_matches_dense_oracle;
+          Alcotest.test_case "crypto caches fire on fallback path" `Quick
+            sweep_caches_hit;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "map preserves order at any jobs" `Quick pool_map_order;
@@ -203,19 +244,5 @@ let () =
           Alcotest.test_case "nested run falls back to sequential" `Quick
             nested_run_falls_back_sequential;
           pool_results_match_sequential;
-        ] );
-      ( "sweep",
-        [
-          Alcotest.test_case "parallel byte-identical to sequential" `Quick
-            sweep_parallel_identical;
-          Alcotest.test_case "reruns deterministic" `Quick sweep_rerun_deterministic;
-          Alcotest.test_case "swept protocols are registry entries" `Quick
-            sweep_protocols_registered;
-          Alcotest.test_case "perf report: identity + mewc-perf/2 round-trip" `Quick
-            sweep_report;
-          Alcotest.test_case "sharded core rows byte-identical" `Quick
-            sweep_sharded_core_rows_identical;
-          Alcotest.test_case "crypto caches fire on fallback path" `Quick
-            sweep_caches_hit;
         ] );
     ]

@@ -197,11 +197,11 @@ let ledger_append_roundtrip () =
   (match Throughput.append path entry with
   | Ok 1 -> ()
   | Ok k -> Alcotest.failf "first append counted %d" k
-  | Error e -> Alcotest.fail e);
+  | Error (`Malformed e | `Unwritable e) -> Alcotest.fail e);
   (match Throughput.append path { entry with Throughput.rev = "r2" } with
   | Ok 2 -> ()
   | Ok k -> Alcotest.failf "second append counted %d" k
-  | Error e -> Alcotest.fail e);
+  | Error (`Malformed e | `Unwritable e) -> Alcotest.fail e);
   (match Throughput.load path with
   | Ok [ _; _ ] -> ()
   | Ok es -> Alcotest.failf "loaded %d entries" (List.length es)
