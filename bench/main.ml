@@ -1,8 +1,8 @@
 (* `dune exec bench/main.exe` regenerates every table and figure of the
    paper (see DESIGN.md §3 for the experiment index) and
    BENCH_observability.json, then runs the Bechamel wall-clock benchmarks —
-   one Test.make per Table-1 row. Its only flag, --no-timings, skips the
-   Bechamel stage.
+   one Test.make per Table-1 row, plus the crypto layer's rows. Its only
+   flag, --no-timings, skips the Bechamel stage.
 
    The perf sweep and the ledger have one front door, the CLI:
    `mewc bench -o BENCH_perf.json` writes the mewc-perf/2 report and
@@ -70,6 +70,41 @@ let bench_tests =
              ~adversary:honest ())));
   ]
 
+(* The crypto layer on its own: the SHA-256 kernel, a keyed HMAC on a
+   signed message's size, and the PKI's sign and verify on both sides of
+   the share-tag memo. *)
+let layer_tests =
+  let open Mewc_crypto in
+  let open Bechamel in
+  (* 55 bytes is the longest message that pads to a single block, so a
+     digest is one compression plus its fixed copy/pad/output work. *)
+  let block = String.make 55 'b' in
+  let key = Sha256.hmac_key "mewc-key-0" in
+  let msg = String.make 26 'm' in
+  let pki, secrets = Pki.setup ~seed:1L ~n:4 () in
+  let signed = Pki.sign pki secrets.(1) msg in
+  (* Capacity 1 and two alternating messages: each verify finds the other
+     message's entry, misses, and epoch-clears the one-entry table. *)
+  let cold, cold_secrets = Pki.setup ~seed:1L ~cache_capacity:1 ~n:4 () in
+  let alternating =
+    Array.map (fun m -> (m, Pki.sign cold cold_secrets.(1) m)) [| "m0"; "m1" |]
+  in
+  let turn = ref 0 in
+  [
+    Test.make ~name:"layers/sha256 compress" (Staged.stage (fun () ->
+        ignore (Sha256.digest block)));
+    Test.make ~name:"layers/hmac_with 26B" (Staged.stage (fun () ->
+        ignore (Sha256.hmac_with key msg)));
+    Test.make ~name:"layers/pki sign" (Staged.stage (fun () ->
+        ignore (Pki.sign pki secrets.(1) msg)));
+    Test.make ~name:"layers/pki verify hit" (Staged.stage (fun () ->
+        ignore (Pki.verify pki signed ~msg)));
+    Test.make ~name:"layers/pki verify miss" (Staged.stage (fun () ->
+        incr turn;
+        let m, sg = alternating.(!turn land 1) in
+        ignore (Pki.verify cold sg ~msg:m)));
+  ]
+
 let run_timings () =
   let open Bechamel in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
@@ -95,7 +130,7 @@ let run_timings () =
             Printf.printf "  %-40s %12.0f ns/run\n%!" name est
           | Some _ | None -> Printf.printf "  %-40s (no estimate)\n%!" name)
         analysis)
-    bench_tests
+    (bench_tests @ layer_tests)
 
 let write_observability () =
   let path = "BENCH_observability.json" in

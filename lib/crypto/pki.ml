@@ -54,6 +54,10 @@ module Memo = struct
       Hashtbl.add per_domain m.id tbl;
       tbl
 
+  let store tbl m key v =
+    if Hashtbl.length tbl >= m.capacity then Hashtbl.reset tbl;
+    Hashtbl.replace tbl key v
+
   let find_or_add m key compute =
     let tbl = table m in
     match Hashtbl.find_opt tbl key with
@@ -63,9 +67,11 @@ module Memo = struct
     | None ->
       Atomic.incr m.misses;
       let v = compute () in
-      if Hashtbl.length tbl >= m.capacity then Hashtbl.reset tbl;
-      Hashtbl.add tbl key v;
+      store tbl m key v;
       v
+
+  (* Record a value computed elsewhere, counting neither a hit nor a miss. *)
+  let seed m key v = store (table m) m key v
 
   let reset m =
     (* Clears only the calling domain's table. Other domains' tables cannot
@@ -100,8 +106,7 @@ type meters = {
 
 type t = {
   n : int;
-  mac_keys : string array;  (* trusted setup; used for verification only *)
-  hmac_keys : Sha256.key array;  (* same keys, HMAC midstates precomputed *)
+  hmac_keys : Sha256.key array;  (* trusted setup, HMAC midstates precomputed *)
   tag_memo : Memo.t;  (* (signer, msg) -> expected share tag *)
   agg_memo : Memo.t;  (* (signer set, msg) -> aggregate tag *)
   (* Atomic so concurrent shards count exactly. The totals are a pure
@@ -123,15 +128,14 @@ end
 
 let setup ?(seed = 0x5EEDL) ?(cache_capacity = default_cache_capacity) ~n () =
   let rng = Rng.create seed in
-  let mac_keys =
+  let hmac_keys =
     Array.init n (fun i ->
-        Printf.sprintf "mewc-key-%d-%Lx-%Lx" i (Rng.int64 rng) (Rng.int64 rng))
+        Sha256.hmac_key
+          (Printf.sprintf "mewc-key-%d-%Lx-%Lx" i (Rng.int64 rng) (Rng.int64 rng)))
   in
-  let hmac_keys = Array.map Sha256.hmac_key mac_keys in
   let pki =
     {
       n;
-      mac_keys;
       hmac_keys;
       tag_memo = Memo.create ~capacity:cache_capacity;
       agg_memo = Memo.create ~capacity:cache_capacity;
@@ -183,20 +187,29 @@ module Sig = struct
   let pp fmt s = Format.fprintf fmt "<sig:%a>" Pid.pp s.signer
 end
 
+(* The share-tag memo key of signer [p] on [msg]. It has no ambiguity: the
+   signer id contains no ':' and everything after the first ':' is the
+   message verbatim. *)
+let share_key p msg = Decimal.of_int p ^ ":" ^ msg
+
+(* A signer's tag is the very tag its receivers' [verify] will recompute,
+   so signing seeds the memo with it — but only for a secret this setup
+   issued to that owner (the key compared physically): a secret from
+   another setup must never plant its tag under a local signer's id. *)
 let sign t (secret : Secret.t) msg =
   Atomic.incr t.signs;
   meter t (fun m -> m.signs_m);
-  {
-    Sig.signer = secret.Secret.owner;
-    tag = timed t "crypto.sign" (fun () -> Sha256.hmac_with secret.Secret.hmac_key msg);
-  }
+  let owner = secret.Secret.owner in
+  let tag =
+    timed t "crypto.sign" (fun () -> Sha256.hmac_with secret.Secret.hmac_key msg)
+  in
+  if Pid.is_valid ~n:t.n owner && t.hmac_keys.(owner) == secret.Secret.hmac_key
+  then Memo.seed t.tag_memo (share_key owner msg) tag;
+  { Sig.signer = owner; tag }
 
-(* The genuine share tag of signer [p] on [msg], memoized. The key has no
-   ambiguity: the signer id contains no ':' and everything after the first
-   ':' is the message verbatim. *)
+(* The genuine share tag of signer [p] on [msg], memoized. *)
 let share_tag t p msg =
-  Memo.find_or_add t.tag_memo
-    (Decimal.of_int p ^ ":" ^ msg)
+  Memo.find_or_add t.tag_memo (share_key p msg)
     (fun () ->
       (* Timed on the miss path only: a cache hit is a hashtable probe, and
          timing it would drown the signal in clock reads. *)

@@ -38,10 +38,13 @@ val setup : ?seed:int64 -> ?cache_capacity:int -> n:int -> unit -> t * Secret.t 
     genuine share tags keyed by [(signer, message)] — the work behind
     {!verify} — and one for aggregate tags keyed by [(signer set, message)]
     — the work {!combine} and {!verify_tsig} would otherwise redo per
-    receiver. MAC keys never rotate, so cached tags cannot go stale; when a
-    table reaches [cache_capacity] (default 16384 entries) it is cleared
+    receiver. {!sign} seeds the share-tag table with the tag it computes,
+    so a signature is verified from the memo on the domain that made it.
+    MAC keys never rotate, so cached tags cannot go stale; when a table
+    reaches [cache_capacity] (default 16384 entries) it is cleared
     wholesale and refills — an epoch-clear costs recomputation, never
-    correctness. {!cache_stats} reports hits and misses. *)
+    correctness. Each domain has its own tables. {!cache_stats} reports
+    hits and misses. *)
 
 val n : t -> int
 
@@ -58,6 +61,12 @@ module Sig : sig
 end
 
 val sign : t -> Secret.t -> string -> Sig.t
+(** [sign pki secret msg] is [secret]'s owner's signature on [msg]. When
+    [pki]'s setup issued [secret] to that owner, the tag is also stored in
+    the calling domain's share-tag memo, so the first {!verify} of it there
+    is a lookup; the store counts as neither a hit nor a miss. A secret
+    from another setup never writes to the memo. *)
+
 val verify : t -> Sig.t -> msg:string -> bool
 
 (** {1 Threshold signatures} *)
@@ -180,11 +189,17 @@ val set_metrics : t -> Mewc_obs.Metrics.t option -> unit
 type cache_stats = {
   verify_hits : int;  (** share-tag memo hits: {!verify} skipped an HMAC *)
   verify_misses : int;
+      (** share-tag memo misses: no one signed that tag on this domain (and
+          no earlier verify there computed it), so {!verify} ran an HMAC *)
   agg_hits : int;  (** aggregate-tag memo hits: {!verify_tsig}/{!combine} skipped re-hashing k shares *)
   agg_misses : int;
 }
 
 val cache_stats : t -> cache_stats
+(** Lookups in both memo tables since setup or {!reset_counters}, summed
+    over domains. Hits + misses is the number of lookups; {!sign}'s store
+    is neither, so a signature verified on the domain that made it is a
+    hit. *)
 
 val no_cache_stats : cache_stats
 (** All-zero stats, for runners without a PKI. *)

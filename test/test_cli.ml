@@ -142,33 +142,33 @@ let contains s sub =
 let stdout_goldens =
   [
     ("run -p bb",
-     "b77ae8e12876af51e0de3d9c737576af83eb0b0ac2d315aa96676efd8a4dc6de");
+     "e46b0a4e4ac13b2767a7c5ec9d3dae1b781f198347053b53617a8c916f99f7d7");
     ("run -p bb -a crash -f 2",
-     "e227a267a9807b5e6331322b92a7c5647e97404860f1d7f0fe508cb5942615fb");
+     "acbec0142e42f7c36461b90e6faf043441504c94fda810c964e6ea84ca3abd7b");
     ("run -p bb -a equivocating-sender -f 2",
-     "c4a3858c891dad9d791fb2c4c0daf8971639b23181a52fb12997fbf65a404857");
+     "b7f08526cd4c35efcdbeb013adaec8ab886081eb307a616d06375bacdbea4e23");
     ("run -p weak-ba",
-     "0033c38fed6726fd8593bc6fd218551090aadef72580de5793e474c3d614e9f9");
+     "a45e258deec8123041b96806fc180fc1de301a5c548178dd58364f5fcbd86456");
     ("run -p weak-ba -a crash -f 2",
-     "4e00611a2372ed4aa856ca7c3ae9c9388a057b5b950e57f4bb36faa1ed2601f6");
+     "7dffebd140335db65ed7714d729a2a4bbb27f8aee269d257d89785a9f61eb881");
     ("run -p weak-ba -a busy-leaders -f 2",
-     "bd279c8098a54f9ef3fa1f21ffd6d77e55d8584ed9d1bbd1e1142925040f3d14");
+     "4362afda2092d7240e3bf0983c6551778f416700759da02b6f8fb690563c88c0");
     ("run -p weak-ba -a lonely-decider -f 2",
-     "63ee55c1dbe55e89748e60d7c22f1f41fc53afcbdff4e4fd5346ec5a34917d9a");
+     "564ed665a4670a735f5d6967de69530ad63481ae0571dc2f1560bb946d7c8876");
     ("run -p weak-ba -a help-spam -f 2",
-     "7e129465fdbcd29307fdb8a6d04001512dfea165004f65f4cac7ca9d7e49631a");
+     "7fe0302b5718c129374d8f31856831aa3890b2f7cc23e27a6c346cdd112f0034");
     ("run -p strong-ba",
-     "ad611b00fcfe8c3c5ed4377249ade9260c06db2ade9ccecfd74ce10d6f80c8a5");
+     "48809cce1dbb57488c5455f7b2b79cc1303d209e915df0424d90262118b09dd7");
     ("run -p strong-ba -a crash -f 2",
-     "db539ad7c6cedf0a08a6c5a39929fe97908a5bcb1122eb60d51f2842e8c6568c");
+     "e894c44288794be93793f07e0c22a8dd1eefa594a0cb806b5feae59553c94c81");
     ("run -p strong-ba -a withholding-leader -f 2",
-     "23acda39df5cbb7fed588b86f45151d67bc7a2704faac47e3287859985373300");
+     "14bd31f882f7dca98b58e67b9678c20eaa32cfa2e1dddf44c104b8e5d937b61a");
     ("run -p fallback",
-     "82d27984c73db9564c5bb76cffdb1ae3b4d3544decce1eb79a2e352de617e03b");
+     "bf6a40c32be1a789a7aab9a307a396f7db3f4326e6ba6cd85f538f8476fe3bf3");
     ("run -p fallback -a crash -f 2",
-     "b9afe81d7f5581289aa5299cdf3c1efad7909c83da0209d7ee280b7b5b682ca1");
+     "4391859e38a999ad457a5ade918c2946dd27ea92e3686c91590496d85332bbb4");
     ("run -p fallback -a equivocating-king -f 2",
-     "c23f7762d700213a31590a6ccee7024e441e5352d4e4abcc3d800b9249282fb6");
+     "8129f77310549f2a68c0e524f99535f2b427ae8cf487fba963105f57e7303656");
     ("trace -p bb -n 9",
      "b9b052bad89ab7756acd04a60a3d8a10601ea79f8c6daa73389d9074d9fe0bf2");
     ("trace -p bb -n 9 -a crash -f 2",

@@ -52,6 +52,155 @@ let hmac_long_key () =
        (Sha256.hmac ~key
           "Test Using Larger Than Block-Size Key - Hash Key First"))
 
+(* ---- reference kernel ----------------------------------------------------
+   The boxed-Int32 SHA-256 kernel the library used before its words moved
+   into native ints, kept as a test-only oracle, with textbook padding and
+   textbook HMAC (RFC 2104: H((K xor opad) || H((K xor ipad) || m))) —
+   no midstates, no partial blocks. *)
+module Reference = struct
+  let k =
+    [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
+       0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
+       0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
+       0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
+       0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
+       0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
+       0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
+       0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
+       0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
+       0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
+       0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
+       0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
+       0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+
+  let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
+  let ( +% ) = Int32.add
+  let ( ^% ) = Int32.logxor
+  let ( &% ) = Int32.logand
+  let lnot32 = Int32.lognot
+
+  let fresh_state () =
+    [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al;
+       0x510e527fl; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |]
+
+  (* One FIPS 180-4 compression round: fold the 64-byte block at [buf.(off)]
+     into [h]. [w] is caller-provided scratch so tight loops allocate nothing. *)
+  let compress h w buf off =
+    let word o =
+      let b i = Int32.of_int (Char.code (Bytes.unsafe_get buf (o + i))) in
+      Int32.logor
+        (Int32.shift_left (b 0) 24)
+        (Int32.logor (Int32.shift_left (b 1) 16)
+           (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+    in
+    for i = 0 to 15 do
+      w.(i) <- word (off + (i * 4))
+    done;
+    for i = 16 to 63 do
+      let s0 = rotr w.(i - 15) 7 ^% rotr w.(i - 15) 18 ^% Int32.shift_right_logical w.(i - 15) 3 in
+      let s1 = rotr w.(i - 2) 17 ^% rotr w.(i - 2) 19 ^% Int32.shift_right_logical w.(i - 2) 10 in
+      w.(i) <- w.(i - 16) +% s0 +% w.(i - 7) +% s1
+    done;
+    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+    for i = 0 to 63 do
+      let s1 = rotr !e 6 ^% rotr !e 11 ^% rotr !e 25 in
+      let ch = (!e &% !f) ^% (lnot32 !e &% !g) in
+      let temp1 = !hh +% s1 +% ch +% k.(i) +% w.(i) in
+      let s0 = rotr !a 2 ^% rotr !a 13 ^% rotr !a 22 in
+      let maj = (!a &% !b) ^% (!a &% !c) ^% (!b &% !c) in
+      let temp2 = s0 +% maj in
+      hh := !g;
+      g := !f;
+      f := !e;
+      e := !d +% temp1;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := temp1 +% temp2
+    done;
+    h.(0) <- h.(0) +% !a;
+    h.(1) <- h.(1) +% !b;
+    h.(2) <- h.(2) +% !c;
+    h.(3) <- h.(3) +% !d;
+    h.(4) <- h.(4) +% !e;
+    h.(5) <- h.(5) +% !f;
+    h.(6) <- h.(6) +% !g;
+    h.(7) <- h.(7) +% !hh
+
+  let state_to_raw h =
+    let out = Bytes.create 32 in
+    for i = 0 to 7 do
+      let v = h.(i) in
+      for j = 0 to 3 do
+        Bytes.set out
+          ((i * 4) + j)
+          (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v (8 * (3 - j))) 0xFFl)))
+      done
+    done;
+    Bytes.unsafe_to_string out
+
+  let digest msg =
+    let len = String.length msg in
+    let total = (len + 9 + 63) / 64 * 64 in
+    let buf = Bytes.make total '\x00' in
+    Bytes.blit_string msg 0 buf 0 len;
+    Bytes.set buf len '\x80';
+    Bytes.set_int64_be buf (total - 8) (Int64.of_int (len * 8));
+    let h = fresh_state () and w = Array.make 64 0l in
+    for blk = 0 to (total / 64) - 1 do
+      compress h w buf (blk * 64)
+    done;
+    state_to_raw h
+
+  let hmac ~key msg =
+    let key = if String.length key > 64 then digest key else key in
+    let pad byte =
+      String.init 64 (fun i ->
+          let c = if i < String.length key then Char.code key.[i] else 0 in
+          Char.chr (c lxor byte))
+    in
+    digest (pad 0x5c ^ digest (pad 0x36 ^ msg))
+end
+
+(* Padding boundaries: the last length whose tail fits one block (55), the
+   first that needs two (56), and the block edges around them. *)
+let boundary_lengths = [ 55; 56; 63; 64; 119; 120; 128 ]
+
+(* Every case checks a random message of 0-300 bytes plus a message of each
+   boundary length, so no run can miss the padding edges. *)
+let kernel_matches_reference =
+  Test_util.qcheck_case ~count:200
+    ~name:"digest and hmac_with == the Int32 reference kernel"
+    QCheck2.Gen.(
+      triple (string_size (int_range 0 200)) (string_size (int_range 0 300))
+        (string_size (return 128)))
+    (fun (key, msg, filler) ->
+      let hkey = Sha256.hmac_key key in
+      List.for_all
+        (fun m ->
+          String.equal (Sha256.to_raw (Sha256.digest m)) (Reference.digest m)
+          && String.equal
+               (Sha256.to_raw (Sha256.hmac_with hkey m))
+               (Reference.hmac ~key m))
+        (msg :: List.map (fun len -> String.sub filler 0 len) boundary_lengths))
+
+(* The kernel keeps its words unboxed; the remaining allocation is the
+   per-digest state copy, schedule, padding tail and output. The boxed-Int32
+   kernel allocated 772 minor words per call here. *)
+let hmac_allocation_guard () =
+  let key = Sha256.hmac_key "mewc-key-0" in
+  let msg = String.make 26 'm' in
+  ignore (Sha256.hmac_with key msg : Sha256.t);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Sha256.hmac_with key msg) : Sha256.t)
+  done;
+  let per_call = (Gc.minor_words () -. before) /. 1000. in
+  if per_call >= 256. then
+    Alcotest.failf "hmac_with allocates %.1f minor words per call (limit 256)"
+      per_call
+
 let setup n = Pki.setup ~seed:42L ~n ()
 
 let sign_verify () =
@@ -254,6 +403,78 @@ let reset_clears_cache_stats () =
   let s = Pki.cache_stats pki in
   Alcotest.(check int) "hits cleared" 0 s.Pki.verify_hits;
   Alcotest.(check int) "misses cleared" 0 s.Pki.verify_misses
+
+(* ---- memo seeding --------------------------------------------------------
+   [sign] stores the tag it computes in the share-tag memo so the first
+   [verify] is a lookup. It must only ever store a genuine tag: a secret
+   from another setup, or one whose owner this setup does not have, never
+   writes. *)
+
+let alien_sign_does_not_seed () =
+  let pki, secrets = setup 5 in
+  let twin, twin_secrets = setup 5 in
+  let _, alien_secrets = Pki.setup ~seed:99L ~n:5 () in
+  (* The alien signs first, on a cold memo, under the colliding owner id 2;
+     the genuine signature comes from a same-seed twin, so no local sign
+     could repair a poisoned entry. *)
+  let alien = Pki.sign pki alien_secrets.(2) "m" in
+  let genuine = Pki.sign twin twin_secrets.(2) "m" in
+  Alcotest.(check bool) "genuine verifies after alien sign" true
+    (Pki.verify pki genuine ~msg:"m");
+  Alcotest.(check bool) "alien rejected" false (Pki.verify pki alien ~msg:"m");
+  (* Genuine local sign first, then the alien: the entry must stay genuine. *)
+  let local = Pki.sign pki secrets.(3) "m" in
+  let alien3 = Pki.sign pki alien_secrets.(3) "m" in
+  Alcotest.(check bool) "local still verifies" true (Pki.verify pki local ~msg:"m");
+  Alcotest.(check bool) "alien still rejected" false (Pki.verify pki alien3 ~msg:"m");
+  (* A secret whose owner this setup does not have (id 7 >= n = 5). *)
+  let _, wide_secrets = Pki.setup ~seed:42L ~n:10 () in
+  let outsider = Pki.sign pki wide_secrets.(7) "m" in
+  Alcotest.(check bool) "out-of-range owner rejected" false
+    (Pki.verify pki outsider ~msg:"m")
+
+let sign_then_verify_is_a_hit () =
+  let pki, secrets = setup 5 in
+  Pki.reset_counters pki;
+  let sg = Pki.sign pki secrets.(1) "m" in
+  Alcotest.(check bool) "verifies" true (Pki.verify pki sg ~msg:"m");
+  let s = Pki.cache_stats pki in
+  Alcotest.(check (pair int int)) "hits, misses" (1, 0)
+    (s.Pki.verify_hits, s.Pki.verify_misses)
+
+let seed_is_per_domain () =
+  (* Seeding writes the signing domain's table only: another domain's first
+     verify is a miss that recomputes the same genuine tag. *)
+  let pki, secrets = setup 5 in
+  Pki.reset_counters pki;
+  let sg = Pki.sign pki secrets.(4) "m" in
+  let verdict = Domain.join (Domain.spawn (fun () -> Pki.verify pki sg ~msg:"m")) in
+  Alcotest.(check bool) "verifies in another domain" true verdict;
+  let s = Pki.cache_stats pki in
+  Alcotest.(check (pair int int)) "hits, misses" (0, 1)
+    (s.Pki.verify_hits, s.Pki.verify_misses)
+
+let seeded_epoch_clears_keep_verdicts () =
+  (* Sign everything first, so seeding itself drives the capacity-2 clears,
+     then verify genuine, tampered and alien signatures; every verdict must
+     match the default-capacity PKI's. *)
+  let _, alien_secrets = Pki.setup ~seed:99L ~n:5 () in
+  let verdicts cache_capacity =
+    let pki, secrets = Pki.setup ~seed:42L ?cache_capacity ~n:5 () in
+    let msgs = [ "a"; "b"; "c"; "d"; "e" ] in
+    let sigs =
+      List.concat_map
+        (fun msg ->
+          List.map (fun p -> (msg, Pki.sign pki secrets.(p) msg)) [ 0; 3 ]
+          @ [ (msg, Pki.sign pki alien_secrets.(0) msg) ])
+        msgs
+    in
+    List.concat_map
+      (fun (msg, sg) ->
+        [ Pki.verify pki sg ~msg; Pki.verify pki sg ~msg:(msg ^ "!") ])
+      (sigs @ List.rev sigs)
+  in
+  Alcotest.(check (list bool)) "same verdicts" (verdicts None) (verdicts (Some 2))
 
 let hmac_key_equivalence =
   Test_util.qcheck_case ~name:"hmac_with (hmac_key k) = hmac ~key:k"
@@ -530,6 +751,9 @@ let () =
           Alcotest.test_case "rfc4231 case 2" `Quick hmac_rfc4231_case2;
           Alcotest.test_case "long key" `Quick hmac_long_key;
           hmac_key_equivalence;
+          kernel_matches_reference;
+          Alcotest.test_case "hmac_with allocation guard" `Quick
+            hmac_allocation_guard;
         ] );
       ( "cache",
         [
@@ -543,6 +767,16 @@ let () =
             cache_capacity_epoch_clear;
           Alcotest.test_case "reset clears cache stats" `Quick
             reset_clears_cache_stats;
+        ] );
+      ( "memo seeding",
+        [
+          Alcotest.test_case "alien secret never seeds" `Quick
+            alien_sign_does_not_seed;
+          Alcotest.test_case "sign then verify: 1 hit, 0 misses" `Quick
+            sign_then_verify_is_a_hit;
+          Alcotest.test_case "another domain misses" `Quick seed_is_per_domain;
+          Alcotest.test_case "capacity-2 clears keep verdicts" `Quick
+            seeded_epoch_clears_keep_verdicts;
         ] );
       ( "signatures",
         [
