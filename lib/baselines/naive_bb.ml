@@ -17,6 +17,9 @@ module Opt_value = struct
   let pp fmt = function
     | None -> Format.pp_print_string fmt "⊥"
     | Some v -> Format.fprintf fmt "%S" v
+
+  let codec = Codec.option_c Value.Str.codec
+  let gen g = if Rng.bool g then None else Some (Value.Str.gen g)
 end
 
 module Ba = Mewc_fallback.Echo_phase_king.Make (Opt_value)

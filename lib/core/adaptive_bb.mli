@@ -38,13 +38,9 @@ type bb_value =
 
 module Bb_value : Mewc_sim.Value.S with type t = bb_value
 
-module Fallback_bb :
-  Fallback_intf.FALLBACK
-    with type value = bb_value
-     and type msg = Mewc_fallback.Echo_phase_king.Make(Bb_value).msg
-     and type state = Mewc_fallback.Echo_phase_king.Make(Bb_value).state
-(* The msg/state equalities are exposed (rather than left abstract) so the
-   wire layer can build a codec for the embedded fallback's messages. *)
+module Fallback_bb : Fallback_intf.FALLBACK with type value = bb_value
+(** The [A_fallback] instance the weak BA embeds over {!bb_value}. *)
+
 module W : module type of Weak_ba.Make (Bb_value) (Fallback_bb)
 (** The embedded weak-BA instance over {!bb_value}. *)
 
@@ -80,6 +76,14 @@ val pp_decision : Format.formatter -> decision -> unit
 
 val words : msg -> int
 val pp_msg : Format.formatter -> msg -> unit
+
+val codec : msg Mewc_sim.Codec.t
+(** The [mewc-wire/1] encoding of {!msg}, the embedded weak BA's and
+    fallback's included. *)
+
+val gen : Mewc_prelude.Rng.t -> msg
+(** A random well-formed message for the codec laws: every constructor, at
+    every nesting level, has positive probability. *)
 
 val bb_valid : pki:Mewc_crypto.Pki.t -> cfg:Mewc_sim.Config.t -> sender:Mewc_prelude.Pid.t -> bb_value -> bool
 (** The paper's [BB_valid] predicate, exposed for tests. *)

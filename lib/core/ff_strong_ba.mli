@@ -36,6 +36,12 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) : sig
   val words : msg -> int
   val pp_msg : Format.formatter -> msg -> unit
 
+  val codec : F.msg Mewc_sim.Codec.t -> msg Mewc_sim.Codec.t
+  (** The [mewc-wire/1] encoding of {!msg}, given the fallback's. *)
+
+  val gen : (Mewc_prelude.Rng.t -> F.msg) -> Mewc_prelude.Rng.t -> msg
+  (** A random well-formed message (see {!Weak_ba.Make.gen}). *)
+
   val init :
     cfg:Mewc_sim.Config.t ->
     pki:Mewc_crypto.Pki.t ->

@@ -3,10 +3,10 @@
     An entry packs what every surface needs to run a protocol by name: the
     {!Protocol.S} instance, the run preset [mewc run -p NAME --input I]
     executes, the protocol's named attacks, and how the CLI prints a
-    decision. The CLI, {!Sweep}, {!Degrade} and the fuzzer look protocols up
-    here instead of matching on their names; [Mewc_wire.Zoo] pairs each
-    entry that has a codec with it. Adding a protocol is one entry below
-    (plus one codec line in [Zoo] if it runs on the async runtime). *)
+    decision, and — for a protocol that runs on the async runtime — its
+    wire codec. The CLI, {!Sweep}, {!Degrade}, the fuzzer and the wire
+    harness ([Mewc_wire.Zoo]) look protocols up here instead of matching on
+    their names. Adding a protocol is one entry below. *)
 
 open Mewc_sim
 
@@ -26,6 +26,9 @@ type ('p, 's, 'm, 'd) t = {
   counters : bool;
       (** whether the adaptive counters (non-silent phases, help requests,
           fallback runs) mean anything for this protocol *)
+  wire : ('m Codec.t * (Mewc_prelude.Rng.t -> 'm)) option;
+      (** the message codec and a random well-formed message generator for
+          its laws; [Some] iff the protocol runs on the async runtime *)
 }
 
 type entry = E : ('p, 's, 'm, 'd) t -> entry
@@ -53,6 +56,7 @@ let fallback =
       ];
     show = quoted;
     counters = false;
+    wire = Some (Instances.Epk_str.codec, Instances.Epk_str.gen);
   }
 
 let weak_ba =
@@ -79,6 +83,10 @@ let weak_ba =
       (function
       | Instances.Weak_str.Value v -> quoted v | Instances.Weak_str.Bot -> "⊥");
     counters = true;
+    wire =
+      Some
+        ( Instances.Weak_str.codec Instances.Epk_str.codec,
+          Instances.Weak_str.gen Instances.Epk_str.gen );
   }
 
 let bb =
@@ -95,6 +103,7 @@ let bb =
     show =
       (function Adaptive_bb.Decided v -> quoted v | Adaptive_bb.No_decision -> "⊥");
     counters = true;
+    wire = Some (Adaptive_bb.codec, Adaptive_bb.gen);
   }
 
 (* Binary BB and strong BA ignore the input string: the sender broadcasts
@@ -107,6 +116,10 @@ let binary_bb =
     attacks = [];
     show = string_of_bool;
     counters = true;
+    wire =
+      Some
+        ( Instances.Binary_bb_bool.codec Instances.Epk_bool.codec,
+          Instances.Binary_bb_bool.gen Instances.Epk_bool.gen );
   }
 
 let strong_ba =
@@ -127,6 +140,10 @@ let strong_ba =
       ];
     show = string_of_bool;
     counters = true;
+    wire =
+      Some
+        ( Instances.Strong_bool.codec Instances.Epk_bool.codec,
+          Instances.Strong_bool.gen Instances.Epk_bool.gen );
   }
 
 let dolev_strong =
@@ -137,6 +154,7 @@ let dolev_strong =
     attacks = [];
     show = (function D.Decided v -> quoted v | D.No_decision -> "⊥");
     counters = false;
+    wire = None;
   }
 
 let naive_bb =
@@ -147,6 +165,7 @@ let naive_bb =
     attacks = [];
     show = (function N.Decided v -> quoted v | N.No_decision -> "⊥");
     counters = false;
+    wire = None;
   }
 
 let entries =

@@ -100,6 +100,13 @@ module Make (V : Mewc_sim.Value.S) (F : Fallback_intf.FALLBACK with type value =
   val pp_outcome : Format.formatter -> outcome -> unit
   val equal_outcome : outcome -> outcome -> bool
 
+  val codec : F.msg Mewc_sim.Codec.t -> msg Mewc_sim.Codec.t
+  (** The [mewc-wire/1] encoding of {!msg}, given the fallback's. *)
+
+  val gen : (Mewc_prelude.Rng.t -> F.msg) -> Mewc_prelude.Rng.t -> msg
+  (** A random well-formed message for the codec laws (every constructor
+      has positive probability), given a generator of fallback messages. *)
+
   val init :
     ?quorum_override:int ->
     cfg:Mewc_sim.Config.t ->

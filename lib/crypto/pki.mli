@@ -136,7 +136,7 @@ val tally : t -> k:int -> msg:string -> Tally.t
 (** {1 Wire view}
 
     The one sanctioned window into the abstract signature types, for the
-    binary codec ([Mewc_wire.Codec]) and nothing else. Reconstruction does
+    binary codec ([Mewc_sim.Codec]) and nothing else. Reconstruction does
     not confer validity: a [Sig.t]/[Tsig.t] rebuilt from attacker-chosen
     bytes is just a claim, and {!verify}/{!verify_tsig} still decide it —
     unforgeability stays by-construction because only genuine tags pass. *)

@@ -137,6 +137,13 @@ module Make (V : Mewc_sim.Value.S) : sig
 
   val pp_msg : Format.formatter -> msg -> unit
 
+  val codec : msg Mewc_sim.Codec.t
+  (** The [mewc-wire/1] encoding of {!msg}, over [V.codec]. *)
+
+  val gen : Mewc_prelude.Rng.t -> msg
+  (** A random well-formed message for the codec laws: every constructor,
+      at every nesting level, has positive probability. *)
+
   (** {2 Introspection for tests and experiments} *)
 
   val locked_value : state -> V.t option

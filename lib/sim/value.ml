@@ -6,6 +6,8 @@ module type S = sig
   val encode : t -> string
   val words : t -> int
   val pp : Format.formatter -> t -> unit
+  val codec : t Codec.t
+  val gen : Mewc_prelude.Rng.t -> t
 end
 
 module Str = struct
@@ -16,6 +18,8 @@ module Str = struct
   let encode v = v
   let words _ = 1
   let pp fmt v = Format.fprintf fmt "%S" v
+  let codec = Codec.str_c ~max:1024
+  let gen g = Codec.gen_bytes g (Mewc_prelude.Rng.int g 33)
 end
 
 module Bool = struct
@@ -26,4 +30,6 @@ module Bool = struct
   let encode = function true -> "1" | false -> "0"
   let words _ = 1
   let pp = Format.pp_print_bool
+  let codec = Codec.bool_c
+  let gen = Mewc_prelude.Rng.bool
 end

@@ -19,10 +19,19 @@ module type S = sig
       (paper §2). *)
 
   val pp : Format.formatter -> t -> unit
+
+  val codec : t Codec.t
+  (** The value's [mewc-wire/1] encoding, for the message codecs that
+      carry it. *)
+
+  val gen : Mewc_prelude.Rng.t -> t
+  (** A random well-formed value, for the codec laws. *)
 end
 
 module Str : S with type t = string
-(** Multi-valued domain: interned strings, 1 word each. *)
+(** Multi-valued domain: interned strings, 1 word each. On the wire a value
+    is at most 1024 bytes; generated values are at most 32, one metered
+    word like the protocols' real values. *)
 
 module Bool : S with type t = bool
 (** Binary domain, for the paper's §7 strong BA. *)

@@ -119,6 +119,10 @@ let run (type p s m d) (protocol : (p, s, m, d) Mewc_core.Protocol.t)
   let pki, secrets = Mewc_crypto.Pki.setup ~seed ~n () in
   let hub = Transport.create ~n in
   let marker_seq = 1_000_000 in
+  (* A domain that dies (say, on a value its codec cannot carry) ends the
+     run: its peers stop at their next barrier instead of waiting out one
+     δ deadline per remaining slot. *)
+  let aborted = Atomic.make false in
   let body pid () : d proc_result =
     let ep = Transport.endpoint hub ~pid in
     let machine = P.machine ~cfg ~pki ~secret:secrets.(pid) ~params ~pid in
@@ -175,7 +179,7 @@ let run (type p s m d) (protocol : (p, s, m, d) Mewc_core.Protocol.t)
     let gather ~cur_slot prev_slot =
       let deadline = clock.Clock.now () +. delta in
       let rec loop () =
-        if not (barrier_complete prev_slot) then
+        if not (barrier_complete prev_slot || Atomic.get aborted) then
           match Transport.recv ep ~clock ~deadline with
           | `Frame f ->
             if f.kind = Codec.Done then mark_done f.slot f.src
@@ -270,7 +274,7 @@ let run (type p s m d) (protocol : (p, s, m, d) Mewc_core.Protocol.t)
     let stalled = ref false in
     let self_pending = ref [] in
     let slot = ref 0 in
-    while !slot < horizon && not !stalled do
+    while !slot < horizon && (not !stalled) && not (Atomic.get aborted) do
       let tau = !slot in
       if Stall.expired stall then stalled := true
       else begin
@@ -346,6 +350,7 @@ let run (type p s m d) (protocol : (p, s, m, d) Mewc_core.Protocol.t)
   let guarded pid () =
     try body pid () with
     | e ->
+      Atomic.set aborted true;
       {
         r_decision = None;
         r_decided_at = None;
