@@ -367,15 +367,26 @@ let read_frame_at r =
     then Error Bad_digest
     else Ok { kind; src; dst; slot; seq; payload }
 
+let marker_payload ~next = encode vint_c next
+
+let marker_next f =
+  match decode vint_c f.payload with
+  | Ok next when next > f.slot -> next
+  | Ok _ | Error _ -> f.slot + 1
+
 let gen_frame g =
   let kind = if Rng.int g 8 = 0 then Done else Msg in
+  let slot = Rng.int g 1000 in
   {
     kind;
     src = Rng.int g 16;
     dst = Rng.int g 16;
-    slot = Rng.int g 1000;
+    slot;
     seq = Rng.int g 10_000;
-    payload = (if kind = Done then "" else gen_bytes g (Rng.int g 200));
+    payload =
+      (match kind with
+      | Done -> marker_payload ~next:(slot + 1 + Rng.int g 64)
+      | Msg -> gen_bytes g (Rng.int g 200));
   }
 
 let decode_frame s =

@@ -152,7 +152,10 @@ val gen_cert : Mewc_prelude.Rng.t -> Mewc_crypto.Certificate.t
 
 type kind =
   | Msg  (** payload is one encoded protocol message *)
-  | Done  (** slot-barrier marker; empty payload *)
+  | Done
+      (** slot-barrier marker: the sender has written all its frames for
+          slots [<= slot]; the payload is one varint, the next slot the
+          sender needs stepped (see {!marker_next}) *)
 
 type frame = {
   kind : kind;
@@ -173,9 +176,20 @@ val max_frame : int
 val digest_len : int
 (** 8 — the truncated SHA-256 frame checksum. *)
 
+val marker_payload : next:int -> string
+(** The payload of a [Done] marker naming [next] as the sender's
+    next-needed slot. *)
+
+val marker_next : frame -> int
+(** The next-needed slot a [Done] marker carries: its payload's varint,
+    or [slot + 1] when the payload is missing, malformed or names a slot
+    [<= slot]. The fallback asks for the next slot, which is always safe:
+    a process steps it and, if it has nothing to do, that step is a
+    no-op. *)
+
 val gen_frame : Mewc_prelude.Rng.t -> frame
-(** One in eight is a [Done] marker; a [Msg] payload is ≤ 199 random
-    bytes. *)
+(** One in eight is a [Done] marker, whose payload names a next slot 1 to
+    64 past its own; a [Msg] payload is ≤ 199 random bytes. *)
 
 val encode_frame : frame -> string
 (** Raises [Invalid_argument] if the encoding would exceed {!max_frame}. *)

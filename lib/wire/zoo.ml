@@ -185,6 +185,7 @@ type report = {
   fingerprint : fingerprint;
   verdict : Monitor.classification;
   stats : Runtime.stats;
+  stepped : int;
   stalled : Pid.t list;
   failures : (Pid.t * string) list;
   wire_events : string Trace.event list;
@@ -255,12 +256,12 @@ let classify (o : _ Runtime.outcome) : Monitor.classification =
                    (List.map (fun p -> Printf.sprintf "p%d" p) undecided)));
         }
 
-let async (E e) ~cfg ~seed ~salt ?delta ?deadman ?byte_faults () =
+let async (E e) ~cfg ~seed ~salt ?delta ?deadman ?clock ?byte_faults () =
   let proto = e.reg.Registry.protocol in
   let params = params_of proto ~cfg ~salt in
   let o =
-    Runtime.run proto ~codec:e.codec ~cfg ~seed ?delta ?deadman ?byte_faults
-      ~params ()
+    Runtime.run proto ~codec:e.codec ~cfg ~seed ?delta ?deadman ?clock
+      ?byte_faults ~params ()
   in
   {
     fingerprint =
@@ -271,6 +272,7 @@ let async (E e) ~cfg ~seed ~salt ?delta ?deadman ?byte_faults () =
       };
     verdict = classify o;
     stats = o.Runtime.stats;
+    stepped = o.Runtime.stepped;
     stalled = o.Runtime.stalled;
     failures = o.Runtime.failures;
     wire_events = o.Runtime.wire_events;

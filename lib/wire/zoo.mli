@@ -94,6 +94,7 @@ type report = {
       (** [Unsafe] iff two processes decided differently — byte faults must
           never produce it; [Safe_stalled] when someone did not decide *)
   stats : Runtime.stats;
+  stepped : int;  (** {!Runtime.outcome}'s [stepped] *)
   stalled : Mewc_prelude.Pid.t list;
   failures : (Mewc_prelude.Pid.t * string) list;
   wire_events : string Mewc_sim.Trace.event list;
@@ -111,11 +112,12 @@ val async :
   salt:int ->
   ?delta:float ->
   ?deadman:float ->
+  ?clock:Clock.t ->
   ?byte_faults:Mewc_sim.Faults.byte_plan ->
   unit ->
   report
 (** The same run under {!Runtime.run} (same seed, same params), optionally
-    through the byte-fault stage. *)
+    on an injected clock and through the byte-fault stage. *)
 
 val diff :
   entry ->

@@ -84,6 +84,29 @@ let frame_errors () =
     | Ok _ -> Alcotest.failf "prefix of length %d decoded" k
   done
 
+(* A [Done] marker names its sender's next-needed slot; one whose payload
+   is missing, malformed or names a slot not past its own asks for the
+   next slot, the fallback that can never skip a slot someone needs. *)
+let marker_hints () =
+  let marker payload =
+    { Codec.kind = Codec.Done; src = 1; dst = 2; slot = 7; seq = 0; payload }
+  in
+  let good = marker (Codec.marker_payload ~next:12) in
+  (match Codec.decode_frame (Codec.encode_frame good) with
+  | Ok f -> Alcotest.(check int) "hint survives the wire" 12 (Codec.marker_next f)
+  | r -> Alcotest.failf "marker round-trip: got %a" pp_res r);
+  List.iter
+    (fun (what, payload) ->
+      Alcotest.(check int) what 8 (Codec.marker_next (marker payload)))
+    [
+      ("missing", "");
+      ("truncated varint", "\x80");
+      ("overlong varint", "\x8c\x00");
+      ("trailing bytes", Codec.marker_payload ~next:12 ^ "x");
+      ("names its own slot", Codec.marker_payload ~next:7);
+      ("names an earlier slot", Codec.marker_payload ~next:3);
+    ]
+
 let scan_resync () =
   let frame i payload =
     { Codec.kind = Codec.Msg; src = i; dst = 0; slot = i; seq = i; payload }
@@ -351,6 +374,7 @@ let () =
           Alcotest.test_case "typed errors" `Quick typed_errors;
           Alcotest.test_case "writers refuse oversized strings" `Quick writer_bounds;
           Alcotest.test_case "frame digest and prefixes" `Quick frame_errors;
+          Alcotest.test_case "marker hints" `Quick marker_hints;
           Alcotest.test_case "scan resync" `Quick scan_resync;
           Alcotest.test_case "fuzz battery" `Quick fuzz_battery;
           Alcotest.test_case "zoo is the codec-bearing registry" `Quick
