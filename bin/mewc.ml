@@ -193,7 +193,7 @@ let print_outcome ~show ~counters ~trace (o : _ Instances.agreement_outcome) =
 
 module Wire = Mewc_wire
 
-(* The async-domains runtime executes honest runs only (see
+(* The async runtime executes honest runs only (see
    Mewc_wire.Runtime's model note): the rushing adversary, the slot-level
    fault stage, the profiler and the engine shard knob are all
    lock-step constructs, so selecting any of them alongside --runtime async
@@ -216,8 +216,8 @@ let run_async_cmd protocol n adversary f input ~seed ~delta ~faults ~profile_on
   if trace then die_misuse "--trace requires --runtime sync";
   if shards > 1 then
     die_misuse
-      "--shards shards the lock-step step phase; the async runtime is \
-       already one domain per process";
+      "--shards shards the lock-step step phase; the async runtime \
+       already runs one thread per process";
   check_size ~delta n;
   let name = Registry.entry_name protocol in
   let entry =
@@ -227,7 +227,7 @@ let run_async_cmd protocol n adversary f input ~seed ~delta ~faults ~profile_on
       die_misuse "--runtime async needs a wire codec, and protocol %s has none"
         name
   in
-  (* a value the wire format cannot carry would kill the domain sending it *)
+  (* a value the wire format cannot carry would kill the process sending it *)
   (match Codec.encode Value.Str.codec input with
   | _ -> ()
   | exception Invalid_argument e ->
@@ -257,7 +257,7 @@ let run_async_cmd protocol n adversary f input ~seed ~delta ~faults ~profile_on
     pr "  slots simulated            %d\n" o.Wire.Runtime.slots;
     (match o.Wire.Runtime.failures with
     | [] -> ()
-    | (p, e) :: _ -> die_misuse "domain p%d died: %s" p e);
+    | (p, e) :: _ -> die_misuse "process p%d died: %s" p e);
     if
       o.Wire.Runtime.stalled <> []
       || Array.exists Option.is_none o.Wire.Runtime.decided_strs
@@ -1104,7 +1104,7 @@ let run_term =
           ~doc:
             "Execution runtime: $(b,sync) (the default: the deterministic \
              lock-step engine, the differential oracle) or $(b,async) \
-             (async-domains: one OCaml domain per process exchanging \
+             (async-domains: one thread per process exchanging \
              mewc-wire/1 frames over a real transport, with δ a real \
              monotonic-clock deadline — honest runs only). An unknown \
              value is a misuse (exit 1).")
@@ -1568,7 +1568,7 @@ let report_term =
 
 (* Exit-code contract, same as everywhere else: 0 all checks pass, 1 misuse
    (no mode picked, bad flag value), 3 a finding (a codec law violation, an
-   async/oracle divergence, an Unsafe chaos cell or a dead domain), 124
+   async/oracle divergence, an Unsafe chaos cell or a dead process), 124
    cmdliner parse errors. A chaos cell that stalls but keeps safety is the
    expected degradation, not a finding. *)
 
@@ -1612,7 +1612,7 @@ let wire_chaos_cell ~cfg ~seed e =
   (match r.Wire.Zoo.failures with
   | [] -> ()
   | (p, err) :: _ ->
-    pr "  %-9s FINDING: byte faults killed domain p%d: %s\n"
+    pr "  %-9s FINDING: byte faults killed process p%d: %s\n"
       (Wire.Zoo.entry_name e) p err;
     exit 3);
   match r.Wire.Zoo.verdict with
@@ -1685,7 +1685,7 @@ let wire_term =
             "Run one byte-fault cell (bit flips, truncations, δ-bounded \
              reorders below the codec) per sound protocol. Stalls are the \
              expected degradation; exit 3 only on an Unsafe verdict or a \
-             dead domain.")
+             dead process.")
   in
   let smoke =
     Arg.(

@@ -31,7 +31,7 @@ let close hub =
   Array.iter quietly hub.writes
 
 (* Retry backoff between EAGAIN probes: long enough not to spin the other
-   domains off the core, short enough to be invisible next to δ. *)
+   threads off the core, short enough to be invisible next to δ. *)
 let backoff = 0.0002
 
 let send ep ~clock ~deadline ~dst bytes =

@@ -18,18 +18,18 @@
     [test_wire_diff] holds the two against each other. *)
 
 type hub
-(** The [n] pipes of one run. Created by the coordinating domain before
-    spawning; closed by it after joining. *)
+(** The [n] pipes of one run. Created by the coordinating thread before
+    starting the processes; closed by it after joining them. *)
 
 type endpoint
 (** One process's view: its own inbox plus every peer's write end. Not
-    domain-safe — exactly one domain drives each endpoint. *)
+    thread-safe — exactly one thread drives each endpoint. *)
 
 val create : n:int -> hub
 val endpoint : hub -> pid:int -> endpoint
 
 val close : hub -> unit
-(** Close every fd. Call once, after all endpoint-driving domains joined. *)
+(** Close every fd. Call once, after all endpoint-driving threads joined. *)
 
 val send :
   endpoint ->
