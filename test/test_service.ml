@@ -215,26 +215,97 @@ let ledger_append_roundtrip () =
   Sys.remove path
 
 let cells_invariant_under_engine_knobs () =
+  (* The report and every event of the run, under each scheduler and
+     shard count, fault-free and with two replicas crashed for good. *)
   let render options =
-    Mewc_prelude.Jsonx.to_string
-      (Throughput.entry_to_json
-         {
-           Throughput.rev = "x";
-           date = "x";
-           cells = Throughput.run_grid ~options [ (9, "bursty", "deep") ];
-           slo = [];
-         })
+    let monitor, digest = Test_util.event_digest ~pp_msg:Repeated_bb.pp_msg in
+    let json =
+      Mewc_prelude.Jsonx.to_string
+        (Throughput.entry_to_json
+           {
+             Throughput.rev = "x";
+             date = "x";
+             cells =
+               Throughput.run_grid
+                 ~options:{ options with Engine.monitors = [ monitor ] }
+                 [ (9, "bursty", "deep") ];
+             slo = [];
+           })
+    in
+    (json, digest ())
   in
-  let base = render Engine.default_options in
   List.iter
-    (fun (scheduler, shards) ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s shards=%d"
-           (Engine.scheduler_to_string scheduler)
-           shards)
-        base
-        (render { Engine.default_options with Engine.scheduler; shards }))
-    [ (`Legacy, 2); (`Event_driven, 1); (`Event_driven, 2) ]
+    (fun faults ->
+      let base = render { Engine.default_options with Engine.faults } in
+      List.iter
+        (fun (scheduler, shards) ->
+          let label =
+            Printf.sprintf "%s shards=%d faults=%b"
+              (Engine.scheduler_to_string scheduler)
+              shards
+              (not (Faults.is_none faults))
+          in
+          let json, digest =
+            render { Engine.default_options with Engine.scheduler; shards; faults }
+          in
+          Alcotest.(check string) (label ^ " report") (fst base) json;
+          Alcotest.(check string) (label ^ " events") (snd base) digest)
+        [ (`Legacy, 1); (`Legacy, 2); (`Event_driven, 1); (`Event_driven, 2) ])
+    [ Faults.none; Degrade.plan_of ~profile:"crash" ~level:2 ]
+
+(* The committed throughput ledger still describes the code: the full grid
+   and the SLO sweep, rerun, match the newest BENCH_throughput.json entry
+   field for field. Only its provenance ([rev], [date]) is exempt. *)
+let ledger_reproduces () =
+  let module J = Mewc_prelude.Jsonx in
+  let newest =
+    match Throughput.load "../BENCH_throughput.json" with
+    | Ok (_ :: _ as entries) -> List.nth entries (List.length entries - 1)
+    | Ok [] -> Alcotest.fail "BENCH_throughput.json has no entries"
+    | Error e -> Alcotest.fail e
+  in
+  let provenance k = Option.value ~default:J.Null (J.member k newest) in
+  let rerun =
+    match
+      Throughput.entry_to_json
+        {
+          Throughput.rev = "";
+          date = "";
+          cells = Throughput.run_grid Throughput.grid;
+          slo = Throughput.slo_sweep ();
+        }
+    with
+    | J.Obj fields ->
+      J.Obj
+        (List.map
+           (fun (k, v) ->
+             if k = "rev" || k = "date" then (k, provenance k) else (k, v))
+           fields)
+    | j -> j
+  in
+  (* The first differing leaf, by path, so a drift names its field. *)
+  let rec diff path a b =
+    match (a, b) with
+    | J.Obj xs, J.Obj ys when List.map fst xs = List.map fst ys ->
+      List.fold_left2
+        (fun acc (k, x) (_, y) ->
+          match acc with Some _ -> acc | None -> diff (path ^ "." ^ k) x y)
+        None xs ys
+    | J.Arr xs, J.Arr ys when List.length xs = List.length ys ->
+      let rec go i = function
+        | x :: xs, y :: ys -> (
+          match diff (Printf.sprintf "%s[%d]" path i) x y with
+          | Some d -> Some d
+          | None -> go (i + 1) (xs, ys))
+        | _ -> None
+      in
+      go 0 (xs, ys)
+    | a, b when J.equal a b -> None
+    | a, b -> Some (Printf.sprintf "%s: ledger %s, rerun %s" path (J.to_string a) (J.to_string b))
+  in
+  match diff "entry" newest rerun with
+  | None -> ()
+  | Some d -> Alcotest.failf "BENCH_throughput.json drifted at %s" d
 
 let () =
   Alcotest.run "throughput service"
@@ -261,5 +332,6 @@ let () =
           Alcotest.test_case "ledger round-trip" `Quick ledger_append_roundtrip;
           Alcotest.test_case "invariant under scheduler x shards" `Quick
             cells_invariant_under_engine_knobs;
+          Alcotest.test_case "ledger reproduces" `Quick ledger_reproduces;
         ] );
     ]

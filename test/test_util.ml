@@ -112,3 +112,28 @@ let to_weak_adversary c =
     if l = x then Adversary.const (Adversary.crash ~victims:[ l ] ())
     else Attacks.wba_exclusive_finalizer ~cfg:c ~leader:l ~lucky:x
   | Help_spam vs -> Attacks.wba_help_req_spammers ~cfg:c ~spammers:vs
+
+(* ---- the event digest ---------------------------------------------------
+
+   A test-local monitor that folds every [Slot_start], [Send] and
+   [Decision] event of a run, in order, into one SHA-256 digest: send id,
+   endpoints, send slot, words, charging, Byzantine flag, causal parents
+   and the printed message. Two runs with equal digests emitted the same
+   event stream. Install the monitor, run, then force the digest. *)
+let event_digest ~pp_msg =
+  let open Mewc_sim in
+  let buf = Buffer.create 65536 in
+  let ids l = String.concat "," (List.map string_of_int l) in
+  let on_event ~violate:_ = function
+    | Trace.Slot_start s -> Printf.bprintf buf "slot %d\n" s
+    | Trace.Send { id; envelope = e; byzantine_sender; words; charged; parents } ->
+      Printf.bprintf buf "send %d %d>%d @%d w=%d c=%b b=%b [%s] %s\n" id
+        e.Envelope.src e.Envelope.dst e.Envelope.sent_at words charged
+        byzantine_sender (ids parents)
+        (Format.asprintf "%a" pp_msg e.Envelope.msg)
+    | Trace.Decision { slot; pid; value; parents } ->
+      Printf.bprintf buf "decide %d p%d [%s] %s\n" slot pid (ids parents) value
+    | _ -> ()
+  in
+  ( Monitor.make ~name:"event-digest" ~on_event (),
+    fun () -> Mewc_crypto.Sha256.(to_hex (digest (Buffer.contents buf))) )
