@@ -628,6 +628,20 @@ let retarget o =
     metrics = o.metrics;
   }
 
+(* ---- the trusted setup ------------------------------------------------- *)
+
+let setup_pki ~seed ~n ?profile ?metrics () =
+  let crypto p name f = Profile.span p ~category:Profile.Crypto name f in
+  let setup () = Pki.setup ~seed ~n () in
+  let pki, secrets =
+    match profile with None -> setup () | Some p -> crypto p "pki.setup" setup
+  in
+  Option.iter
+    (fun p -> Pki.set_timer pki (Some { Pki.time = (fun name f -> crypto p name f) }))
+    profile;
+  Pki.set_metrics pki metrics;
+  (pki, secrets)
+
 (* ---- the generic runner ------------------------------------------------ *)
 
 let run (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
@@ -647,14 +661,7 @@ let run (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
   in
   P.validate_params ~cfg ~params;
   let n = cfg.Config.n in
-  let pki, secrets = Pki.setup ~seed ~n () in
-  (match profile with
-  | None -> ()
-  | Some p ->
-    Pki.set_timer pki
-      (Some
-         { Pki.time = (fun name f -> Profile.span p ~category:Profile.Crypto name f) }));
-  Pki.set_metrics pki metrics;
+  let pki, secrets = setup_pki ~seed ~n ?profile ?metrics () in
   let protocol pid = P.machine ~cfg ~pki ~secret:secrets.(pid) ~params ~pid in
   let adversary = adversary ~pki ~secrets in
   let horizon = P.horizon ~cfg ~params in

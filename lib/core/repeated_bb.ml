@@ -30,6 +30,8 @@ type state = {
   propose : int -> string;
   instances : Adaptive_bb.state option array;
   pending : Adaptive_bb.msg Envelope.t list array;  (* reversed, per index *)
+  due : int array;  (* per index: the next slot its instance acts unprompted *)
+  mutable swept : int;  (* [pending] is cleared below this index *)
 }
 
 let stride cfg = Adaptive_bb.horizon cfg
@@ -62,6 +64,8 @@ let init ~cfg ~pki ~secret ~pid ~length ?offset ~propose () =
     propose;
     instances = Array.make length None;
     pending = Array.make length [];
+    due = Array.init length (fun i -> i * offset);
+    swept = 0;
   }
 
 let log st =
@@ -77,11 +81,29 @@ let log st =
 let decided_slots st =
   Array.map (fun inst -> Option.bind inst Adaptive_bb.decided_at) st.instances
 
+(* Instance [i] starts at [i * offset] and its inner BB is silent after
+   [stride] slots, so only the window of instances whose [stride]-slot life
+   (plus one stride of slack for messages in flight at the boundary) covers
+   [slot] can make progress: [i * offset <= slot < i * offset + 2 * stride].
+   This is the window's low end, the smallest such [i]; integer division
+   truncates toward zero, so guard the negative numerator. *)
+let window_lo st slot =
+  let life = 2 * stride st.cfg in
+  if slot < life then 0 else ((slot - life) / st.offset) + 1
+
 let step ~slot ~inbox st =
+  let lo = window_lo st slot in
+  (* Nothing reads mail below the window: clear the buffers of the indices
+     that left it since the last step, and drop such mail on arrival (only
+     a Byzantine sender addresses it there). *)
+  for i = st.swept to min lo st.length - 1 do
+    st.pending.(i) <- []
+  done;
+  st.swept <- max st.swept lo;
   List.iter
     (fun env ->
       let { index; inner } = env.Envelope.msg in
-      if index >= 0 && index < st.length then
+      if index >= lo && index < st.length then
         st.pending.(index) <-
           {
             Envelope.src = env.Envelope.src;
@@ -91,42 +113,50 @@ let step ~slot ~inbox st =
           }
           :: st.pending.(index))
     inbox;
-  let stride = stride st.cfg in
-  let offset = st.offset in
   let out = ref [] in
-  (* Instance [i] starts at [i * offset] and its inner BB is silent after
-     [stride] slots, so only the window of instances whose [stride]-slot
-     life (plus one stride of slack for messages in flight at the
-     boundary) covers [slot] can make progress. Stepping just that window
-     keeps a k-slot log linear in k at any pipeline depth. *)
-  let hi = min (st.length - 1) (slot / offset) in
-  let lo =
-    (* smallest i with i*offset + 2*stride > slot; integer division
-       truncates toward zero, so guard the negative numerator. *)
-    if slot < 2 * stride then 0 else ((slot - (2 * stride)) / offset) + 1
-  in
-  for i = max 0 lo to hi do
-    let start = i * offset in
-    if st.instances.(i) = None then begin
-      let sender = proposer st.cfg i in
-      st.instances.(i) <-
-        Some
-          (Adaptive_bb.init ~cfg:st.cfg ~pki:st.pki ~secret:st.secret
-             ~pid:st.pid ~sender
-             ~input:(if Pid.equal st.pid sender then Some (st.propose i) else None)
-             ~start_slot:start)
-    end;
-    match st.instances.(i) with
-    | None -> ()
-    | Some inst ->
+  (* Stepping just the window keeps a k-slot log linear in k at any
+     pipeline depth, and within it only the instances with mail or a due
+     slot act: {!Adaptive_bb.wake} names every slot an instance acts
+     without a delivery, so stepping it at any other slot with an empty
+     inbox is a no-op. *)
+  for i = lo to min (st.length - 1) (slot / st.offset) do
+    if st.pending.(i) <> [] || st.due.(i) <= slot then begin
+      let inst =
+        match st.instances.(i) with
+        | Some inst -> inst
+        | None ->
+          let sender = proposer st.cfg i in
+          Adaptive_bb.init ~cfg:st.cfg ~pki:st.pki ~secret:st.secret ~pid:st.pid
+            ~sender
+            ~input:(if Pid.equal st.pid sender then Some (st.propose i) else None)
+            ~start_slot:(i * st.offset)
+      in
       let inbox = List.rev st.pending.(i) in
       st.pending.(i) <- [];
       let inst', sends = Adaptive_bb.step ~slot ~inbox inst in
       st.instances.(i) <- Some inst';
+      st.due.(i) <- Adaptive_bb.wake ~after:(slot + 1) inst';
       out :=
         List.map (fun (m, dst) -> ({ index = i; inner = m }, dst)) sends @ !out
+    end
   done;
   (st, !out)
+
+(* The least due slot, clamped to [after], among the instances whose window
+   still covers it. A due slot is never before its instance's start (an
+   unstarted instance is due at its start), so the scan stops at the first
+   start past the best answer: the next instance start at or after [after]
+   bounds it. *)
+let wake ~after st =
+  let life = 2 * stride st.cfg in
+  let best = ref Process.never in
+  let i = ref (window_lo st after) in
+  while !i < st.length && !i * st.offset < !best do
+    let d = Int.max after st.due.(!i) in
+    if d < (!i * st.offset) + life && d < !best then best := d;
+    incr i
+  done;
+  !best
 
 type outcome = {
   logs : entry option array array;
@@ -141,14 +171,20 @@ type outcome = {
 
 let run ~cfg ?(seed = 1L) ?offset ?options ~length ~propose ~adversary () =
   let n = cfg.Config.n in
-  let pki, secrets = Pki.setup ~seed ~n () in
+  let knob f = Option.bind options f in
+  let pki, secrets =
+    Instances.setup_pki ~seed ~n
+      ?profile:(knob (fun o -> o.Engine.profile))
+      ?metrics:(knob (fun o -> o.Engine.metrics))
+      ()
+  in
   let protocol pid =
     {
       Process.init =
         init ~cfg ~pki ~secret:secrets.(pid) ~pid ~length ?offset
           ~propose:(propose pid) ();
       step = (fun ~slot ~inbox st -> step ~slot ~inbox st);
-      wake = None;
+      wake = Some wake;
     }
   in
   let adversary = adversary ~pki ~secrets in

@@ -64,6 +64,17 @@ val step :
   state ->
   state * (msg * Mewc_prelude.Pid.t) list
 
+val wake : after:int -> state -> int
+(** The {!Mewc_sim.Process.t} next-wake query. A replica keeps one due
+    slot per instance: its start slot before it is initialised, and after
+    each step at slot [s] the instance's own {!Adaptive_bb.wake}
+    [~after:(s + 1)]. {!step} steps an instance of the window only when it
+    has mail or is due, and [wake ~after] answers the least due slot,
+    clamped to [after], among the instances whose [2 * stride]-slot window
+    still covers it, which includes the next instance start at or after
+    [after]; {!Mewc_sim.Process.never} once no instance can act again. The
+    query scans the window and allocates nothing. *)
+
 val log : state -> entry option array
 (** The replica's view of the log; [None] for slots still undecided. *)
 
@@ -108,4 +119,5 @@ val run :
     [horizon ?offset cfg ~length] slots. [options] exposes the engine's
     knobs (fault plans, scheduler, shards, trace) — the repeated run is
     observationally invariant under scheduler and shard choice like any
-    other protocol here. *)
+    other protocol here. Its [profile] and [metrics] also reach the PKI
+    ({!Instances.setup_pki}). *)

@@ -146,6 +146,12 @@ let finalize t ~seed ?max_instances ?options ~adversary () =
       ~propose:(fun _pid i -> values.(i))
       ~adversary ()
   in
+  let report_span assemble =
+    match Option.bind options (fun o -> o.Engine.profile) with
+    | None -> assemble ()
+    | Some p -> Profile.span p ~category:Profile.Serialize "service.report" assemble
+  in
+  report_span @@ fun () ->
   let n = t.cfg.Config.n in
   (* replication counts the replicas that *can* decide: corrupted ones are
      the adversary's, fault-injected ones (e.g. an SLO sweep's crashes)
