@@ -30,9 +30,8 @@ module Make (V : Value.S) = struct
     start_slot : int;
     round_len : int;
     input : V.t;
-    buf : (int, msg list) Hashtbl.t;  (* reversed *)
+    buf : msg Mewc_fallback.Round_buffer.t;
     extracted : (Pid.t, V.t list) Hashtbl.t;  (* per instance, at most 2 *)
-    mutable consumed : int;
     mutable to_relay : msg list;  (* chains to forward at the next round *)
     mutable decision : V.t option;
     mutable decided_at : int option;
@@ -54,9 +53,8 @@ module Make (V : Value.S) = struct
       start_slot;
       round_len;
       input;
-      buf = Hashtbl.create 32;
+      buf = Mewc_fallback.Round_buffer.create ~last:(rounds cfg);
       extracted = Hashtbl.create 16;
-      consumed = 0;
       to_relay = [];
       decision = None;
       decided_at = None;
@@ -79,9 +77,8 @@ module Make (V : Value.S) = struct
       && List.for_all (fun sg -> Pki.verify st.pki sg ~msg:signed) m.chain
     | [] -> false
 
-  let ingest st ~bucket msgs =
-    List.iter
-      (fun m ->
+  let ingest st bucket iter =
+    iter (fun m ->
         if bucket <= st.cfg.Config.t && chain_valid st ~bucket m then begin
           let seen = Option.value ~default:[] (Hashtbl.find_opt st.extracted m.instance) in
           if
@@ -101,7 +98,6 @@ module Make (V : Value.S) = struct
             end
           end
         end)
-      msgs
 
   let decide st ~slot =
     (* The outcome of instance s is its unique extracted value (⊥ if zero or
@@ -139,14 +135,14 @@ module Make (V : Value.S) = struct
     if s < st.start_slot + (rounds st.cfg * st.round_len) then s
     else Process.never
 
+  (* Every round boundary is a wake, so no boundary is skipped and the
+     buffer's ingested-round mark is always current. *)
+  let receive st ~slot:_ ~src:_ m =
+    Mewc_fallback.Round_buffer.add st.buf ~round:m.round m
+
   let step ~slot ~inbox st =
     List.iter
-      (fun env ->
-        let m = env.Envelope.msg in
-        if m.round >= st.consumed && m.round <= rounds st.cfg then begin
-          let prev = Option.value ~default:[] (Hashtbl.find_opt st.buf m.round) in
-          Hashtbl.replace st.buf m.round (m :: prev)
-        end)
+      (fun env -> receive st ~slot ~src:env.Envelope.src env.Envelope.msg)
       inbox;
     if slot < st.start_slot || (slot - st.start_slot) mod st.round_len <> 0 then
       (st, [])
@@ -154,13 +150,7 @@ module Make (V : Value.S) = struct
       let r = (slot - st.start_slot) / st.round_len in
       if r >= rounds st.cfg then (st, [])
       else begin
-        while st.consumed < r do
-          let k = st.consumed in
-          let msgs = Option.value ~default:[] (Hashtbl.find_opt st.buf k) |> List.rev in
-          Hashtbl.remove st.buf k;
-          ingest st ~bucket:k msgs;
-          st.consumed <- st.consumed + 1
-        done;
+        Mewc_fallback.Round_buffer.drain st.buf ~upto:r (ingest st);
         let n = st.cfg.Config.n in
         let sends =
           if r = 0 then begin

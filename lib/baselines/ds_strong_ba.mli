@@ -39,6 +39,10 @@ module Make (V : Mewc_sim.Value.S) : sig
     round_len:int ->
     state
 
+  val receive : state -> slot:int -> src:Mewc_prelude.Pid.t -> msg -> unit
+  (** Buffer one delivered chain by its round tag (the
+      {!Mewc_core.Fallback_intf.FALLBACK} receive path). *)
+
   val step :
     slot:int ->
     inbox:msg Mewc_sim.Envelope.t list ->

@@ -28,6 +28,12 @@ module type FALLBACK = sig
     round_len:int ->
     state
 
+  val receive : state -> slot:int -> src:Mewc_prelude.Pid.t -> msg -> unit
+  (** Take one message delivered at [slot] into the state (in place).
+      Host protocols call it from their own ingestion, in delivery order,
+      and then [step ~slot ~inbox:[]]; [step]'s own [inbox] is received
+      the same way first. *)
+
   val step :
     slot:int ->
     inbox:msg Mewc_sim.Envelope.t list ->
@@ -39,12 +45,15 @@ module type FALLBACK = sig
   val wake : after:int -> state -> int
   (** The {!Mewc_sim.Process.t} next-wake query, lifted to the fallback:
       [wake ~after st] is the earliest slot [>= after] at which an
-      inbox-free step may act (or {!Mewc_sim.Process.never}), and
-      [step ~slot ~inbox:[] st] must be a no-op (state structurally
-      unchanged, no sends) at every slot in between. Host protocols fold
-      this into their own query while a fallback instance is live, so the
-      event-driven scheduler files its round boundaries in the wake
-      calendar and skips its quiet slots. *)
+      inbox-free step may act (or {!Mewc_sim.Process.never}). At every slot
+      in between, [step ~slot ~inbox:[] st] sends nothing and changes
+      nothing a later step or [receive] can observe: a skipped round
+      boundary may only leave bookkeeping behind (such as the ingested-round
+      mark over rounds with no mail) that the next [receive] or [step]
+      brings up to date before it reads it. Host protocols fold this into
+      their own query while a fallback instance is live, so the
+      event-driven scheduler files only the round boundaries that act and
+      skips the rest. *)
 
   val horizon : Mewc_sim.Config.t -> round_len:int -> int
   (** Slots from the earliest correct start until every correct process has
@@ -52,3 +61,18 @@ module type FALLBACK = sig
 
   val pp_msg : Format.formatter -> msg -> unit
 end
+
+(** [lift wrap sends] wraps a fallback's sends into its host's message
+    type. A broadcast lists one message n times, so consecutive sends of the
+    physically same message share one wrapper. *)
+let lift wrap sends =
+  let rec go = function
+    | [] -> []
+    | (m, dst) :: rest ->
+      let w = wrap m in
+      (w, dst) :: same m w rest
+  and same m w = function
+    | (m', dst) :: rest when m' == m -> (w, dst) :: same m w rest
+    | rest -> go rest
+  in
+  go sends

@@ -89,7 +89,8 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
     mutable fb_sched : int option;
     mutable fb_rebroadcast : bool;
     mutable fb_state : F.state option;
-    mutable pending_fb : F.msg Envelope.t list;
+    mutable pending_fb : (Pid.t * F.msg) list;
+        (* newest first: mail that arrived before the fallback started *)
     mutable decided_at : int option;
   }
 
@@ -187,20 +188,22 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
           st.fb_rebroadcast <- true
         end
       end
-    | Fb inner -> st.pending_fb <- { env with Envelope.msg = inner } :: st.pending_fb
+    | Fb inner -> (
+      match st.fb_state with
+      | Some fb ->
+        F.receive fb ~slot:(st.start_slot + rel) ~src:env.Envelope.src inner
+      | None -> st.pending_fb <- (env.Envelope.src, inner) :: st.pending_fb)
 
   let step_fallback st ~slot =
     match st.fb_state with
     | None -> []
     | Some fb ->
-      let inbox = List.rev st.pending_fb in
-      st.pending_fb <- [];
-      let fb', sends = F.step ~slot ~inbox fb in
+      let fb', sends = F.step ~slot ~inbox:[] fb in
       st.fb_state <- Some fb';
       (match F.decision fb' with
       | Some fv when st.decision = None -> st.decision <- Some fv
       | _ -> ());
-      List.map (fun (m, dst) -> (Fb m, dst)) sends
+      Fallback_intf.lift (fun m -> Fb m) sends
 
   let emit st ~slot ~rel =
     let cfg = st.cfg in
@@ -269,13 +272,19 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
       | Some start when slot = start && st.fb_state = None ->
         Composition.note ~user:"strong BA (failure-free linear)"
           ~uses:"A-fallback (echo-phase-king)";
-        st.fb_state <-
-          Some
-            (F.init ~cfg ~pki:st.pki ~secret:st.secret ~pid:st.pid
-               ~input:st.bu_decision ~start_slot:start ~round_len:2)
+        let fb =
+          F.init ~cfg ~pki:st.pki ~secret:st.secret ~pid:st.pid
+            ~input:st.bu_decision ~start_slot:start ~round_len:2
+        in
+        List.iter
+          (fun (src, m) -> F.receive fb ~slot ~src m)
+          (List.rev st.pending_fb);
+        st.pending_fb <- [];
+        st.fb_state <- Some fb
       | _ -> ());
-      out := step_fallback st ~slot @ !out;
-      !out
+      match (step_fallback st ~slot, !out) with
+      | fb, [] -> fb
+      | fb, out -> fb @ out
 
   (* Inbox-free actions: everyone's Input send at slot 0 and the adopt-or-
      schedule-fallback branch at slot 4; afterwards the scheduled fallback

@@ -184,7 +184,8 @@ struct
     mutable fb_sched : int option;  (* absolute slot *)
     mutable fb_rebroadcast : Certificate.t option;  (* to send this slot *)
     mutable fb_state : F.state option;
-    mutable pending_fb : F.msg Envelope.t list;  (* reversed *)
+    mutable pending_fb : (Pid.t * F.msg) list;
+        (* newest first: mail that arrived before the fallback started *)
     mutable decided_in_phase : int option;
     mutable decided_at : int option;
   }
@@ -408,8 +409,10 @@ struct
           st.fb_rebroadcast <- Some qc
         end
       end
-    | Fb inner ->
-      st.pending_fb <- { env with Envelope.msg = inner } :: st.pending_fb
+    | Fb inner -> (
+      match st.fb_state with
+      | Some fb -> F.receive fb ~slot:(st.start_slot + rel) ~src inner
+      | None -> st.pending_fb <- (src, inner) :: st.pending_fb)
 
   (* ---- emission ------------------------------------------------------ *)
 
@@ -508,16 +511,14 @@ struct
     match st.fb_state with
     | None -> []
     | Some fb ->
-      let inbox = List.rev st.pending_fb in
-      st.pending_fb <- [];
-      let fb', sends = F.step ~slot ~inbox fb in
+      let fb', sends = F.step ~slot ~inbox:[] fb in
       st.fb_state <- Some fb';
       (match F.decision fb' with
       | Some fv when st.decision = None ->
         (* Lines 25–29: adopt a valid fallback output, else ⊥. *)
         st.decision <- Some (if st.validate fv then Value fv else Bot)
       | _ -> ());
-      List.map (fun (m, dst) -> (Fb m, dst)) sends
+      Fallback_intf.lift (fun m -> Fb m) sends
 
   (* The event-driven wake query. Below [help_base] the only inbox-free
      action is the phase leader's proposal at offset 0 (offsets 1–4 emit
@@ -611,13 +612,19 @@ struct
           (match st.fb_sched with
           | Some start when slot = start && st.fb_state = None ->
             Composition.note ~user:"weak BA" ~uses:"A-fallback (echo-phase-king)";
-            st.fb_state <-
-              Some
-                (F.init ~cfg ~pki:st.pki ~secret:st.secret ~pid:st.pid
-                   ~input:st.bu_decision ~start_slot:start ~round_len:2)
+            let fb =
+              F.init ~cfg ~pki:st.pki ~secret:st.secret ~pid:st.pid
+                ~input:st.bu_decision ~start_slot:start ~round_len:2
+            in
+            List.iter
+              (fun (src, m) -> F.receive fb ~slot ~src m)
+              (List.rev st.pending_fb);
+            st.pending_fb <- [];
+            st.fb_state <- Some fb
           | _ -> ());
-          out := step_fallback st ~slot @ !out;
-          !out
+          match (step_fallback st ~slot, !out) with
+          | fb, [] -> fb
+          | fb, out -> fb @ out
         end
       in
       if st.decision <> None && st.decided_at = None then

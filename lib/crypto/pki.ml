@@ -12,21 +12,25 @@ open Mewc_prelude
    are exact, but their *split* legitimately varies with the shard count
    (per-domain cache locality), which is why shard-identity comparisons
    exclude cache stats. *)
-module Memo = struct
-  type tables = (string, Sha256.t) Hashtbl.t
+module Memo (Key : Hashtbl.HashedType) = struct
+  module Tbl = Hashtbl.Make (Key)
+
+  type tables = Sha256.t Tbl.t
 
   let ids = Atomic.make 0
 
-  (* One DLS slot for the whole library: a per-domain map from memo
-     identity to that domain's private table. DLS keys are never reclaimed
-     by the runtime, so per-memo keys would leak one slot per simulation
-     run; a single shared slot with a swept map is bounded instead. *)
+  (* One DLS slot per key type: a per-domain map from memo identity to
+     that domain's private table. DLS keys are never reclaimed by the
+     runtime, so per-memo keys would leak one slot per simulation run; a
+     single shared slot with a swept map is bounded instead. *)
   let domain_tables : (int, tables) Hashtbl.t Domain.DLS.key =
     Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
   (* Tables of long-dead memos are swept wholesale once a domain has seen
-     this many distinct memos — a rare, correctness-neutral event. *)
-  let max_live_tables = 64
+     this many distinct memos of this key type — a rare, correctness-neutral
+     event. Every PKI owns one memo of each of the two key types, so this
+     keeps the tables of the last 32 PKIs live per domain. *)
+  let max_live_tables = 32
 
   type t = {
     id : int;
@@ -50,17 +54,17 @@ module Memo = struct
     | None ->
       if Hashtbl.length per_domain >= max_live_tables then
         Hashtbl.reset per_domain;
-      let tbl = Hashtbl.create 256 in
+      let tbl = Tbl.create 256 in
       Hashtbl.add per_domain m.id tbl;
       tbl
 
   let store tbl m key v =
-    if Hashtbl.length tbl >= m.capacity then Hashtbl.reset tbl;
-    Hashtbl.replace tbl key v
+    if Tbl.length tbl >= m.capacity then Tbl.reset tbl;
+    Tbl.replace tbl key v
 
   let find_or_add m key compute =
     let tbl = table m in
-    match Hashtbl.find_opt tbl key with
+    match Tbl.find_opt tbl key with
     | Some v ->
       Atomic.incr m.hits;
       v
@@ -78,11 +82,29 @@ module Memo = struct
        go stale (keys never rotate), so leaving them is a perf artifact,
        not a correctness one. *)
     (match Hashtbl.find_opt (Domain.DLS.get domain_tables) m.id with
-    | Some tbl -> Hashtbl.reset tbl
+    | Some tbl -> Tbl.reset tbl
     | None -> ());
     Atomic.set m.hits 0;
     Atomic.set m.misses 0
 end
+
+(* The share-tag memo key: signer [p] on [msg]. A record rather than a
+   joined string, so a lookup copies no bytes. *)
+type share_key = { signer : int; msg : string }
+
+module Share_memo = Memo (struct
+  type t = share_key
+
+  let equal a b = a.signer = b.signer && String.equal a.msg b.msg
+  let hash = Hashtbl.hash
+end)
+
+module Agg_memo = Memo (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
 
 let default_cache_capacity = 1 lsl 14
 
@@ -107,8 +129,8 @@ type meters = {
 type t = {
   n : int;
   hmac_keys : Sha256.key array;  (* trusted setup, HMAC midstates precomputed *)
-  tag_memo : Memo.t;  (* (signer, msg) -> expected share tag *)
-  agg_memo : Memo.t;  (* (signer set, msg) -> aggregate tag *)
+  tag_memo : Share_memo.t;  (* (signer, msg) -> expected share tag *)
+  agg_memo : Agg_memo.t;  (* (signer set, msg) -> aggregate tag *)
   (* Atomic so concurrent shards count exactly. The totals are a pure
      function of which operations ran — identical across shard counts —
      because every shard performs the same calls the sequential engine
@@ -137,8 +159,8 @@ let setup ?(seed = 0x5EEDL) ?(cache_capacity = default_cache_capacity) ~n () =
     {
       n;
       hmac_keys;
-      tag_memo = Memo.create ~capacity:cache_capacity;
-      agg_memo = Memo.create ~capacity:cache_capacity;
+      tag_memo = Share_memo.create ~capacity:cache_capacity;
+      agg_memo = Agg_memo.create ~capacity:cache_capacity;
       signs = Atomic.make 0;
       verifies = Atomic.make 0;
       combines = Atomic.make 0;
@@ -187,11 +209,6 @@ module Sig = struct
   let pp fmt s = Format.fprintf fmt "<sig:%a>" Pid.pp s.signer
 end
 
-(* The share-tag memo key of signer [p] on [msg]. It has no ambiguity: the
-   signer id contains no ':' and everything after the first ':' is the
-   message verbatim. *)
-let share_key p msg = Decimal.of_int p ^ ":" ^ msg
-
 (* A signer's tag is the very tag its receivers' [verify] will recompute,
    so signing seeds the memo with it — but only for a secret this setup
    issued to that owner (the key compared physically): a secret from
@@ -204,12 +221,12 @@ let sign t (secret : Secret.t) msg =
     timed t "crypto.sign" (fun () -> Sha256.hmac_with secret.Secret.hmac_key msg)
   in
   if Pid.is_valid ~n:t.n owner && t.hmac_keys.(owner) == secret.Secret.hmac_key
-  then Memo.seed t.tag_memo (share_key owner msg) tag;
+  then Share_memo.seed t.tag_memo { signer = owner; msg } tag;
   { Sig.signer = owner; tag }
 
 (* The genuine share tag of signer [p] on [msg], memoized. *)
 let share_tag t p msg =
-  Memo.find_or_add t.tag_memo (share_key p msg)
+  Share_memo.find_or_add t.tag_memo { signer = p; msg }
     (fun () ->
       (* Timed on the miss path only: a cache hit is a hashtable probe, and
          timing it would drown the signal in clock reads. *)
@@ -266,7 +283,7 @@ let aggregate_tag t signers ~msg =
     Buffer.add_string b msg;
     Buffer.contents b
   in
-  Memo.find_or_add t.agg_memo key (fun () ->
+  Agg_memo.find_or_add t.agg_memo key (fun () ->
       timed t "crypto.aggregate_tag" (fun () ->
           let buf = Buffer.create 256 in
           Pid.Set.iter
@@ -379,10 +396,10 @@ type cache_stats = {
 
 let cache_stats t =
   {
-    verify_hits = Atomic.get t.tag_memo.Memo.hits;
-    verify_misses = Atomic.get t.tag_memo.Memo.misses;
-    agg_hits = Atomic.get t.agg_memo.Memo.hits;
-    agg_misses = Atomic.get t.agg_memo.Memo.misses;
+    verify_hits = Atomic.get t.tag_memo.Share_memo.hits;
+    verify_misses = Atomic.get t.tag_memo.Share_memo.misses;
+    agg_hits = Atomic.get t.agg_memo.Agg_memo.hits;
+    agg_misses = Atomic.get t.agg_memo.Agg_memo.misses;
   }
 
 let no_cache_stats = { verify_hits = 0; verify_misses = 0; agg_hits = 0; agg_misses = 0 }
@@ -420,5 +437,5 @@ let reset_counters t =
   Atomic.set t.signs 0;
   Atomic.set t.verifies 0;
   Atomic.set t.combines 0;
-  Memo.reset t.tag_memo;
-  Memo.reset t.agg_memo
+  Share_memo.reset t.tag_memo;
+  Agg_memo.reset t.agg_memo

@@ -210,9 +210,8 @@ module Make (V : Value.S) = struct
     start_slot : int;
     round_len : int;
     input : V.t;
-    buf : (int, (Pid.t * body) list) Hashtbl.t;
+    buf : body Round_buffer.t;  (* by round tag; senders play no part *)
     scratch : (int, scratch) Hashtbl.t;
-    mutable consumed : int;  (* rounds strictly below have been ingested *)
     mutable popular : V.t option;
     mutable my_input_qc : (V.t * Certificate.t) option;
     mutable lock : (int * V.t * Certificate.t) option;
@@ -251,9 +250,8 @@ module Make (V : Value.S) = struct
       start_slot;
       round_len;
       input;
-      buf = Hashtbl.create 64;
+      buf = Round_buffer.create ~last:(rounds cfg);
       scratch = Hashtbl.create 16;
-      consumed = 0;
       popular = None;
       my_input_qc = None;
       lock = None;
@@ -278,12 +276,11 @@ module Make (V : Value.S) = struct
 
   (* --- ingestion of one buffered round ------------------------------- *)
 
-  let ingest_inputs st entries =
+  let ingest_inputs st iter =
     (* Tally signed round-0 inputs; discard equivocating signers; a value
        with t+1 distinct signers is popular and yields an input QC. *)
     let per_signer : (Pid.t, (V.t * Pki.Sig.t) list) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (_src, body) ->
+    iter (fun body ->
         match body with
         | Input { value; share } ->
           let payload = V.encode value in
@@ -296,8 +293,7 @@ module Make (V : Value.S) = struct
             if not (List.exists (fun (v, _) -> V.equal v value) prev) then
               Hashtbl.replace per_signer signer ((value, share) :: prev)
           end
-        | _ -> ())
-      entries;
+        | _ -> ());
     let per_value : (string, V.t * Pki.Sig.t list) Hashtbl.t = Hashtbl.create 16 in
     Hashtbl.iter
       (fun _signer entries ->
@@ -396,10 +392,9 @@ module Make (V : Value.S) = struct
       | Pki.Tally.Duplicate | Pki.Tally.Invalid -> ());
       verdict
 
-  let ingest_round st r entries =
+  let ingest_round st r iter =
     let am_i_king j = Pid.equal st.pid (king j st.cfg) in
-    List.iter
-      (fun (_src, body) ->
+    iter (fun body ->
         match body with
         | Input _ -> if r = 0 then () (* handled in bulk below *)
         | Status { phase = j; lock; input_qc } ->
@@ -467,11 +462,16 @@ module Make (V : Value.S) = struct
             j >= 1 && j <= phases st.cfg
             && Certificate.verify_as st.pki qc ~k:(quorum st) ~purpose:ack_purpose
             && String.equal (Certificate.payload qc) (phased_payload j value)
-          then decide st ~phase:j ~value ~qc)
-      entries;
-    if r = 0 then ingest_inputs st entries
+          then decide st ~phase:j ~value ~qc);
+    if r = 0 then ingest_inputs st iter
 
   (* --- emission at the entry of one round ---------------------------- *)
+
+  (* Emission only reads a phase's scratch. A lookup, unlike [scratch_of],
+     leaves the state untouched, so a boundary the wake query skips is
+     idle whether or not it would have run. *)
+  let peek st j field ~none =
+    match Hashtbl.find_opt st.scratch j with Some sc -> field sc | None -> none
 
   let emit st r =
     let n = st.cfg.Config.n in
@@ -505,9 +505,9 @@ module Make (V : Value.S) = struct
           | 0 -> to_king j (Status { phase = j; lock = st.lock; input_qc = st.my_input_qc })
           | 1 ->
             if Pid.equal st.pid (king j st.cfg) then begin
-              let sc = scratch_of st j in
+              let king_locks = peek st j (fun sc -> sc.king_locks) ~none:[] in
               let locks =
-                match st.lock with Some l -> l :: sc.king_locks | None -> sc.king_locks
+                match st.lock with Some l -> l :: king_locks | None -> king_locks
               in
               let value, just =
                 match
@@ -515,10 +515,11 @@ module Make (V : Value.S) = struct
                 with
                 | (level, v, qc) :: _ -> (v, Lock_just { level; qc })
                 | [] -> (
+                  let king_qcs = peek st j (fun sc -> sc.king_input_qcs) ~none:[] in
                   let qcs =
                     match st.my_input_qc with
-                    | Some q -> q :: sc.king_input_qcs
-                    | None -> sc.king_input_qcs
+                    | Some q -> q :: king_qcs
+                    | None -> king_qcs
                   in
                   match List.sort (fun (a, _) (b, _) -> V.compare a b) qcs with
                   | (v, qc) :: _ -> (v, Input_cert qc)
@@ -542,7 +543,7 @@ module Make (V : Value.S) = struct
           | 2 ->
             (* Forward up to two distinct proposal values: one proves the
                king spoke, two prove it equivocated. *)
-            let sc = scratch_of st j in
+            let proposals = peek st j (fun sc -> sc.proposals) ~none:[] in
             let rec distinct acc = function
               | [] -> List.rev acc
               | p :: rest ->
@@ -551,13 +552,13 @@ module Make (V : Value.S) = struct
                 else distinct (p :: acc) rest
             in
             let chosen =
-              distinct [] sc.proposals |> List.filteri (fun i _ -> i < 2)
+              distinct [] proposals |> List.filteri (fun i _ -> i < 2)
             in
             List.concat_map (fun p -> bc (Echo p)) chosen
           | 3 -> (
-            let sc = scratch_of st j in
+            let proposals = peek st j (fun sc -> sc.proposals) ~none:[] in
             let values =
-              List.sort_uniq V.compare (List.map (fun p -> p.p_value) sc.proposals)
+              List.sort_uniq V.compare (List.map (fun p -> p.p_value) proposals)
             in
             match values with
             | [ w ] ->
@@ -573,7 +574,7 @@ module Make (V : Value.S) = struct
               let lock_value_match =
                 match st.lock with Some (_, lv, _) -> V.equal lv w | None -> false
               in
-              if lock_value_match || List.exists acceptable sc.proposals then
+              if lock_value_match || List.exists acceptable proposals then
                 let share =
                   Certificate.share st.pki st.secret ~purpose:commit_purpose
                     ~payload:(phased_payload j w)
@@ -583,9 +584,9 @@ module Make (V : Value.S) = struct
             | _ -> [])
           | 4 ->
             if Pid.equal st.pid (king j st.cfg) then begin
-              let sc = scratch_of st j in
+              let votes = peek st j (fun sc -> sc.votes) ~none:[] in
               let ready =
-                List.filter (fun (_, tl) -> Certificate.Tally.complete tl) sc.votes
+                List.filter (fun (_, tl) -> Certificate.Tally.complete tl) votes
                 |> List.sort (fun (a, _) (b, _) -> V.compare a b)
               in
               match ready with
@@ -597,8 +598,7 @@ module Make (V : Value.S) = struct
             end
             else []
           | 5 -> (
-            let sc = scratch_of st j in
-            match sc.commit_cert with
+            match peek st j (fun sc -> sc.commit_cert) ~none:None with
             | Some (v, qc) ->
               let share =
                 Certificate.share st.pki st.secret ~purpose:ack_purpose
@@ -609,14 +609,24 @@ module Make (V : Value.S) = struct
           | _ -> assert false
       end
 
+  (* Ingest every buffered round strictly below [r], in order. *)
+  let ingest_upto st r = Round_buffer.drain st.buf ~upto:r (ingest_round st)
+
+  (* Mail is buffered by its round tag, and a tag below [consumed] is
+     dropped as late. A dense run steps every round boundary, and each step
+     raises [consumed] to its round; a run that skipped boundaries (see
+     {!wake}) first raises it to the round of the last boundary before
+     [slot]. The rounds it passes are empty: a buffered round wakes the
+     boundary that ingests it. *)
+  let receive st ~slot ~src:_ { round; body } =
+    if slot > st.start_slot then
+      ingest_upto st
+        (Int.min ((slot - 1 - st.start_slot) / st.round_len) (rounds st.cfg - 1));
+    Round_buffer.add st.buf ~round body
+
   let step ~slot ~inbox st =
     List.iter
-      (fun env ->
-        let { round; body } = env.Envelope.msg in
-        if round >= st.consumed && round <= rounds st.cfg then begin
-          let prev = Option.value ~default:[] (Hashtbl.find_opt st.buf round) in
-          Hashtbl.replace st.buf round ((env.Envelope.src, body) :: prev)
-        end)
+      (fun env -> receive st ~slot ~src:env.Envelope.src env.Envelope.msg)
       inbox;
     if slot < st.start_slot || (slot - st.start_slot) mod st.round_len <> 0 then
       (st, [])
@@ -625,28 +635,49 @@ module Make (V : Value.S) = struct
       if r >= rounds st.cfg then (st, [])
       else begin
         (* Ingest every strictly earlier round, in order, then act. *)
-        while st.consumed < r do
-          let k = st.consumed in
-          let entries =
-            Option.value ~default:[] (Hashtbl.find_opt st.buf k) |> List.rev
-          in
-          Hashtbl.remove st.buf k;
-          ingest_round st k entries;
-          st.consumed <- st.consumed + 1
-        done;
+        ingest_upto st r;
         if st.decision <> None && st.decided_at = None then
           st.decided_at <- Some slot;
         (st, emit st r)
       end
     end
 
-  (* Everything between round boundaries is pure inbox buffering, so an
-     empty-inbox step there is a no-op; past the last round, even boundary
-     steps are no-ops. *)
+  (* Whether [emit st r] would send, on the current state. *)
+  let sends_at st r =
+    match st.decision with
+    | Some _ -> not st.announced
+    | None ->
+      r = 0
+      ||
+      let j = ((r - 1) / 6) + 1 in
+      j <= phases st.cfg
+      &&
+      match (r - 1) mod 6 with
+      | 0 -> true
+      | 1 | 4 -> Pid.equal st.pid (king j st.cfg)
+      | 2 | 3 -> peek st j (fun sc -> sc.proposals <> []) ~none:false
+      | _ -> peek st j (fun sc -> Option.is_some sc.commit_cert) ~none:false
+
+  (* A boundary step ingests the buffered rounds below its own and then
+     emits. Until one of them ingests something the state is fixed, so the
+     first boundary that acts is the earlier of the one that ingests the
+     lowest buffered round and the first one at which [emit] sends. An
+     undecided process sends its status every phase, so the scan is at most
+     six rounds long; a decided process that has announced sends nothing
+     again. *)
   let wake ~after st =
-    let s =
+    let b0 =
       Process.next_boundary ~start:st.start_slot ~period:st.round_len ~after
     in
-    if s < st.start_slot + (rounds st.cfg * st.round_len) then s
-    else Process.never
+    let r0 = (b0 - st.start_slot) / st.round_len in
+    let last = rounds st.cfg in
+    let ingest =
+      let p = Round_buffer.first_pending st.buf in
+      if p < last - 1 then Int.max r0 (p + 1) else last
+    in
+    let r = ref (if st.decision <> None && st.announced then ingest else r0) in
+    while !r < ingest && not (sends_at st !r) do
+      incr r
+    done;
+    if !r < last then st.start_slot + (!r * st.round_len) else Process.never
 end

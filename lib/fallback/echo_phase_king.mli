@@ -110,20 +110,34 @@ module Make (V : Mewc_sim.Value.S) : sig
     state
   (** [round_len] is δ' in slots: 1 standalone, 2 when started with skew. *)
 
+  val receive : state -> slot:int -> src:Mewc_prelude.Pid.t -> msg -> unit
+  (** Buffer one message delivered at [slot] by its round tag, dropping it
+      when its round was already ingested (late) or lies past the last
+      round. A round counts as ingested once a boundary of a later round
+      has passed, whether or not this process stepped there. *)
+
   val step :
     slot:int ->
     inbox:msg Mewc_sim.Envelope.t list ->
     state ->
     state * (msg * Mewc_prelude.Pid.t) list
+  (** Receive [inbox], then, at a round boundary, ingest every buffered
+      earlier round and emit this round's messages. *)
 
   val decision : state -> V.t option
 
   val wake : after:int -> state -> int
-  (** The {!Mewc_sim.Process.t} next-wake query: this process's first round
-      boundary at or after [after] while rounds remain, else
-      {!Mewc_sim.Process.never}. Off-boundary (and post-protocol) steps with
-      an empty inbox are no-ops, so the event-driven scheduler may skip
-      them. *)
+  (** The {!Mewc_sim.Process.t} next-wake query: the first round boundary
+      at or after [after] at which a step would ingest a buffered round or
+      send. A step sends at round 0, at each phase's status round while
+      undecided, at the propose and commit rounds of the phases this
+      process is king of, at the echo and vote rounds of a phase it holds
+      proposals for, at the ack round of a phase it holds a commit
+      certificate for, and at the first boundary after it decides (the
+      announcement). Once decided and announced with nothing buffered it
+      answers {!Mewc_sim.Process.never}. Every other step is a no-op except
+      that it would mark empty rounds ingested, which {!receive} and
+      {!step} do for themselves. *)
 
   val decided_at : state -> int option
   (** Slot at which this process decided (latency metric). *)

@@ -22,12 +22,9 @@ let get v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.get: index out of bounds";
   v.data.(i)
 
-let to_rev_list v =
-  (* Element 0 is the oldest push; consing front-to-back leaves the newest
-     push at the head — the same newest-first discipline as building the
-     sequence with [::]. *)
-  let rec go i acc = if i >= v.len then acc else go (i + 1) (v.data.(i) :: acc) in
-  go 0 []
+let set v i x =
+  if i < 0 || i >= v.len then invalid_arg "Vec.set: index out of bounds";
+  v.data.(i) <- x
 
 let sorted_ints v =
   let a = Array.init v.len (fun i -> v.data.(i)) in

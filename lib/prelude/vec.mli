@@ -25,9 +25,9 @@ val clear : 'a t -> unit
 val get : 'a t -> int -> 'a
 (** Raises [Invalid_argument] when out of bounds. *)
 
-val to_rev_list : 'a t -> 'a list
-(** The elements as a newest-first list: [to_rev_list v] is exactly the cons
-    list built by pushing each element with [::] in push order. *)
+val set : 'a t -> int -> 'a -> unit
+(** Overwrite an element in place. Raises [Invalid_argument] when out of
+    bounds. *)
 
 val sorted_ints : int t -> int array
 (** Snapshot the (int) elements into a fresh ascending-sorted array. *)

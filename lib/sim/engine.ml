@@ -80,19 +80,18 @@ let mincr meters get =
    That makes the step phase (where all the crypto lives) embarrassingly
    parallel: stripe the slot's ascending active set across domains (lane
    [w] takes entries [w], [w + lanes], ...), have each lane compute its
-   processes' results — the new state, plus each outgoing message already
-   paired with its word count and fault fate, both pure functions of the
-   message — into distinct slots of a results array, then merge on the
-   main domain in ascending pid order. Everything order-sensitive
-   (envelope ids, meter charges, trace events, provenance parents, shuffle
-   draws, delayed buckets) happens in the merge and the sequential [post]
-   phase, so a sharded run is byte-identical to the sequential one by
-   construction. The barrier is {!Pool.exec} on a persistent worker set:
-   one mutex/condvar round-trip per slot, no domain spawns. *)
+   processes' results — the new state and the raw sends — into distinct
+   slots of a results array, then merge on the main domain in ascending
+   pid order. Everything order-sensitive (envelope ids, meter charges,
+   trace events, provenance parents, shuffle draws, delayed buckets)
+   happens in the merge and the sequential [post] phase, so a sharded run
+   is byte-identical to the sequential one by construction. The barrier is
+   {!Pool.exec} on a persistent worker set: one mutex/condvar round-trip
+   per slot, no domain spawns. *)
 
 type ('s, 'm) step_out =
   | Skipped
-  | Stepped of 's * ('m * Pid.t * int * Faults.link_fault option) list
+  | Stepped of 's * ('m * Pid.t) list
   | Failed of exn
 
 let compute_active_steps ws ~pids ~count ~step_one results =
@@ -225,11 +224,16 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   let prev_decided = Array.make n None in
   let next_id = ref 0 in
   (* Flat per-process pools, appended in post order (oldest first) and
-     reused slot after slot; [Vec.to_rev_list] reads one newest-first.
-     Envelope ids are assigned in post order, so ids increase monotonically
-     along the trace and a message's id is always smaller than any message
-     it causally feeds. *)
+     reused slot after slot, each with its envelope ids in a parallel
+     [pool_ids]. Envelope ids are assigned in post order, so ids increase
+     monotonically along the trace and a message's id is always smaller
+     than any message it causally feeds. *)
   let pools = Array.init n (fun _ -> Vec.create ()) in
+  let pool_ids = Array.init n (fun _ -> Vec.create ()) in
+  let pool_push dst id envelope =
+    Vec.push pools.(dst) envelope;
+    Vec.push pool_ids.(dst) id
+  in
   (* The processes whose pool is nonempty — the only ones the next delivery
      pass must visit. Collected unsorted with a flag for O(1) dedup, sorted
      ascending at delivery time. *)
@@ -262,35 +266,62 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
          reverses the pool, flushed messages land after the slot's punctual
          ones, in original send order. *)
       List.iter
-        (fun (dst, entry) ->
-          Vec.push pools.(dst) entry;
+        (fun (dst, id, envelope) ->
+          pool_push dst id envelope;
           mark_dirty dst)
         (List.rev entries)
   in
   let is_down p =
     match faults_rt with None -> false | Some rt -> Faults.is_down rt p
   in
-  let order messages =
-    match shuffle_rng with
-    | None -> List.rev messages
-    | Some rng -> Rng.shuffle rng messages
+  (* Process [p]'s pool as its inbox and the matching envelope ids, then
+     emptied. In order, both lists are built in one backward pass. Shuffled,
+     the (id, envelope) pairs are shuffled newest-first, one draw per
+     message; the draws happen even for a down process, whose delivery is
+     then dropped. *)
+  let deliver p =
+    let pool = pools.(p) and ids = pool_ids.(p) in
+    let len = Vec.length pool in
+    (match shuffle_rng with
+    | None ->
+      if not (is_down p) then begin
+        let envs = ref [] and idl = ref [] in
+        for i = len - 1 downto 0 do
+          envs := Vec.get pool i :: !envs;
+          idl := Vec.get ids i :: !idl
+        done;
+        inboxes.(p) <- !envs;
+        inbox_ids.(p) <- !idl
+      end
+    | Some rng ->
+      let pairs = ref [] in
+      for i = 0 to len - 1 do
+        pairs := (Vec.get ids i, Vec.get pool i) :: !pairs
+      done;
+      let pairs = Rng.shuffle rng !pairs in
+      if not (is_down p) then begin
+        inbox_ids.(p) <- List.map fst pairs;
+        inboxes.(p) <- List.map snd pairs
+      end);
+    Vec.clear pool;
+    Vec.clear ids
   in
-  let fate_for ~slot ~src ~dst ~seq =
-    match faults_rt with
-    | None -> None
-    | Some rt -> Faults.fate ~seq rt ~slot ~src ~dst
-  in
-  (* [post_pre] consumes a send whose word count and fault fate were already
-     computed — pure functions of the message, so shard workers precompute
-     them off the main domain. Everything order-sensitive (the envelope id,
-     the meter charge, trace emission, delayed buckets) happens here, on the
-     main domain, in post order. *)
-  let post_pre ~slot ~src (msg, dst, word_count, fault) =
+  (* Everything order-sensitive (the envelope id, the meter charge, trace
+     emission, delayed buckets) happens here, on the main domain, in post
+     order. A send's word count and fault fate are pure functions of the
+     message and its per-sender index [seq]. *)
+  let post ~slot ~src ~seq (msg, dst) =
     if not (Pid.is_valid ~n dst) then
       invalid_arg
         (Printf.sprintf "Engine.run: p%d sent a message to unknown process %d"
            src dst);
     let envelope = { Envelope.src; dst; sent_at = slot; msg } in
+    let word_count = words msg in
+    let fault =
+      match faults_rt with
+      | None -> None
+      | Some rt -> Faults.fate ~seq rt ~slot ~src ~dst
+    in
     let byzantine = corrupted.(src) in
     let charged = Meter.charge meter ~byzantine ~src ~dst ~words:word_count in
     (match meters with
@@ -314,7 +345,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
            });
     match fault with
     | None ->
-      Vec.push pools.(dst) (id, envelope);
+      pool_push dst id envelope;
       mark_dirty dst
     | Some fault ->
       (* The send happened — it was charged and traced above; only its
@@ -326,14 +357,11 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
       | Faults.Delayed k ->
         let at = slot + 1 + k in
         let prev = Option.value ~default:[] (Hashtbl.find_opt delayed at) in
-        Hashtbl.replace delayed at ((dst, (id, envelope)) :: prev)
+        Hashtbl.replace delayed at ((dst, id, envelope) :: prev)
       | Faults.Duplicated ->
-        Vec.push pools.(dst) (id, envelope);
-        Vec.push pools.(dst) (id, envelope);
+        pool_push dst id envelope;
+        pool_push dst id envelope;
         mark_dirty dst)
-  in
-  let post ~slot ~src ~seq (msg, dst) =
-    post_pre ~slot ~src (msg, dst, words msg, fate_for ~slot ~src ~dst ~seq)
   in
   let step_results = Array.make n Skipped in
   (* The wake calendar: one bucket per slot, each an intrusive doubly linked
@@ -414,16 +442,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
       timed Profile.Engine "engine.deliver" (fun () ->
           let count = drain_ascending dirty dirty_flag delivered in
           for i = 0 to count - 1 do
-            let p = delivered.(i) in
-            (* Shuffle draws happen for every nonempty pool — even a down
-               process's, which receives nothing: whatever was addressed to
-               it is lost after ordering, like a crashed machine's NIC. *)
-            let pairs = order (Vec.to_rev_list pools.(p)) in
-            Vec.clear pools.(p);
-            if not (is_down p) then begin
-              inbox_ids.(p) <- List.map fst pairs;
-              inboxes.(p) <- List.map snd pairs
-            end
+            deliver delivered.(i)
           done;
           count)
     in
@@ -487,20 +506,13 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
         let count = drain_ascending active_set active_flag active in
         let step_one p =
           match machines.(p).Process.step ~slot ~inbox:inboxes.(p) states.(p) with
-          | state', sends ->
-            let pres =
-              List.mapi
-                (fun seq (msg, dst) ->
-                  (msg, dst, words msg, fate_for ~slot ~src:p ~dst ~seq))
-                sends
-            in
-            Stepped (state', pres)
+          | state', sends -> Stepped (state', sends)
           | exception e -> Failed e
         in
         let merge p = function
-          | Stepped (state', pres) ->
+          | Stepped (state', sends) ->
             states.(p) <- state';
-            correct_sends := (p, pres) :: !correct_sends;
+            correct_sends := (p, sends) :: !correct_sends;
             file p ~after:(slot + 1)
           | Failed e -> raise e
           | Skipped -> ()
@@ -561,33 +573,34 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     let correct_outgoing =
       lazy
         (List.concat_map
-           (fun (src, pres) ->
+           (fun (src, sends) ->
              List.map
-               (fun (msg, dst, _, _) -> { Envelope.src; dst; sent_at = slot; msg })
-               pres)
+               (fun (msg, dst) -> { Envelope.src; dst; sent_at = slot; msg })
+               sends)
            correct_sends)
     in
-    (* 3. Byzantine processes step, seeing this slot's correct sends. *)
+    (* 3. Byzantine processes step, seeing this slot's correct sends. A step
+       that sends nothing leaves no entry. *)
     let byz_view = view correct_outgoing in
     let byz_sends =
       timed Profile.Adversary "adversary.byz_step" (fun () ->
-          List.map
-            (fun p -> (p, adversary.Adversary.byz_step ~pid:p byz_view))
+          List.filter_map
+            (fun p ->
+              match adversary.Adversary.byz_step ~pid:p byz_view with
+              | [] -> None
+              | sends -> Some (p, sends))
             !byzantine)
     in
-    (* 4. Post everything. *)
+    (* 4. Post everything: correct sends in ascending pid order, then the
+       Byzantine ones. Fates are keyed by (slot, src, seq), and a corrupted
+       process never reaches the correct step phase, so the two groups
+       never share a key. *)
     timed Profile.Engine "engine.post" (fun () ->
-        List.iter
-          (fun (src, pres) -> List.iter (post_pre ~slot ~src) pres)
-          correct_sends;
-        (* Byzantine sends go through the unsplit [post]: their fates are
-           derived from their own per-sender [seq] indices, disjoint from
-           nothing — (slot, src) already isolates them, since a corrupted
-           process never reaches the correct step phase. *)
-        List.iter
-          (fun (src, sends) ->
-            List.iteri (fun seq m -> post ~slot ~src ~seq m) sends)
-          byz_sends);
+        let post_all (src, sends) =
+          List.iteri (fun seq m -> post ~slot ~src ~seq m) sends
+        in
+        List.iter post_all correct_sends;
+        List.iter post_all byz_sends);
     (* Restore the all-empty inbox invariant for the next slot. *)
     for i = 0 to n_delivered - 1 do
       let p = delivered.(i) in

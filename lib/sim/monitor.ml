@@ -266,10 +266,18 @@ let cone_words_bound ~cfg ~name ?(check_every = 1) ~bound () =
     ()
 
 let metering () =
-  let corrupted = Hashtbl.create 8 in
+  (* Indexed by pid, grown on demand: the monitor never learns n. *)
+  let corrupted = ref [||] in
+  let is_corrupted p = p >= 0 && p < Array.length !corrupted && !corrupted.(p) in
   make ~name:"metering"
     ~on_event:(fun ~violate -> function
-      | Trace.Corruption { pid; _ } -> Hashtbl.replace corrupted pid ()
+      | Trace.Corruption { pid; _ } ->
+        if pid >= Array.length !corrupted then begin
+          let grown = Array.make (max (pid + 1) (2 * Array.length !corrupted)) false in
+          Array.blit !corrupted 0 grown 0 (Array.length !corrupted);
+          corrupted := grown
+        end;
+        !corrupted.(pid) <- true
       | Trace.Send { envelope = { Envelope.src; dst; sent_at; _ }; byzantine_sender; words; charged; _ }
         ->
         if words < 1 then
@@ -281,7 +289,7 @@ let metering () =
         if src <> dst && not charged then
           violate ~slot:sent_at
             (Printf.sprintf "p%d -> p%d crossed a link uncharged" src dst);
-        let byz = Hashtbl.mem corrupted src in
+        let byz = is_corrupted src in
         if byz <> byzantine_sender then
           violate ~slot:sent_at
             (Printf.sprintf

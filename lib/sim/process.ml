@@ -13,7 +13,7 @@ let next_boundary ~start ~period ~after =
     let late = (after - start) mod period in
     if late = 0 then after else after + period - late
 
-let broadcast ~n msg = List.map (fun p -> (msg, p)) (Mewc_prelude.Pid.all ~n)
+let broadcast ~n msg = List.init n (fun p -> (msg, p))
 
 let broadcast_others ~n ~self msg =
   List.filter_map

@@ -43,10 +43,13 @@ type t = {
 }
 
 (* Words allocated so far, net of double counting: promoted words appear in
-   both the minor and major totals. *)
+   both the minor and major totals. [Gc.quick_stat]'s minor count moves only
+   at minor collections, which would charge a whole minor heap to whichever
+   span triggers one; [Gc.minor_words] reads the live allocation pointer and
+   is exact on the calling domain. *)
 let alloc_words () =
   let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
 let create ?clock () =
   let clock =

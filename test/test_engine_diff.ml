@@ -226,13 +226,14 @@ let chaos_cases () =
 
 (* ---- the wake calendar's work bound ------------------------------------ *)
 
-(* A failure-free run at n = 1001 with every machine wrapped to count its
-   steps and wake queries. The calendar queries each process once at start
-   and once after each of its steps, so queries <= steps + n; the dense poll
-   it replaced made one query per process per slot. *)
-let work_count (type p s m d) ((module P) : (p, s, m, d) Protocol.t) () =
-  let cfg = Config.optimal ~n:1001 in
-  let n = cfg.Config.n in
+(* A run with every machine wrapped to count its steps and wake queries:
+   failure-free at n = 1001 by default. The calendar queries each process
+   once at start and once after each of its steps, so queries <= steps + n;
+   the dense poll it replaced made one query per process per slot. With
+   [pinned], the counts must also equal the given (steps, queries). *)
+let work_count (type p s m d) ?(n = 1001) ?(f = 0) ?pinned
+    ((module P) : (p, s, m, d) Protocol.t) () =
+  let cfg = Config.optimal ~n in
   let params = P.default_params cfg in
   let pki, secrets = Mewc_crypto.Pki.setup ~seed:1L ~n () in
   let steps = ref 0 and queries = ref 0 in
@@ -257,15 +258,21 @@ let work_count (type p s m d) ((module P) : (p, s, m, d) Protocol.t) () =
     Engine.run ~cfg
       ~options:{ Engine.default_options with scheduler = `Event_driven }
       ~words:P.words ~horizon ~protocol
-      ~adversary:(Adversary.honest ~name:"honest")
+      ~adversary:(Adversary.crash ~victims:(List.init f (fun i -> i + 1)) ())
       ()
   in
   Alcotest.(check bool)
-    "every process decided" true
-    (Array.for_all (fun st -> Option.is_some (P.decision st)) res.Engine.states);
+    "every correct process decided" true
+    (Array.for_all
+       (fun p -> (p >= 1 && p <= f) || Option.is_some (P.decision res.Engine.states.(p)))
+       (Array.init n Fun.id));
   if !queries > !steps + n then
     Alcotest.failf "%s: %d wake queries for %d steps at n=%d (horizon %d)" P.name
-      !queries !steps n horizon
+      !queries !steps n horizon;
+  match pinned with
+  | Some pin ->
+    Alcotest.(check (pair int int)) "(steps, wake queries)" pin (!steps, !queries)
+  | None -> ()
 
 let () =
   Alcotest.run "engine-diff"
@@ -283,5 +290,11 @@ let () =
             (work_count (module Instances.Weak_ba_protocol));
           Alcotest.test_case "work count bb n=1001" `Quick
             (work_count (module Instances.Bb_protocol));
+          (* Every correct process runs the fallback. Its quiet round
+             boundaries are not stepped: stepping every boundary took
+             (16273, 16374) here. *)
+          Alcotest.test_case "work count weak-ba f=t n=101" `Quick
+            (work_count ~n:101 ~f:50 ~pinned:(3423, 3524)
+               (module Instances.Weak_ba_protocol));
         ] );
     ]

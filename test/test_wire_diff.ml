@@ -149,7 +149,7 @@ let stepped_slots () =
       Alcotest.(check int) (name ^ " engine") pinned
         (engine_active_slots e ~cfg:(cfg 5) ~seed:1L ~salt:0);
       Alcotest.(check int) (name ^ " async") pinned r.Zoo.stepped)
-    [ ("fallback", 21); ("weak-ba", 7); ("bb", 9); ("binary-bb", 7); ("strong-ba", 5) ]
+    [ ("fallback", 9); ("weak-ba", 7); ("bb", 9); ("binary-bb", 7); ("strong-ba", 5) ]
 
 (* Back-to-back runs spawn no domain: every process runs on a thread of
    the caller's domain, which is the only one that reads the clock. *)
