@@ -31,7 +31,7 @@ module type S = sig
     slot:int ->
     inbox:msg Mewc_sim.Envelope.t list ->
     state ->
-    state * (msg * Mewc_prelude.Pid.t) list
+    state * msg Mewc_sim.Process.send list
 
   val decision : state -> decision option
   val decided_at : state -> int option

@@ -47,7 +47,7 @@ module Make (V : Mewc_sim.Value.S) : sig
     slot:int ->
     inbox:msg Mewc_sim.Envelope.t list ->
     state ->
-    state * (msg * Mewc_prelude.Pid.t) list
+    state * msg Mewc_sim.Process.send list
 
   val decision : state -> V.t option
   val decided_at : state -> int option

@@ -115,7 +115,7 @@ let step ~slot ~inbox st =
             Pki.sign st.pki st.secret
               (Certificate.signed_message ~purpose:sender_purpose ~payload:v)
           in
-          Process.broadcast ~n:st.cfg.Config.n (Send { value = v; sg })
+          Process.broadcast (Send { value = v; sg })
         | true, None -> invalid_arg "Naive_bb: sender needs an input"
         | false, _ -> []
       end
@@ -133,7 +133,7 @@ let step ~slot ~inbox st =
           st.pending <- [];
           let ba', sends = Ba.step ~slot ~inbox ba in
           st.ba <- Some ba';
-          List.map (fun (m, dst) -> (Ba m, dst)) sends
+          Process.map (fun m -> Ba m) sends
       end
       else []
     in

@@ -295,7 +295,7 @@ let emit st ~slot ~rel =
         in
         (* The sender adopts its own signed value directly. *)
         st.vi <- Some (Sender_signed { value = v; sg });
-        Process.broadcast ~n (Send { value = v; sg })
+        Process.broadcast (Send { value = v; sg })
       | None -> invalid_arg "Adaptive_bb: the sender needs an input"
     end
     else []
@@ -318,13 +318,14 @@ let emit st ~slot ~rel =
           Certificate.share st.pki st.secret ~purpose:helpreq_purpose
             ~payload:(string_of_int j)
         in
-        Process.broadcast ~n (Vet_help_req { phase = j; sg })
+        Process.broadcast (Vet_help_req { phase = j; sg })
       end
       else []
     | 1 ->
       if (scratch_of st j).help_req_seen then begin
         match st.vi with
-        | Some (Sender_signed _ as v) -> [ (Vet_value { phase = j; value = v }, lead) ]
+        | Some (Sender_signed _ as v) ->
+          [ Process.Unicast (Vet_value { phase = j; value = v }, lead) ]
         | Some (Idk_cert _) | None ->
           (* A held idk certificate cannot help the leader form anything;
              contribute a fresh idk signature instead, which is what the
@@ -334,18 +335,18 @@ let emit st ~slot ~rel =
             Certificate.share st.pki st.secret ~purpose:idk_purpose
               ~payload:(string_of_int j)
           in
-          [ (Vet_idk { phase = j; share }, lead) ]
+          [ Process.Unicast (Vet_idk { phase = j; share }, lead) ]
       end
       else []
     | 2 ->
       if am_leader && st.initiated && rel = vet_base j + 2 then begin
         let sc = scratch_of st j in
         match sc.sender_signed_answer with
-        | Some v -> Process.broadcast ~n (Vet_bcast { phase = j; value = v })
+        | Some v -> Process.broadcast (Vet_bcast { phase = j; value = v })
         | None -> (
           match Certificate.Tally.certificate sc.idk_shares with
           | Some qc ->
-            Process.broadcast ~n (Vet_bcast { phase = j; value = Idk_cert qc })
+            Process.broadcast (Vet_bcast { phase = j; value = Idk_cert qc })
           | None -> [])
       end
       else []
@@ -388,7 +389,7 @@ let emit st ~slot ~rel =
       st.pending_wba <- [];
       let w', sends = W.step ~slot ~inbox w in
       st.wba <- Some w';
-      List.map (fun (m, dst) -> (Wba m, dst)) sends
+      Process.map (fun m -> Wba m) sends
   end
 
 (* Inbox-free actions: the sender's dissemination at slot 0, a phase

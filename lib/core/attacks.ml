@@ -20,8 +20,9 @@ let bb_equivocating_sender ~cfg ~sender ~v1 ~v2 ~pki ~secrets =
           (fun p ->
             if Pid.equal p sender then None
             else if p mod 2 = 0 then
-              Some (Adaptive_bb.Send { value = v1; sg = sg1 }, p)
-            else Some (Adaptive_bb.Send { value = v2; sg = sg2 }, p))
+              Some (Process.Unicast (Adaptive_bb.Send { value = v1; sg = sg1 }, p))
+            else
+              Some (Process.Unicast (Adaptive_bb.Send { value = v2; sg = sg2 }, p)))
           (Pid.all ~n)
       end
       else [])
@@ -37,7 +38,9 @@ let bb_selective_sender ~cfg ~sender ~value ~recipients ~pki ~secrets =
           Certificate.share pki secrets.(sender)
             ~purpose:Adaptive_bb.sender_purpose ~payload:value
         in
-        List.map (fun p -> (Adaptive_bb.Send { value; sg }, p)) recipients
+        List.map
+          (fun p -> Process.Unicast (Adaptive_bb.Send { value; sg }, p))
+          recipients
       end
       else [])
 
@@ -96,8 +99,8 @@ let wba_exclusive_finalizer ~cfg ~leader ~lucky ~pki ~secrets =
     ~victims:[ leader ]
     ~machine:(weak_machine ~cfg ~pki ~secrets ~input:"byz")
     ~mangle:(fun ~slot:_ ~pid:_ ~inbox:_ sends ->
-      List.filter
-        (fun (m, dst) ->
+      Process.filter ~n:cfg.Config.n
+        (fun m dst ->
           match m with W.Finalized _ -> Pid.equal dst lucky | _ -> true)
         sends)
 
@@ -107,8 +110,8 @@ let wba_busy_byz_leaders ~cfg ~leaders ~pki ~secrets =
     ~victims:leaders
     ~machine:(weak_machine ~cfg ~pki ~secrets ~input:"byz")
     ~mangle:(fun ~slot:_ ~pid:_ ~inbox:_ sends ->
-      List.filter
-        (fun (m, _) -> match m with W.Finalized _ -> false | _ -> true)
+      Process.filter ~n:cfg.Config.n
+        (fun m _ -> match m with W.Finalized _ -> false | _ -> true)
         sends)
 
 let wba_help_req_spammers ~cfg ~spammers ~pki ~secrets =
@@ -139,10 +142,10 @@ let wba_help_req_spammers ~cfg ~spammers ~pki ~secrets =
    and every other correct one must go through the help round: the paper's
    §6 scenario ("a Byzantine leader causes the single correct leader to
    decide and not initiate its phase"). *)
-let lonely_mangle ~lucky ~extra ~slot ~pid ~inbox sends =
+let lonely_mangle ~n ~lucky ~extra ~slot ~pid ~inbox sends =
   let censored =
-    List.filter
-      (fun (m, dst) ->
+    Process.filter ~n
+      (fun m dst ->
         match m with
         | W.Help_req _ -> false
         | W.Propose _ -> pid = 1
@@ -158,7 +161,9 @@ let wba_lonely_decider ~cfg ~lucky ~pki ~secrets =
     ~name:(Printf.sprintf "wba-lonely-decider(lucky=p%d)" lucky)
     ~victims
     ~machine:(weak_machine ~cfg ~pki ~secrets ~input:"byz")
-    ~mangle:(lonely_mangle ~lucky ~extra:(fun ~slot:_ ~pid:_ ~inbox:_ -> []))
+    ~mangle:
+      (lonely_mangle ~n:cfg.Config.n ~lucky
+         ~extra:(fun ~slot:_ ~pid:_ ~inbox:_ -> []))
 
 let wba_late_fallback_cert ~cfg ~victim ~pki ~secrets =
   (* On top of the lonely-decider scenario (which leaves t correct processes
@@ -201,14 +206,15 @@ let wba_late_fallback_cert ~cfg ~victim ~pki ~secrets =
         Certificate.make pki ~k:(Config.small_quorum cfg)
           ~purpose:W.helpreq_purpose ~payload:"" shares
       with
-      | Some qc -> [ (W.Fallback_cert { qc; decision = None }, victim) ]
+      | Some qc ->
+        [ Process.Unicast (W.Fallback_cert { qc; decision = None }, victim) ]
       | None -> []
     end
     else []
   in
   Strategies.deviant ~name:"wba-late-fallback-cert" ~victims
     ~machine:(weak_machine ~cfg ~pki ~secrets ~input:"byz")
-    ~mangle:(lonely_mangle ~lucky ~extra)
+    ~mangle:(lonely_mangle ~n:cfg.Config.n ~lucky ~extra)
 
 let wba_invalid_fallback_king ~cfg ~byz ~evil ~pki ~secrets =
   match byz with
@@ -305,7 +311,13 @@ let wba_small_quorum_split ~cfg ~quorum ~v1 ~v2 ~pki ~secrets =
   in
   let per_side make =
     List.concat_map
-      (fun side -> List.filter_map (make (value_of_side side)) (targets side))
+      (fun side ->
+        List.filter_map
+          (fun p ->
+            Option.map
+              (fun (m, dst) -> Process.Unicast (m, dst))
+              (make (value_of_side side) p))
+          (targets side))
       [ `A; `B ]
   in
   Strategies.scripted
@@ -434,7 +446,9 @@ let wba_fuzzer ~cfg ~victims ~seed ~pki ~secrets =
     ~victims
     ~script:(fun ~slot:_ ~pid ~inbox ->
       List.iter harvest inbox;
-      List.init (Rng.int rng 4) (fun _ -> (random_msg pid, random_dst ())))
+      List.init (Rng.int rng 4) (fun _ ->
+          let m, dst = (random_msg pid, random_dst ()) in
+          Process.Unicast (m, dst)))
 
 (* --- Strong BA (Algorithm 5) -------------------------------------------- *)
 
@@ -453,8 +467,8 @@ let sba_withholding_leader ~cfg ~leader ~lucky ~pki ~secrets =
         wake = None;
       })
     ~mangle:(fun ~slot:_ ~pid:_ ~inbox:_ sends ->
-      List.filter
-        (fun (m, dst) ->
+      Process.filter ~n:cfg.Config.n
+        (fun m dst ->
           match m with S.Decide _ -> Pid.equal dst lucky | _ -> true)
         sends)
 
@@ -474,8 +488,8 @@ let epk_lock_carryover_king ~cfg ~target ~pki ~secrets =
         wake = None;
       })
     ~mangle:(fun ~slot:_ ~pid:_ ~inbox:_ sends ->
-      List.filter
-        (fun ((m : E.msg), dst) ->
+      Process.filter ~n:cfg.Config.n
+        (fun (m : E.msg) dst ->
           match m.E.body with
           | E.Commit _ -> Pid.equal dst target
           | E.Ack _ | E.Decided _ -> false
@@ -514,9 +528,11 @@ let epk_equivocating_king ~cfg ~king ~v1 ~v2 ~pki ~secrets =
         List.filter_map
           (fun p ->
             if Pid.equal p king then None
-            else if p mod 2 = 0 then
-              Some ({ E.round = propose_round; body = E.Propose p1 }, p)
-            else Some ({ E.round = propose_round; body = E.Propose p2 }, p))
+            else
+              let chosen = if p mod 2 = 0 then p1 else p2 in
+              Some
+                (Process.Unicast
+                   ({ E.round = propose_round; body = E.Propose chosen }, p)))
           (Pid.all ~n)
       end
       else [])

@@ -105,7 +105,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
                 (Certificate.signed_message ~purpose:sender_purpose
                    ~payload:(Value.Bool.encode v))
             in
-            Process.broadcast ~n:st.cfg.Config.n (Send { value = v; sg })
+            Process.broadcast (Send { value = v; sg })
           | true, None -> invalid_arg "Binary_bb: sender needs an input"
           | false, _ -> []
         end
@@ -124,7 +124,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
             st.pending <- [];
             let ba', sends = Ba.step ~slot ~inbox ba in
             st.ba <- Some ba';
-            List.map (fun (m, dst) -> (Ba m, dst)) sends
+            Process.map (fun m -> Ba m) sends
         end
         else []
       in

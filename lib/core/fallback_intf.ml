@@ -38,7 +38,7 @@ module type FALLBACK = sig
     slot:int ->
     inbox:msg Mewc_sim.Envelope.t list ->
     state ->
-    state * (msg * Mewc_prelude.Pid.t) list
+    state * msg Mewc_sim.Process.send list
 
   val decision : state -> value option
 
@@ -61,18 +61,3 @@ module type FALLBACK = sig
 
   val pp_msg : Format.formatter -> msg -> unit
 end
-
-(** [lift wrap sends] wraps a fallback's sends into its host's message
-    type. A broadcast lists one message n times, so consecutive sends of the
-    physically same message share one wrapper. *)
-let lift wrap sends =
-  let rec go = function
-    | [] -> []
-    | (m, dst) :: rest ->
-      let w = wrap m in
-      (w, dst) :: same m w rest
-  and same m w = function
-    | (m', dst) :: rest when m' == m -> (w, dst) :: same m w rest
-    | rest -> go rest
-  in
-  go sends

@@ -203,18 +203,17 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
       (match F.decision fb' with
       | Some fv when st.decision = None -> st.decision <- Some fv
       | _ -> ());
-      Fallback_intf.lift (fun m -> Fb m) sends
+      Process.map (fun m -> Fb m) sends
 
   let emit st ~slot ~rel =
     let cfg = st.cfg in
-    let n = cfg.Config.n in
     match rel with
     | 0 ->
       let share =
         Certificate.share st.pki st.secret ~purpose:propose_purpose
           ~payload:(enc st.input)
       in
-      [ (Input { value = st.input; share }, st.leader) ]
+      [ Process.Unicast (Input { value = st.input; share }, st.leader) ]
     | 1 ->
       if Pid.equal st.pid st.leader then begin
         let pick value =
@@ -223,7 +222,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
         in
         match (pick false, pick true) with
         | Some (v, qc), _ | None, Some (v, qc) ->
-          Process.broadcast ~n (Propose { value = v; qc })
+          Process.broadcast (Propose { value = v; qc })
         | None, None -> []
       end
       else []
@@ -234,7 +233,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
           Certificate.share st.pki st.secret ~purpose:decide_purpose
             ~payload:(enc v)
         in
-        [ (Decide_share { value = v; share }, st.leader) ]
+        [ Process.Unicast (Decide_share { value = v; share }, st.leader) ]
       | None -> [])
     | 3 ->
       if Pid.equal st.pid st.leader then begin
@@ -244,7 +243,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
         in
         match (pick false, pick true) with
         | Some (v, qc), _ | None, Some (v, qc) ->
-          Process.broadcast ~n (Decide { value = v; qc })
+          Process.broadcast (Decide { value = v; qc })
         | None, None -> []
       end
       else []
@@ -260,13 +259,13 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
         []
       | None ->
         st.fb_sched <- Some (st.start_slot + rel + 2);
-        Process.broadcast ~n (Fallback { decision = None }))
+        Process.broadcast (Fallback { decision = None }))
     | _ ->
       let out = ref [] in
       if st.fb_rebroadcast then begin
         st.fb_rebroadcast <- false;
         out :=
-          Process.broadcast ~n (Fallback { decision = st.bu_proof }) @ !out
+          Process.broadcast (Fallback { decision = st.bu_proof }) @ !out
       end;
       (match st.fb_sched with
       | Some start when slot = start && st.fb_state = None ->

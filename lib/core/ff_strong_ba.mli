@@ -56,7 +56,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) : sig
     slot:int ->
     inbox:msg Mewc_sim.Envelope.t list ->
     state ->
-    state * (msg * Mewc_prelude.Pid.t) list
+    state * msg Mewc_sim.Process.send list
 
   val wake : after:int -> state -> int
   (** The {!Mewc_sim.Process.t} next-wake query (input round, the adopt-or-

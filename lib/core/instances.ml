@@ -325,7 +325,8 @@ module Weak_ba_protocol = struct
                       in
                       List.map
                         (fun d ->
-                          (Weak_str.Propose { phase = j; value = v; sg }, d))
+                          Process.Unicast
+                            (Weak_str.Propose { phase = j; value = v; sg }, d))
                         side)
                     sides
               else if slot = b + 2 then
@@ -338,9 +339,10 @@ module Weak_ba_protocol = struct
                     | Some qc ->
                       List.map
                         (fun d ->
-                          ( Weak_str.Commit_bcast
-                              { phase = j; value = v; level = j; qc },
-                            d ))
+                          Process.Unicast
+                            ( Weak_str.Commit_bcast
+                                { phase = j; value = v; level = j; qc },
+                              d ))
                         side
                     | None -> [])
                   sides
@@ -354,7 +356,8 @@ module Weak_ba_protocol = struct
                     | Some qc ->
                       List.map
                         (fun d ->
-                          (Weak_str.Finalized { phase = j; value = v; qc }, d))
+                          Process.Unicast
+                            (Weak_str.Finalized { phase = j; value = v; qc }, d))
                         side
                     | None -> [])
                   sides

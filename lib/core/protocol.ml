@@ -91,7 +91,7 @@ module type S = sig
     slot:int ->
     inbox:msg Envelope.t list ->
     active:(Pid.t * Pki.Secret.t) list ->
-    (msg * Pid.t) list))
+    msg Process.send list))
     option
   (** Attack-legal share spray: a stateful forger that harvests shares and
       certificates from its inbox and crafts protocol-shaped forgeries —

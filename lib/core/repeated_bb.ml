@@ -137,7 +137,7 @@ let step ~slot ~inbox st =
       st.instances.(i) <- Some inst';
       st.due.(i) <- Adaptive_bb.wake ~after:(slot + 1) inst';
       out :=
-        List.map (fun (m, dst) -> ({ index = i; inner = m }, dst)) sends @ !out
+        Process.map (fun m -> { index = i; inner = m }) sends @ !out
     end
   done;
   (st, !out)

@@ -62,7 +62,7 @@ val step :
   slot:int ->
   inbox:msg Mewc_sim.Envelope.t list ->
   state ->
-  state * (msg * Mewc_prelude.Pid.t) list
+  state * msg Mewc_sim.Process.send list
 
 val wake : after:int -> state -> int
 (** The {!Mewc_sim.Process.t} next-wake query. A replica keeps one due

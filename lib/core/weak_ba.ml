@@ -178,7 +178,7 @@ struct
     mutable initiated : bool;
     mutable sent_help : bool;
     help_sigs : Certificate.Tally.t;
-    mutable help_answers : (msg * Pid.t) list;  (* queued during ingestion *)
+    mutable help_answers : msg Process.send list;  (* queued during ingestion *)
     mutable bu_decision : V.t;
     mutable bu_proof : (int * V.t * Certificate.t) option;
     mutable fb_sched : int option;  (* absolute slot *)
@@ -376,7 +376,8 @@ struct
           match (st.decision, st.decide_proof) with
           | Some (Value _), Some (j, v, qc) ->
             st.help_answers <-
-              (Help { phase = j; value = v; qc }, src) :: st.help_answers
+              Process.Unicast (Help { phase = j; value = v; qc }, src)
+              :: st.help_answers
           | _ -> ())
       end
     | Help { phase = j; value; qc } ->
@@ -418,7 +419,6 @@ struct
 
   let emit_phase_slot st ~rel =
     let cfg = st.cfg in
-    let n = cfg.Config.n in
     let j = (rel / 5) + 1 in
     let off = rel mod 5 in
     let lead = leader j cfg in
@@ -432,7 +432,7 @@ struct
           Certificate.share st.pki st.secret ~purpose:propose_purpose
             ~payload:(phased_payload j st.input)
         in
-        Process.broadcast ~n (Propose { phase = j; value = st.input; sg })
+        Process.broadcast (Propose { phase = j; value = st.input; sg })
       end
       else []
     | 1 -> (
@@ -445,13 +445,17 @@ struct
               Certificate.share st.pki st.secret ~purpose:commit_purpose
                 ~payload:(phased_payload j v)
             in
-            [ (Vote { phase = j; value = v; share }, lead) ]
+            [ Process.Unicast (Vote { phase = j; value = v; share }, lead) ]
           else []
         | Some cv -> (
           match st.commit_proof with
           | Some qc ->
-            [ (Commit_answer { phase = j; value = cv; level = st.commit_level; qc },
-               lead) ]
+            [
+              Process.Unicast
+                ( Commit_answer
+                    { phase = j; value = cv; level = st.commit_level; qc },
+                  lead );
+            ]
           | None -> []))
       | None -> [])
     | 2 ->
@@ -460,7 +464,7 @@ struct
           List.sort (fun (a, _, _) (b, _, _) -> Int.compare b a) sc.commit_answers
         with
         | (level, v, qc) :: _ ->
-          Process.broadcast ~n (Commit_bcast { phase = j; value = v; level; qc })
+          Process.broadcast (Commit_bcast { phase = j; value = v; level; qc })
         | [] -> (
           let ready =
             List.filter (fun (_, tl) -> Certificate.Tally.complete tl) sc.votes
@@ -470,7 +474,7 @@ struct
           | (v, tl) :: _ -> (
             match Certificate.Tally.certificate tl with
             | Some qc ->
-              Process.broadcast ~n
+              Process.broadcast
                 (Commit_bcast { phase = j; value = v; level = j; qc })
             | None -> [])
           | [] -> [])
@@ -486,7 +490,7 @@ struct
           Certificate.share st.pki st.secret ~purpose:finalize_purpose
             ~payload:(phased_payload j v)
         in
-        [ (Decide_share { phase = j; value = v; share }, lead) ]
+        [ Process.Unicast (Decide_share { phase = j; value = v; share }, lead) ]
       | None -> [])
     | 4 ->
       if am_leader then begin
@@ -500,7 +504,7 @@ struct
         | (v, tl) :: _ -> (
           match Certificate.Tally.certificate tl with
           | Some qc ->
-            Process.broadcast ~n (Finalized { phase = j; value = v; qc })
+            Process.broadcast (Finalized { phase = j; value = v; qc })
           | None -> [])
         | [] -> []
       end
@@ -518,7 +522,7 @@ struct
         (* Lines 25–29: adopt a valid fallback output, else ⊥. *)
         st.decision <- Some (if st.validate fv then Value fv else Bot)
       | _ -> ());
-      Fallback_intf.lift (fun m -> Fb m) sends
+      Process.map (fun m -> Fb m) sends
 
   (* The event-driven wake query. Below [help_base] the only inbox-free
      action is the phase leader's proposal at offset 0 (offsets 1–4 emit
@@ -574,7 +578,7 @@ struct
               Certificate.share st.pki st.secret ~purpose:helpreq_purpose
                 ~payload:""
             in
-            out := Process.broadcast ~n:cfg.Config.n (Help_req { sg })
+            out := Process.broadcast (Help_req { sg })
           end;
           if rel = hb + 1 then begin
             out := st.help_answers @ !out;
@@ -585,7 +589,7 @@ struct
               | Some qc ->
                 st.fb_sched <- Some (slot + 2);
                 out :=
-                  Process.broadcast ~n:cfg.Config.n
+                  Process.broadcast
                     (Fallback_cert { qc; decision = st.decide_proof })
                   @ !out
               | None -> ()
@@ -606,7 +610,7 @@ struct
               match st.decide_proof with Some p -> Some p | None -> st.bu_proof
             in
             out :=
-              Process.broadcast ~n:cfg.Config.n (Fallback_cert { qc; decision })
+              Process.broadcast (Fallback_cert { qc; decision })
               @ !out
           | None -> ());
           (match st.fb_sched with

@@ -132,7 +132,7 @@ module Make (V : Mewc_sim.Value.S) (F : Fallback_intf.FALLBACK with type value =
     slot:int ->
     inbox:msg Mewc_sim.Envelope.t list ->
     state ->
-    state * (msg * Mewc_prelude.Pid.t) list
+    state * msg Mewc_sim.Process.send list
 
   val wake : after:int -> state -> int
   (** The {!Mewc_sim.Process.t} next-wake query: the first slot at or after

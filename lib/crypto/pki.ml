@@ -293,10 +293,13 @@ let aggregate_tag t signers ~msg =
 
 (* The threshold signature over exactly the [k] lowest ids of [valid], which
    holds at least [k] signers — kept for determinism by both {!combine} and
-   {!Tally.certificate}. *)
+   {!Tally.certificate}. A set of at most [k] signers is its own lowest [k]:
+   the common case of a quorum met exactly skips the rebuild. *)
 let lowest_k t ~k ~msg valid =
   let signers =
-    Pid.Set.elements valid |> List.filteri (fun i _ -> i < k) |> Pid.Set.of_list
+    if Pid.Set.cardinal valid <= k then valid
+    else
+      Pid.Set.elements valid |> List.filteri (fun i _ -> i < k) |> Pid.Set.of_list
   in
   Tsig.make signers ~count:(max 0 k) (aggregate_tag t signers ~msg)
 

@@ -474,9 +474,8 @@ module Make (V : Value.S) = struct
     match Hashtbl.find_opt st.scratch j with Some sc -> field sc | None -> none
 
   let emit st r =
-    let n = st.cfg.Config.n in
-    let bc body = Process.broadcast ~n { round = r; body } in
-    let to_king j body = [ ({ round = r; body }, king j st.cfg) ] in
+    let bc body = Process.broadcast { round = r; body } in
+    let to_king j body = [ Process.Unicast ({ round = r; body }, king j st.cfg) ] in
     match st.decision with
     | Some value ->
       if st.announced then []

@@ -120,7 +120,7 @@ module Make (V : Mewc_sim.Value.S) : sig
     slot:int ->
     inbox:msg Mewc_sim.Envelope.t list ->
     state ->
-    state * (msg * Mewc_prelude.Pid.t) list
+    state * msg Mewc_sim.Process.send list
   (** Receive [inbox], then, at a round boundary, ingest every buffered
       earlier round and emit this round's messages. *)
 

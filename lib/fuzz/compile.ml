@@ -121,7 +121,7 @@ let adversary (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
   let echo ~shift view =
     take cap
       (List.map
-         (fun e -> (e.Envelope.msg, (e.Envelope.dst + shift) mod n))
+         (fun e -> Process.Unicast (e.Envelope.msg, (e.Envelope.dst + shift) mod n))
          (Adversary.correct_outgoing view))
   in
   let byz_step ~pid view =
@@ -131,18 +131,18 @@ let adversary (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
       match c.Scenario.behavior with
       | Scenario.Silent -> []
       | Scenario.Selective_silence { drop_mod; drop_rem } ->
-        List.filter
-          (fun (_, dst) -> dst mod drop_mod <> drop_rem)
+        Process.filter ~n
+          (fun _ dst -> dst mod drop_mod <> drop_rem)
           (honest_sends ~pid view)
       | Scenario.Withhold_quorum { keep } ->
-        List.filter
-          (fun (_, dst) -> dst < keep || Pid.equal dst pid)
+        Process.filter ~n
+          (fun _ dst -> dst < keep || Pid.equal dst pid)
           (honest_sends ~pid view)
       | Scenario.Equivocate { salt } ->
         let h = honest_sends ~pid view in
         let a = alt_sends ~pid ~salt view in
-        List.filter (fun (_, dst) -> dst mod 2 = 0) h
-        @ List.filter (fun (_, dst) -> dst mod 2 = 1) a
+        Process.filter ~n (fun _ dst -> dst mod 2 = 0) h
+        @ Process.filter ~n (fun _ dst -> dst mod 2 = 1) a
       | Scenario.Rushing_echo { shift } -> echo ~shift view
       | Scenario.Replay_stale { delay } ->
         let buf =
@@ -157,7 +157,10 @@ let adversary (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
         buf := (slot, (Adversary.inboxes view).(pid)) :: take 8 !buf;
         (match List.assoc_opt (slot - delay) !buf with
         | Some envs ->
-          take cap (List.map (fun e -> (e.Envelope.msg, e.Envelope.src)) envs)
+          take cap
+            (List.map
+               (fun e -> Process.Unicast (e.Envelope.msg, e.Envelope.src))
+               envs)
         | None -> [])
       | Scenario.Spray { intensity } ->
         let base =

@@ -15,7 +15,7 @@ let correct_outgoing v = Lazy.force v.correct_outgoing
 type ('s, 'm) t = {
   name : string;
   corrupt : ('s, 'm) view -> Mewc_prelude.Pid.t list;
-  byz_step : pid:Mewc_prelude.Pid.t -> ('s, 'm) view -> ('m * Mewc_prelude.Pid.t) list;
+  byz_step : pid:Mewc_prelude.Pid.t -> ('s, 'm) view -> 'm Process.send list;
 }
 
 type ('s, 'm) factory =

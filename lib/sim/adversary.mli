@@ -23,8 +23,9 @@ type ('s, 'm) view = {
   inboxes : 'm Envelope.t list array Lazy.t;
       (** what each process received this slot *)
   correct_outgoing : 'm Envelope.t list Lazy.t;
-      (** messages correct processes send in this slot — empty during the
-          corruption decision, populated for Byzantine steps (rushing) *)
+      (** messages correct processes send in this slot, one envelope per
+          destination ({!Process.expand}) — empty during the corruption
+          decision, populated for Byzantine steps (rushing) *)
 }
 (** The engine hands out defensive copies of its arrays so an adversary can
     never mutate the run from under it — but the copies are {e lazy}: an
@@ -46,7 +47,7 @@ type ('s, 'm) t = {
   corrupt : ('s, 'm) view -> Mewc_prelude.Pid.t list;
       (** Called once per slot before correct processes step: processes to
           corrupt now. The engine enforces the cumulative budget [t]. *)
-  byz_step : pid:Mewc_prelude.Pid.t -> ('s, 'm) view -> ('m * Mewc_prelude.Pid.t) list;
+  byz_step : pid:Mewc_prelude.Pid.t -> ('s, 'm) view -> 'm Process.send list;
       (** Called once per slot for each corrupted process, after correct
           processes have stepped. Returns the messages that process sends. *)
 }

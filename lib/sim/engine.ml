@@ -91,7 +91,7 @@ let mincr meters get =
 
 type ('s, 'm) step_out =
   | Skipped
-  | Stepped of 's * ('m * Pid.t) list
+  | Stepped of 's * 'm Process.send list
   | Failed of exn
 
 let compute_active_steps ws ~pids ~count ~step_one results =
@@ -221,6 +221,10 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     Trace.record trace ev;
     List.iter (fun m -> m.Monitor.on_event ev) monitors
   in
+  let emit_broadcast b =
+    Trace.record_broadcast trace b;
+    Monitor.broadcast monitors b
+  in
   let prev_decided = Array.make n None in
   let next_id = ref 0 in
   (* Flat per-process pools, appended in post order (oldest first) and
@@ -310,7 +314,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
      emission, delayed buckets) happens here, on the main domain, in post
      order. A send's word count and fault fate are pure functions of the
      message and its per-sender index [seq]. *)
-  let post ~slot ~src ~seq (msg, dst) =
+  let post_one ~slot ~src ~seq msg dst =
     if not (Pid.is_valid ~n dst) then
       invalid_arg
         (Printf.sprintf "Engine.run: p%d sent a message to unknown process %d"
@@ -362,6 +366,58 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
         pool_push dst id envelope;
         pool_push dst id envelope;
         mark_dirty dst)
+  in
+  (* A broadcast without a fault plan: the [n] posts of its copies in pid
+     order — ids [id .. id + n − 1], the self copy free — with the word
+     count, meter charge, counters and monitor call made once. Under a
+     plan each copy has its own fate and [Link_fault] events interleave
+     with the sends, so the copies are posted one by one. *)
+  let post_broadcast ~slot ~src msg =
+    let word_count = words msg in
+    let byzantine = corrupted.(src) in
+    Meter.charge_all meter ~byzantine ~src ~n ~words:word_count;
+    (match meters with
+    | None -> ()
+    | Some m ->
+      Mewc_obs.Metrics.add m.messages_c n;
+      Mewc_obs.Metrics.add m.words_c (n * word_count);
+      slot_words := !slot_words + (n * word_count));
+    let id = !next_id in
+    next_id := id + n;
+    if observing then
+      emit_broadcast
+        {
+          Trace.first_id = id;
+          src;
+          n;
+          sent_at = slot;
+          msg;
+          byzantine_sender = byzantine;
+          words = word_count;
+          parents = inbox_ids.(src);
+        };
+    for dst = 0 to n - 1 do
+      pool_push dst (id + dst) { Envelope.src; dst; sent_at = slot; msg };
+      mark_dirty dst
+    done
+  in
+  (* [seq] runs over the sends as {!Process.expand} lists them. *)
+  let post_all ~slot (src, sends) =
+    let seq = ref 0 in
+    List.iter
+      (function
+        | Process.Unicast (msg, dst) ->
+          post_one ~slot ~src ~seq:!seq msg dst;
+          incr seq
+        | Process.Broadcast msg when Option.is_none faults_rt ->
+          post_broadcast ~slot ~src msg;
+          seq := !seq + n
+        | Process.Broadcast msg ->
+          for dst = 0 to n - 1 do
+            post_one ~slot ~src ~seq:(!seq + dst) msg dst
+          done;
+          seq := !seq + n)
+      sends
   in
   let step_results = Array.make n Skipped in
   (* The wake calendar: one bucket per slot, each an intrusive doubly linked
@@ -576,7 +632,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
            (fun (src, sends) ->
              List.map
                (fun (msg, dst) -> { Envelope.src; dst; sent_at = slot; msg })
-               sends)
+               (Process.expand ~n sends))
            correct_sends)
     in
     (* 3. Byzantine processes step, seeing this slot's correct sends. A step
@@ -596,11 +652,8 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
        process never reaches the correct step phase, so the two groups
        never share a key. *)
     timed Profile.Engine "engine.post" (fun () ->
-        let post_all (src, sends) =
-          List.iteri (fun seq m -> post ~slot ~src ~seq m) sends
-        in
-        List.iter post_all correct_sends;
-        List.iter post_all byz_sends);
+        List.iter (post_all ~slot) correct_sends;
+        List.iter (post_all ~slot) byz_sends);
     (* Restore the all-empty inbox invariant for the next slot. *)
     for i = 0 to n_delivered - 1 do
       let p = delivered.(i) in

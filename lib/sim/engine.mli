@@ -9,7 +9,11 @@
     + the adversary, seeing everything — including this slot's correct
       sends — produces the corrupted processes' sends (rushing);
     + the meter charges each send to its sender's class, and all sends are
-      queued for delivery at the next slot.
+      queued for delivery at the next slot. A {!Process.Broadcast} is
+      exactly its [n] unicasts in pid order; without a fault plan it is
+      posted once — one word count, one meter charge, one
+      {!Monitor.t.on_broadcast} per monitor — and under a plan as its [n]
+      copies, each with its own fate.
 
     Synchronous protocols are clock-driven, so a run executes exactly
     [horizon] slots; silent processes cost nothing, hence running past a

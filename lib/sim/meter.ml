@@ -18,7 +18,7 @@ type series = { mutable rows : int array }
 let fields = 4
 let series capacity = { rows = Array.make (capacity * fields) 0 }
 
-let bump s ix ~byzantine ~words =
+let bump s ix ~byzantine ~words ~messages =
   if ix < 0 then invalid_arg "Meter.charge: negative slot or pid";
   let need = (ix + 1) * fields in
   if need > Array.length s.rows then begin
@@ -28,7 +28,7 @@ let bump s ix ~byzantine ~words =
   end;
   let o = (ix * fields) + if byzantine then 2 else 0 in
   s.rows.(o) <- s.rows.(o) + words;
-  s.rows.(o + 1) <- s.rows.(o + 1) + 1
+  s.rows.(o + 1) <- s.rows.(o + 1) + messages
 
 let rows_len s = Array.length s.rows / fields
 
@@ -53,24 +53,33 @@ let begin_slot m ~slot =
   m.current_slot <- slot;
   if slot > m.max_slot then m.max_slot <- slot
 
+(* [messages] copies of [words] words each, all from [src]. *)
+let add m ~byzantine ~src ~words ~messages =
+  let total = words * messages in
+  bump m.per_slot m.current_slot ~byzantine ~words:total ~messages;
+  bump m.per_process src ~byzantine ~words:total ~messages;
+  if m.current_slot > m.max_slot then m.max_slot <- m.current_slot;
+  let c = m.totals in
+  if byzantine then begin
+    c.byz_words <- c.byz_words + total;
+    c.byz_messages <- c.byz_messages + messages
+  end
+  else begin
+    c.words <- c.words + total;
+    c.messages <- c.messages + messages
+  end
+
 let charge m ~byzantine ~src ~dst ~words =
   if words < 1 then invalid_arg "Meter.charge: each message is at least 1 word";
   if src = dst then false (* self-addressed: crosses no link, free *)
   else begin
-    bump m.per_slot m.current_slot ~byzantine ~words;
-    bump m.per_process src ~byzantine ~words;
-    if m.current_slot > m.max_slot then m.max_slot <- m.current_slot;
-    let c = m.totals in
-    if byzantine then begin
-      c.byz_words <- c.byz_words + words;
-      c.byz_messages <- c.byz_messages + 1
-    end
-    else begin
-      c.words <- c.words + words;
-      c.messages <- c.messages + 1
-    end;
+    add m ~byzantine ~src ~words ~messages:1;
     true
   end
+
+let charge_all m ~byzantine ~src ~n ~words =
+  if words < 1 then invalid_arg "Meter.charge: each message is at least 1 word";
+  if n > 1 then add m ~byzantine ~src ~words ~messages:(n - 1)
 
 let correct_words m = m.totals.words
 let correct_messages m = m.totals.messages

@@ -36,6 +36,13 @@ val charge :
     Both series are flat arrays indexed by slot and by pid, so a charge
     allocates nothing beyond the occasional doubling of a series. *)
 
+val charge_all :
+  t -> byzantine:bool -> src:Mewc_prelude.Pid.t -> n:int -> words:int -> unit
+(** Account a broadcast of one [words]-word message from [src] to all [n]
+    processes: exactly the [n] {!charge}s of its copies, in one update. The
+    [n − 1] copies to other processes are charged; the self copy is free.
+    Raises [Invalid_argument] as {!charge} does. *)
+
 val correct_words : t -> int
 val correct_messages : t -> int
 val byzantine_words : t -> int

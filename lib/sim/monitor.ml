@@ -11,21 +11,66 @@ type 'm t = {
   name : string;
   severity : severity;
   on_event : 'm Trace.event -> unit;
+  on_broadcast : 'm Trace.broadcast -> (int * violation) option;
   on_finish : slots:int -> unit;
 }
 
-let make ~name ?(severity = Safety) ?on_event ?on_finish () =
-  let violate ~slot reason = raise (Violation { monitor = name; slot; reason }) in
+exception Copy_violation of int * violation
+
+let make ~name ?(severity = Safety) ?on_event ?on_broadcast ?on_finish () =
+  let violation ~slot reason = { monitor = name; slot; reason } in
+  let violate ~slot reason = raise (Violation (violation ~slot reason)) in
+  let on_event =
+    match on_event with None -> fun _ -> () | Some f -> f ~violate
+  in
   {
     name;
     severity;
-    on_event =
-      (match on_event with None -> fun _ -> () | Some f -> f ~violate);
+    on_event;
+    on_broadcast =
+      (match on_broadcast with
+      | Some f -> (
+        let violate ~copy ~slot reason =
+          raise (Copy_violation (copy, violation ~slot reason))
+        in
+        fun b ->
+          match f ~violate b with
+          | () -> None
+          | exception Copy_violation (copy, v) -> Some (copy, v))
+      | None -> (
+        fun b ->
+          let copy = ref 0 in
+          match
+            Trace.iter_broadcast
+              (fun s ->
+                on_event (Trace.Send s);
+                incr copy)
+              b
+          with
+          | () -> None
+          | exception Violation v -> Some (!copy, v)));
     on_finish =
       (match on_finish with
       | None -> fun ~slots:_ -> ()
       | Some f -> f ~violate);
   }
+
+(* For the monitors that read no sends. *)
+let ignore_broadcast ~violate:_ (_ : _ Trace.broadcast) = ()
+
+(* The violation the copies' [Send] events would have raised: the earliest
+   copy's, and the first monitor's at a tie. *)
+let earliest monitors b =
+  List.fold_left
+    (fun first m ->
+      match (m.on_broadcast b, first) with
+      | None, _ -> first
+      | Some (copy, _), Some (c, _) when copy >= c -> first
+      | v, _ -> v)
+    None monitors
+
+let broadcast monitors b =
+  Option.iter (fun (_, v) -> raise (Violation v)) (earliest monitors b)
 
 let split ms = List.partition (fun m -> m.severity = Safety) ms
 
@@ -36,6 +81,7 @@ let all monitors =
       (if List.exists (fun m -> m.severity = Safety) monitors then Safety
        else Liveness);
     on_event = (fun ev -> List.iter (fun m -> m.on_event ev) monitors);
+    on_broadcast = earliest monitors;
     on_finish = (fun ~slots -> List.iter (fun m -> m.on_finish ~slots) monitors);
   }
 
@@ -67,7 +113,7 @@ let corruption_budget ~cfg =
   let seen = Hashtbl.create 8 in
   let count = ref 0 in
   let current_slot = ref 0 in
-  make ~name:"corruption-budget"
+  make ~name:"corruption-budget" ~on_broadcast:ignore_broadcast
     ~on_event:(fun ~violate -> function
       | Trace.Slot_start s -> current_slot := s
       | Trace.Corruption { slot; pid; f } ->
@@ -94,7 +140,7 @@ let corruption_budget ~cfg =
 let agreement () =
   let decided : (int, string) Hashtbl.t = Hashtbl.create 8 in
   let first : (int * string) option ref = ref None in
-  make ~name:"agreement"
+  make ~name:"agreement" ~on_broadcast:ignore_broadcast
     ~on_event:(fun ~violate -> function
       | Trace.Decision { slot; pid; value; _ } -> (
         (match Hashtbl.find_opt decided pid with
@@ -119,7 +165,7 @@ let termination ~cfg =
      guarantee under the stressed model. *)
   let decided = Hashtbl.create 8 in
   let exempt = Hashtbl.create 8 in
-  make ~name:"termination" ~severity:Liveness
+  make ~name:"termination" ~severity:Liveness ~on_broadcast:ignore_broadcast
     ~on_event:(fun ~violate:_ -> function
       | Trace.Corruption { pid; _ } -> Hashtbl.replace exempt pid ()
       | Trace.Process_fault { pid; _ } -> Hashtbl.replace exempt pid ()
@@ -153,13 +199,28 @@ let word_bound ~name ~bound =
           check ~violate ~slot:envelope.Envelope.sent_at
         end
       | _ -> ())
+    ~on_broadcast:(fun ~violate (b : _ Trace.broadcast) ->
+      if b.n > 1 && not b.byzantine_sender then begin
+        (* The n − 1 charged copies at once. Past the bound, stop at the
+           copy that crossed it, as the per-copy check would have. *)
+        let before = !words and w = b.words in
+        let bnd = bound ~f:!f in
+        if before + ((b.n - 1) * w) <= bnd then words := before + ((b.n - 1) * w)
+        else begin
+          let k = if w <= 0 then 1 else (max 0 (bnd - before) / w) + 1 in
+          words := before + (k * w);
+          (* The k-th charged copy: pids below the sender, then above. *)
+          let copy = if k <= b.src then k - 1 else k in
+          check ~violate:(violate ~copy) ~slot:b.sent_at
+        end
+      end)
     ~on_finish:(fun ~violate ~slots -> check ~violate ~slot:slots)
     ()
 
 let early_termination ~name ~bound =
   let f = ref 0 in
   let last_decision = ref None in
-  make ~name ~severity:Liveness
+  make ~name ~severity:Liveness ~on_broadcast:ignore_broadcast
     ~on_event:(fun ~violate:_ -> function
       | Trace.Corruption { f = f'; _ } -> f := f'
       | Trace.Decision { slot; _ } -> (
@@ -182,6 +243,9 @@ let early_termination ~name ~bound =
    beyond a fresh chunk every [chunk_sends] sends. *)
 let chunk_sends = 1024
 
+(* The destination column of a row that stands for a whole broadcast. *)
+let broadcast_row = -1
+
 let cone_words_bound ~cfg ~name ?(check_every = 1) ~bound () =
   if check_every < 1 then invalid_arg "cone_words_bound: check_every < 1";
   let n = cfg.Config.n in
@@ -196,7 +260,35 @@ let cone_words_bound ~cfg ~name ?(check_every = 1) ~bound () =
   (* Counted words over the whole run so far. *)
   let total = ref 0 in
   let decisions_seen = ref 0 in
+  let push ~src ~dst ~sent_at ~counted =
+    if !fill = chunk_sends then begin
+      full := !current :: !full;
+      current := Array.make (4 * chunk_sends) 0;
+      fill := 0
+    end;
+    let c = !current and o = 4 * !fill in
+    c.(o) <- src;
+    c.(o + 1) <- dst;
+    c.(o + 2) <- sent_at;
+    c.(o + 3) <- counted;
+    incr fill
+  in
+  (* A [frontier] entry at least this covers a delivery at [slot]; the
+     receivers of a broadcast row are every pid. *)
+  let covering frontier slot =
+    let k = ref 0 in
+    for q = 0 to Array.length frontier - 1 do
+      if frontier.(q) >= slot then incr k
+    done;
+    !k
+  in
   make ~name
+    ~on_broadcast:(fun ~violate:_ (b : _ Trace.broadcast) ->
+      (* One row for the n copies: destination [broadcast_row], and the
+         words of one charged copy. *)
+      let counted = if b.byzantine_sender then 0 else b.words in
+      total := !total + ((b.n - 1) * counted);
+      push ~src:b.src ~dst:broadcast_row ~sent_at:b.sent_at ~counted)
     ~on_event:(fun ~violate -> function
       | Trace.Corruption { f = f'; _ } -> f := f'
       | Trace.Send
@@ -211,17 +303,7 @@ let cone_words_bound ~cfg ~name ?(check_every = 1) ~bound () =
            correct processes count words — the paper's measure. *)
         let counted = if charged && not byzantine_sender then words else 0 in
         total := !total + counted;
-        if !fill = chunk_sends then begin
-          full := !current :: !full;
-          current := Array.make (4 * chunk_sends) 0;
-          fill := 0
-        end;
-        let c = !current and o = 4 * !fill in
-        c.(o) <- src;
-        c.(o + 1) <- dst;
-        c.(o + 2) <- sent_at;
-        c.(o + 3) <- counted;
-        incr fill
+        push ~src ~dst ~sent_at ~counted
       | Trace.Decision { slot; pid; _ } ->
         incr decisions_seen;
         let b =
@@ -246,8 +328,23 @@ let cone_words_bound ~cfg ~name ?(check_every = 1) ~bound () =
           let walk c upto =
             for i = upto - 1 downto 0 do
               let o = 4 * i in
-              let src = c.(o) and sent_at = c.(o + 2) in
-              if sent_at + 1 <= frontier.(c.(o + 1)) then begin
+              let src = c.(o) and dst = c.(o + 1) and sent_at = c.(o + 2) in
+              if dst = broadcast_row then begin
+                (* The copies of a broadcast share a sent slot, so pulling
+                   the sender's frontier back to it admits none of them:
+                   the frontiers before the row settle all n. The self
+                   copy is in the cone iff the sender's frontier covers
+                   it, and it counts no words. *)
+                let inside = covering frontier (sent_at + 1) in
+                if inside > 0 then begin
+                  let charged =
+                    if frontier.(src) >= sent_at + 1 then inside - 1 else inside
+                  in
+                  cone_words := !cone_words + (charged * c.(o + 3));
+                  if sent_at > frontier.(src) then frontier.(src) <- sent_at
+                end
+              end
+              else if sent_at + 1 <= frontier.(dst) then begin
                 cone_words := !cone_words + c.(o + 3);
                 if sent_at > frontier.(src) then frontier.(src) <- sent_at
               end
@@ -269,7 +366,24 @@ let metering () =
   (* Indexed by pid, grown on demand: the monitor never learns n. *)
   let corrupted = ref [||] in
   let is_corrupted p = p >= 0 && p < Array.length !corrupted && !corrupted.(p) in
+  let check_flag ~violate ~src ~sent_at byzantine_sender =
+    let byz = is_corrupted src in
+    if byz <> byzantine_sender then
+      violate ~slot:sent_at
+        (Printf.sprintf
+           "p%d is %scorrupted but its send is flagged %sbyzantine" src
+           (if byz then "" else "not ")
+           (if byzantine_sender then "" else "not "))
+  in
   make ~name:"metering"
+    ~on_broadcast:(fun ~violate (b : _ Trace.broadcast) ->
+      (* Every copy is charged but the self copy, by construction; the
+         word and flag checks fail at the first copy if at all. *)
+      if b.words < 1 then
+        violate ~copy:0 ~slot:b.sent_at
+          (Printf.sprintf "p%d -> p%d carries %d words (< 1)" b.src 0 b.words);
+      check_flag ~violate:(violate ~copy:0) ~src:b.src ~sent_at:b.sent_at
+        b.byzantine_sender)
     ~on_event:(fun ~violate -> function
       | Trace.Corruption { pid; _ } ->
         if pid >= Array.length !corrupted then begin
@@ -289,12 +403,6 @@ let metering () =
         if src <> dst && not charged then
           violate ~slot:sent_at
             (Printf.sprintf "p%d -> p%d crossed a link uncharged" src dst);
-        let byz = is_corrupted src in
-        if byz <> byzantine_sender then
-          violate ~slot:sent_at
-            (Printf.sprintf
-               "p%d is %scorrupted but its send is flagged %sbyzantine" src
-               (if byz then "" else "not ")
-               (if byzantine_sender then "" else "not "))
+        check_flag ~violate ~src ~sent_at byzantine_sender
       | _ -> ())
     ()

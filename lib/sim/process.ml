@@ -1,7 +1,8 @@
+type 'm send = Unicast of 'm * Mewc_prelude.Pid.t | Broadcast of 'm
+
 type ('s, 'm) t = {
   init : 's;
-  step :
-    slot:int -> inbox:'m Envelope.t list -> 's -> 's * ('m * Mewc_prelude.Pid.t) list;
+  step : slot:int -> inbox:'m Envelope.t list -> 's -> 's * 'm send list;
   wake : (after:int -> 's -> int) option;
 }
 
@@ -13,12 +14,31 @@ let next_boundary ~start ~period ~after =
     let late = (after - start) mod period in
     if late = 0 then after else after + period - late
 
-let broadcast ~n msg = List.init n (fun p -> (msg, p))
+let broadcast msg = [ Broadcast msg ]
 
 let broadcast_others ~n ~self msg =
   List.filter_map
-    (fun p -> if p = self then None else Some (msg, p))
+    (fun p -> if p = self then None else Some (Unicast (msg, p)))
     (Mewc_prelude.Pid.all ~n)
+
+let expand ~n sends =
+  List.concat_map
+    (function
+      | Unicast (msg, dst) -> [ (msg, dst) ]
+      | Broadcast msg -> List.init n (fun p -> (msg, p)))
+    sends
+
+let filter ~n keep sends =
+  List.filter_map
+    (fun (msg, dst) -> if keep msg dst then Some (Unicast (msg, dst)) else None)
+    (expand ~n sends)
+
+let map f sends =
+  List.map
+    (function
+      | Unicast (msg, dst) -> Unicast (f msg, dst)
+      | Broadcast msg -> Broadcast (f msg))
+    sends
 
 let silent init =
   {

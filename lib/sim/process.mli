@@ -8,12 +8,21 @@
     [s + 1]. A paper "round" is a single slot; the fallback's δ' = 2δ rounds
     span two slots. *)
 
+type 'm send =
+  | Unicast of 'm * Mewc_prelude.Pid.t  (** one message to one process *)
+  | Broadcast of 'm
+      (** one message to all [n] processes, the sender included. It means
+          exactly the [n] unicasts to [0 … n−1] in pid order: the same
+          envelope ids, per-sender send indices, fault fates, meter rows,
+          trace events and delivery order. The engine posts it once (one
+          word count, one meter charge, one monitor call) where that is
+          observably the same. *)
+
 type ('s, 'm) t = {
   init : 's;
-  step :
-    slot:int -> inbox:'m Envelope.t list -> 's -> 's * ('m * Mewc_prelude.Pid.t) list;
+  step : slot:int -> inbox:'m Envelope.t list -> 's -> 's * 'm send list;
       (** [step ~slot ~inbox state] returns the new state and the messages
-          to send, as [(payload, destination)] pairs. The inbox holds
+          to send. The inbox holds
           everything delivered at the start of [slot] (i.e. sent during
           [slot - 1]), in arrival order. *)
   wake : (after:int -> 's -> int) option;
@@ -48,13 +57,25 @@ val next_boundary : start:int -> period:int -> after:int -> int
     [k >= 0] ([period >= 1]): the next round boundary of a machine that
     acts every [period] slots from [start]. *)
 
-val broadcast : n:int -> 'm -> ('m * Mewc_prelude.Pid.t) list
-(** [broadcast ~n msg] addresses [msg] to all [n] processes (including the
-    sender itself; self-delivery is free of charge and arrives next slot
-    like any other message). *)
+val broadcast : 'm -> 'm send list
+(** [broadcast msg] addresses [msg] to every process, the sender included
+    ([[Broadcast msg]]; self-delivery is free of charge and arrives next
+    slot like any other message). *)
 
-val broadcast_others : n:int -> self:Mewc_prelude.Pid.t -> 'm -> ('m * Mewc_prelude.Pid.t) list
-(** Same, excluding the sender. *)
+val broadcast_others : n:int -> self:Mewc_prelude.Pid.t -> 'm -> 'm send list
+(** [msg] to every process but the sender, as [n − 1] unicasts. *)
+
+val expand : n:int -> 'm send list -> ('m * Mewc_prelude.Pid.t) list
+(** The sends as [(message, destination)] pairs, a broadcast as its [n]
+    copies in pid order: the one place that turns sends into per-destination
+    pairs. Code that reads or filters destinations expands first. *)
+
+val filter :
+  n:int -> ('m -> Mewc_prelude.Pid.t -> bool) -> 'm send list -> 'm send list
+(** The unicasts of {!expand} that [keep msg dst] accepts, in order. *)
+
+val map : ('a -> 'b) -> 'a send list -> 'b send list
+(** Rewrap every send's message, keeping its addressing. *)
 
 val silent : 's -> ('s, 'm) t
 (** A machine that never sends anything (used for crashed processes). Its

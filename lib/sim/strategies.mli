@@ -14,14 +14,16 @@ val deviant :
     (slot:int ->
     pid:Mewc_prelude.Pid.t ->
     inbox:'m Envelope.t list ->
-    ('m * Mewc_prelude.Pid.t) list ->
-    ('m * Mewc_prelude.Pid.t) list) ->
+    'm Process.send list ->
+    'm Process.send list) ->
   ('s, 'm) Adversary.t
 (** Corrupts [victims] at slot 0. Each corrupted process privately runs
     [machine pid] — typically the honest protocol, possibly with different
     parameters — and its outgoing messages pass through [mangle] before
     hitting the network; [mangle] also sees the process's inbox, so it can
-    censor, rewrite or inject messages based on what was heard. The
+    censor, rewrite or inject messages based on what was heard. A mangle
+    that keeps or drops sends by destination goes through {!Process.filter}
+    (or {!Process.expand}), which lists a broadcast as its [n] copies. The
     adversary's internal states are independent of the engine's ['s] states
     (which belong to correct processes). *)
 
@@ -32,7 +34,7 @@ val scripted :
     (slot:int ->
     pid:Mewc_prelude.Pid.t ->
     inbox:'m Envelope.t list ->
-    ('m * Mewc_prelude.Pid.t) list) ->
+    'm Process.send list) ->
   ('s, 'm) Adversary.t
 (** Corrupts [victims] at slot 0 and drives them with a stateless-per-slot
     script over their inboxes (close over refs for stateful attacks). *)

@@ -1,5 +1,16 @@
 module Jsonx = Mewc_prelude.Jsonx
 
+type 'm broadcast = {
+  first_id : int;
+  src : Mewc_prelude.Pid.t;
+  n : int;
+  sent_at : int;
+  msg : 'm;
+  byzantine_sender : bool;
+  words : int;
+  parents : int list;
+}
+
 type 'm send = {
   id : int;
   envelope : 'm Envelope.t;
@@ -8,6 +19,21 @@ type 'm send = {
   charged : bool;
   parents : int list;
 }
+
+let broadcast_send b dst =
+  {
+    id = b.first_id + dst;
+    envelope = { Envelope.src = b.src; dst; sent_at = b.sent_at; msg = b.msg };
+    byzantine_sender = b.byzantine_sender;
+    words = b.words;
+    charged = dst <> b.src;
+    parents = b.parents;
+  }
+
+let iter_broadcast f b =
+  for dst = 0 to b.n - 1 do
+    f (broadcast_send b dst)
+  done
 
 type 'm event =
   | Slot_start of int
@@ -60,6 +86,9 @@ let record t ev =
     t.count <- t.count + 1;
     t.forward <- None
   end
+
+let record_broadcast t b =
+  if t.enabled then iter_broadcast (fun s -> record t (Send s)) b
 
 let events t =
   match t.forward with

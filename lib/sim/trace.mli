@@ -9,6 +9,20 @@
     narratives rather than bare seeds, and serialize to JSON/CSV for
     offline analysis ([mewc trace], [BENCH_observability.json]). *)
 
+type 'm broadcast = {
+  first_id : int;  (** the copy to [dst] has envelope id [first_id + dst] *)
+  src : Mewc_prelude.Pid.t;
+  n : int;  (** copies: one to each of the processes [0 … n−1] *)
+  sent_at : int;
+  msg : 'm;
+  byzantine_sender : bool;
+  words : int;  (** word cost of one copy *)
+  parents : int list;  (** shared by every copy *)
+}
+(** One {!Process.Broadcast} as the engine posts it when no fault plan is
+    installed: a compact record of its [n] {!Send} events, which have
+    consecutive ids in pid order and are charged except for the self copy. *)
+
 type 'm send = {
   id : int;  (** stable envelope id, assigned in send order by the engine *)
   envelope : 'm Envelope.t;
@@ -20,6 +34,9 @@ type 'm send = {
       (** ids of the messages the sender read in the slot it sent from —
           the direct happens-before predecessors via message edges *)
 }
+
+val iter_broadcast : ('m send -> unit) -> 'm broadcast -> unit
+(** [f] on each copy's [Send] record, in pid order. *)
 
 type 'm event =
   | Slot_start of int  (** a δ-slot begins *)
@@ -73,6 +90,10 @@ val enabled : 'm t -> bool
 
 val record : 'm t -> 'm event -> unit
 (** No-op when the trace is disabled. *)
+
+val record_broadcast : 'm t -> 'm broadcast -> unit
+(** Record the broadcast's [n] [Send] events, in pid order. No-op when the
+    trace is disabled, and then it builds none of them. *)
 
 val events : 'm t -> 'm event list
 (** In chronological order. Memoized: repeated calls between records cost

@@ -306,26 +306,41 @@ let run (type p s m d) (protocol : (p, s, m, d) Mewc_core.Protocol.t)
         state := state';
         incr stepped;
         let deadline = clock.Clock.now () +. delta in
-        List.iteri
-          (fun seq ((msg : m), dst) ->
-            if dst = pid then begin
-              (* Loopback still crosses the codec — the bytes discipline is
-                 uniform — but is never charged or byte-faulted, matching
-                 the engine's free self-delivery. *)
-              match Codec.decode codec (Codec.encode codec msg) with
-              | Ok msg' -> self_pending := (seq, msg') :: !self_pending
-              | Error e ->
-                failwith
-                  (Printf.sprintf "codec round-trip failure on %s: %s" P.name
-                     (Codec.error_to_string e))
-            end
-            else begin
-              words := !words + P.words msg;
-              msgs := !msgs + 1;
-              let payload = Codec.encode codec msg in
-              send_frame ~deadline ~slot:tau ~seq dst
-                { Codec.kind = Codec.Msg; src = pid; dst; slot = tau; seq; payload }
-            end)
+        (* One copy of [msg] as send [seq], from its encoding. *)
+        let send_copy ~seq ~words:w payload dst =
+          if dst = pid then begin
+            (* Loopback still crosses the codec — the bytes discipline is
+               uniform — but is never charged or byte-faulted, matching
+               the engine's free self-delivery. *)
+            match Codec.decode codec payload with
+            | Ok msg' -> self_pending := (seq, msg') :: !self_pending
+            | Error e ->
+              failwith
+                (Printf.sprintf "codec round-trip failure on %s: %s" P.name
+                   (Codec.error_to_string e))
+          end
+          else begin
+            words := !words + w;
+            msgs := !msgs + 1;
+            send_frame ~deadline ~slot:tau ~seq dst
+              { Codec.kind = Codec.Msg; src = pid; dst; slot = tau; seq; payload }
+          end
+        in
+        (* [seq] runs over the sends as [Process.expand] lists them; a
+           broadcast is encoded once for all of its copies. *)
+        let seq = ref 0 in
+        List.iter
+          (function
+            | Process.Unicast (msg, dst) ->
+              send_copy ~seq:!seq ~words:(P.words msg) (Codec.encode codec msg)
+                dst;
+              incr seq
+            | Process.Broadcast msg ->
+              let payload = Codec.encode codec msg and w = P.words msg in
+              for dst = 0 to n - 1 do
+                send_copy ~seq:(!seq + dst) ~words:w payload dst
+              done;
+              seq := !seq + n)
           sends;
         (* The slot this process needs next: the following one if it sent
            anything, else its own timer's (with no wake query, every

@@ -72,8 +72,9 @@ let ds_equivocating_sender () =
           List.concat_map
             (fun p ->
               if p = 0 then []
-              else if p mod 2 = 0 then [ ({ Dolev_strong.value = "a"; chain = chain "a" }, p) ]
-              else [ ({ Dolev_strong.value = "b"; chain = chain "b" }, p) ])
+              else if p mod 2 = 0 then
+                [ Process.Unicast ({ Dolev_strong.value = "a"; chain = chain "a" }, p) ]
+              else [ Process.Unicast ({ Dolev_strong.value = "b"; chain = chain "b" }, p) ])
             (Mewc_prelude.Pid.all ~n)
         end
         else [])

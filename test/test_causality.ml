@@ -237,7 +237,7 @@ let test_monitor_matches_offline () =
    per-decision blow-up the cone monitor exists to catch. *)
 type flood = { heard : int; done_ : bool }
 
-let flood_protocol ~n ~dup pid =
+let flood_protocol ~dup pid =
   ignore pid;
   {
     Process.init = { heard = 0; done_ = false };
@@ -248,12 +248,11 @@ let flood_protocol ~n ~dup pid =
           { heard = st.heard + List.length inbox; done_ = st.done_ || slot >= 2 }
         in
         if slot = 0 then
-          (st, List.concat (List.init dup (fun _ -> Process.broadcast ~n "x")))
+          (st, List.concat (List.init dup (fun _ -> Process.broadcast "x")))
         else (st, []));
   }
 
 let run_flood ~dup ~bound =
-  let n = cfg.Config.n in
   Engine.run ~cfg
     ~options:
       {
@@ -268,7 +267,7 @@ let run_flood ~dup ~bound =
       }
     ~words:(fun _ -> 1)
     ~horizon:3
-    ~protocol:(flood_protocol ~n ~dup)
+    ~protocol:(flood_protocol ~dup)
     ~adversary:(Adversary.honest ~name:"honest")
     ()
 

@@ -352,6 +352,229 @@ let length_o1_and_memo () =
   Trace.record disabled (Trace.Slot_start 0);
   Alcotest.(check int) "disabled records nothing" 0 (Trace.length disabled)
 
+(* ---- a broadcast record ≡ its n copies ---------------------------------
+
+   The engine hands a monitor one [Trace.broadcast] where the trace holds
+   its n [Send] events. Each standard monitor, and their composition, must
+   end in the same violation — or in none — whichever way the broadcast
+   arrives: after a random prefix of slots, corruptions, unicasts and
+   decisions, the broadcast, then a decision and [on_finish]. *)
+
+type op =
+  | Tick
+  | Corrupt of int
+  | Unicast of { src : int; dst : int; words : int; flip : bool }
+  | Decide of int * string
+
+type bcast_case = {
+  n : int;
+  ops : op list;
+  src : int;
+  words : int;
+  byz : bool;  (** the sender is corrupted before the broadcast *)
+  flip : bool;  (** the broadcast's Byzantine flag disagrees with that *)
+  base : int;  (** the word bounds are [base + 3 f] *)
+  decider : int;
+}
+
+let pp_case c =
+  Printf.sprintf "n=%d ops=%d src=%d words=%d byz=%b flip=%b base=%d decider=%d" c.n
+    (List.length c.ops) c.src c.words c.byz c.flip c.base c.decider
+
+(* The case as (prefix, broadcast, suffix, slots). *)
+let materialize c =
+  let slot = ref 0 and id = ref 0 and f = ref 0 in
+  let corrupted = Array.make c.n false in
+  let corrupt p =
+    if not corrupted.(p) then begin
+      corrupted.(p) <- true;
+      incr f
+    end;
+    Trace.Corruption { slot = !slot; pid = p; f = !f }
+  in
+  let parents () = if !id = 0 then [] else [ !id - 1 ] in
+  let of_op = function
+    | Tick ->
+      incr slot;
+      Trace.Slot_start !slot
+    | Corrupt p -> corrupt p
+    | Unicast { src; dst; words; flip } ->
+      let ev =
+        send ~id:!id ~parents:(parents ()) ~words
+          ~byz:(corrupted.(src) <> flip)
+          ~slot:!slot ~src ~dst "u"
+      in
+      incr id;
+      ev
+    | Decide (pid, value) ->
+      Trace.Decision { slot = !slot; pid; value; parents = parents () }
+  in
+  let prefix = Trace.Slot_start 0 :: List.map of_op c.ops in
+  let prefix =
+    if c.byz && not corrupted.(c.src) then prefix @ [ corrupt c.src ] else prefix
+  in
+  let b =
+    {
+      Trace.first_id = !id;
+      src = c.src;
+      n = c.n;
+      sent_at = !slot;
+      msg = "b";
+      byzantine_sender = corrupted.(c.src) <> c.flip;
+      words = c.words;
+      parents = parents ();
+    }
+  in
+  let suffix =
+    [
+      Trace.Slot_start (!slot + 1);
+      Trace.Decision
+        {
+          slot = !slot + 1;
+          pid = c.decider;
+          value = "a";
+          parents = [ b.Trace.first_id + c.decider ];
+        };
+    ]
+  in
+  (prefix, b, suffix, !slot + 2)
+
+let standard_monitors c =
+  let cfg = Config.optimal ~n:c.n in
+  let bound ~f = c.base + (3 * f) in
+  [
+    ("corruption-budget", fun () -> Monitor.corruption_budget ~cfg);
+    ("agreement", fun () -> Monitor.agreement ());
+    ("termination", fun () -> Monitor.termination ~cfg);
+    ("word-bound", fun () -> Monitor.word_bound ~name:"words" ~bound);
+    ("early-termination", fun () -> Monitor.early_termination ~name:"early" ~bound);
+    ("metering", fun () -> Monitor.metering ());
+    ( "cone",
+      fun () -> Monitor.cone_words_bound ~cfg ~name:"cone" ~check_every:1 ~bound () );
+  ]
+
+(* Every standard monitor, then all of them composed. *)
+let monitors_of c =
+  let ms = standard_monitors c in
+  ms @ [ ("all", fun () -> Monitor.all (List.map (fun (_, mk) -> mk ()) ms)) ]
+
+let verdict (m : string Monitor.t) (prefix, b, suffix, slots) ~bulk =
+  match
+    List.iter m.Monitor.on_event prefix;
+    if bulk then Monitor.broadcast [ m ] b
+    else Trace.iter_broadcast (fun s -> m.Monitor.on_event (Trace.Send s)) b;
+    List.iter m.Monitor.on_event suffix;
+    m.Monitor.on_finish ~slots
+  with
+  | () -> None
+  | exception Monitor.Violation v -> Some v
+
+let pp_verdict = function
+  | None -> "none"
+  | Some v -> Format.asprintf "%a" Monitor.pp_violation v
+
+(* The monitors whose verdicts differ between the two deliveries. *)
+let broadcast_mismatches c =
+  let run = materialize c in
+  List.filter_map
+    (fun (name, mk) ->
+      let bulk = verdict (mk ()) run ~bulk:true
+      and copies = verdict (mk ()) run ~bulk:false in
+      if bulk = copies then None
+      else
+        Some
+          (Printf.sprintf "%s: on_broadcast %s, copies %s" name (pp_verdict bulk)
+             (pp_verdict copies)))
+    (monitors_of c)
+
+let gen_bcast_case =
+  QCheck2.Gen.(
+    oneofl [ 3; 5; 7 ] >>= fun n ->
+    let pid = int_bound (n - 1) in
+    let rare = frequency [ (9, return false); (1, return true) ] in
+    let op =
+      frequency
+        [
+          (2, return Tick);
+          (1, map (fun p -> Corrupt p) pid);
+          ( 5,
+            map4
+              (fun src dst words flip -> Unicast { src; dst; words; flip })
+              pid pid (int_range 1 3) rare );
+          (2, map2 (fun p v -> Decide (p, v)) pid (oneofl [ "a"; "b" ]));
+        ]
+    in
+    let* ops = list_size (int_range 0 25) op in
+    let* src = oneof [ return 0; return (n - 1); pid ] in
+    let* words = int_range 1 4 in
+    let* byz = rare in
+    let* flip = rare in
+    let* base = int_range 0 40 in
+    let* decider = pid in
+    return { n; ops; src; words; byz; flip; base; decider })
+
+let qcheck_broadcast_equals_copies =
+  Test_util.qcheck_case ~count:500
+    ~name:"one broadcast record = its n sends, for every monitor"
+    gen_bcast_case (fun c ->
+      match broadcast_mismatches c with
+      | [] -> true
+      | ms ->
+        QCheck2.Test.fail_reportf "%s:\n%s" (pp_case c) (String.concat "\n" ms))
+
+let broadcast_cases () =
+  let check name c ~expect =
+    (match broadcast_mismatches c with
+    | [] -> ()
+    | ms -> Alcotest.failf "%s: %s" name (String.concat "; " ms));
+    (* The pinned cases must reach the path they are about. *)
+    List.iter
+      (fun (monitor, reason) ->
+        let mk = List.assoc monitor (monitors_of c) in
+        match verdict (mk ()) (materialize c) ~bulk:true with
+        | Some v when v.Monitor.reason = reason -> ()
+        | v -> Alcotest.failf "%s: %s gave %s" name monitor (pp_verdict v))
+      expect
+  in
+  let unicast src dst words = Unicast { src; dst; words; flip = false } in
+  let base =
+    { n = 5; ops = []; src = 0; words = 2; byz = false; flip = false; base = 40;
+      decider = 1 }
+  in
+  (* 3 words spent, then 2-word copies against a bound of 6: the second
+     charged copy crosses it, at 7 words. *)
+  check "word bound crossed mid-broadcast"
+    { base with ops = [ unicast 1 2 3 ]; base = 6 }
+    ~expect:[ ("word-bound", "correct senders spent 7 words > bound 6 at f=0") ];
+  check "byzantine sender" { base with byz = true; base = 4 } ~expect:[];
+  check "byzantine flag out of sync" { base with flip = true }
+    ~expect:
+      [ ("metering", "p0 is not corrupted but its send is flagged byzantine") ];
+  (* The word bound crosses at copy 1, the flag check fails at copy 0: the
+     composition raises the latter, as the copies would have. *)
+  check "two monitors in one broadcast"
+    { base with byz = true; flip = true; base = 0; words = 4 }
+    ~expect:[ ("all", "p0 is corrupted but its send is flagged not byzantine") ];
+  check "src = n - 1" { base with src = 4; base = 3 }
+    ~expect:[ ("word-bound", "correct senders spent 4 words > bound 3 at f=0") ];
+  (* Cone passes over a broadcast row. p0's broadcast reaches the decider
+     p2 and pulls in p3 -> p0 and, through it, p1 -> p3: 2 + 1 + 2 words. *)
+  check "cone over a broadcast row, src = 0"
+    { base with ops = [ unicast 1 3 2; Tick; unicast 3 0 1; Tick ]; base = 2;
+      decider = 2 }
+    ~expect:
+      [ ("cone", "p2's decision has a causal cone of 5 words > bound 2 at f=0") ];
+  check "cone over a broadcast row, src = n - 1"
+    { base with ops = [ unicast 2 4 3; Tick; Decide (0, "a"); Tick ]; src = 4;
+      base = 4; decider = 0 }
+    ~expect:
+      [ ("cone", "p0's decision has a causal cone of 5 words > bound 4 at f=0") ];
+  (* The decider's own copy is in its cone but costs nothing: 2 words, not 4. *)
+  check "cone holding the self copy"
+    { base with ops = [ unicast 1 0 2; Tick ]; base = 1; decider = 0 }
+    ~expect:
+      [ ("cone", "p0's decision has a causal cone of 2 words > bound 1 at f=0") ]
+
 let () =
   Alcotest.run "monitor"
     [
@@ -364,6 +587,11 @@ let () =
           Alcotest.test_case "metering" `Quick metering_rejections;
         ] );
       ("acceptance", [ qcheck_zoo_accepted ]);
+      ( "broadcast records",
+        [
+          Alcotest.test_case "pinned cases" `Quick broadcast_cases;
+          qcheck_broadcast_equals_copies;
+        ] );
       ( "trace serialization",
         [
           Alcotest.test_case "json round-trip" `Quick json_round_trip;

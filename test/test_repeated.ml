@@ -222,13 +222,13 @@ let byzantine_proposer ~cfg ~offset ~length :
         wake = None;
       })
     ~mangle:(fun ~slot ~pid:_ ~inbox:_ sends ->
-      (match (!stale, sends) with
+      (match (!stale, Process.expand ~n:cfg.Config.n sends) with
       | None, (m, _) :: _ -> stale := Some m
       | _ -> ());
-      let half = List.filter (fun (_, dst) -> dst mod 2 = 0) sends in
+      let half = Process.filter ~n:cfg.Config.n (fun _ dst -> dst mod 2 = 0) sends in
       match !stale with
       | Some m when slot >= 2 * stride && slot mod 5 = 0 ->
-        half @ Process.broadcast ~n:cfg.Config.n m
+        half @ Process.broadcast m
       | _ -> half)
 
 (* The digest grid: n = 9, every offset in {1, 2, stride/4, stride} under

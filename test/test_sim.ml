@@ -48,8 +48,8 @@ let ping_protocol pid =
         let st =
           { got = st.got @ List.map (fun e -> e.Envelope.sent_at) inbox }
         in
-        if slot = 0 && pid = 0 then (st, [ ("ping", 1) ])
-        else if pid = 1 && inbox <> [] then (st, [ ("pong", 0) ])
+        if slot = 0 && pid = 0 then (st, [ Process.Unicast ("ping", 1) ])
+        else if pid = 1 && inbox <> [] then (st, [ Process.Unicast ("pong", 0) ])
         else (st, []));
   }
 
@@ -73,7 +73,7 @@ let self_sends_free () =
       step =
         (fun ~slot ~inbox st ->
           let st = st + List.length inbox in
-          if slot = 0 then (st, [ ("self", pid) ]) else (st, []));
+          if slot = 0 then (st, [ Process.Unicast ("self", pid) ]) else (st, []));
     }
   in
   let res =
@@ -112,7 +112,7 @@ let rushing_adversary_sees_current_slot () =
       wake = None;
       step =
         (fun ~slot ~inbox:_ st ->
-          if slot = 1 && pid = 0 then (st, [ ("secret", 2) ]) else (st, []));
+          if slot = 1 && pid = 0 then (st, [ Process.Unicast ("secret", 2) ]) else (st, []));
     }
   in
   let adversary =
@@ -160,7 +160,7 @@ let byzantine_words_separate () =
   let protocol _ =
     {
       Process.init = ();
-      step = (fun ~slot ~inbox:_ st -> if slot = 0 then (st, [ ("m", 1) ]) else (st, []));
+      step = (fun ~slot ~inbox:_ st -> if slot = 0 then (st, [ Process.Unicast ("m", 1) ]) else (st, []));
       wake = None;
     }
   in
@@ -170,7 +170,7 @@ let byzantine_words_separate () =
       corrupt = (fun view -> if view.Adversary.slot = 0 then [ 2 ] else []);
       byz_step =
         (fun ~pid:_ view ->
-          if view.Adversary.slot = 0 then [ ("byz", 0); ("byz", 1) ] else []);
+          if view.Adversary.slot = 0 then [ Process.Unicast ("byz", 0); Process.Unicast ("byz", 1) ] else []);
     }
   in
   let res = Engine.run ~cfg ~words:(fun _ -> 1) ~horizon:2 ~protocol ~adversary () in
@@ -183,7 +183,7 @@ let trace_records () =
   let protocol _ =
     {
       Process.init = ();
-      step = (fun ~slot ~inbox:_ st -> if slot = 0 then (st, [ ("m", 1) ]) else (st, []));
+      step = (fun ~slot ~inbox:_ st -> if slot = 0 then (st, [ Process.Unicast ("m", 1) ]) else (st, []));
       wake = None;
     }
   in
@@ -210,7 +210,7 @@ let invalid_destination () =
   let protocol _ =
     {
       Process.init = ();
-      step = (fun ~slot ~inbox:_ st -> if slot = 0 then (st, [ ("m", 99) ]) else (st, []));
+      step = (fun ~slot ~inbox:_ st -> if slot = 0 then (st, [ Process.Unicast ("m", 99) ]) else (st, []));
       wake = None;
     }
   in
@@ -335,7 +335,8 @@ let shuffle_deterministic () =
       step =
         (fun ~slot ~inbox st ->
           let st = st @ List.map (fun e -> e.Envelope.src) inbox in
-          if slot = 0 then (st, List.map (fun p -> (pid, p)) (Mewc_prelude.Pid.all ~n:5))
+          if slot = 0 then
+            (st, List.map (fun p -> Process.Unicast (pid, p)) (Mewc_prelude.Pid.all ~n:5))
           else (st, []));
     }
   in
@@ -406,7 +407,7 @@ let calendar_delivery_moves_timer_earlier () =
      delivery at slot 1 steps p0, whose re-filing moves it to 4. *)
   let log = Array.make 3 [] in
   let timers = function 0 -> [ 10 ] | 1 -> [ 0 ] | _ -> [] in
-  let sends ~pid ~slot = if pid = 1 && slot = 0 then [ (4, 0) ] else [] in
+  let sends ~pid ~slot = if pid = 1 && slot = 0 then [ Process.Unicast (4, 0) ] else [] in
   ignore (run_timers ~horizon:12 (timer_machine ~log ~timers ~sends));
   Alcotest.(check (list int)) "p0" [ 1; 4; 10 ] (steps_of log 0)
 
@@ -420,7 +421,10 @@ let calendar_filed_twice_steps_once () =
       let log = Array.make n [] in
       let timers = function 0 -> [ 5 ] | 1 -> [ 0; 2 ] | p -> [ p; p + 3 ] in
       let sends ~pid ~slot =
-        match (pid, slot) with 1, 0 -> [ (3, 0) ] | 1, 2 -> [ (5, 0) ] | _ -> []
+        match (pid, slot) with
+        | 1, 0 -> [ Process.Unicast (3, 0) ]
+        | 1, 2 -> [ Process.Unicast (5, 0) ]
+        | _ -> []
       in
       let res = run_timers ~n ~shards ~horizon:8 (timer_machine ~log ~timers ~sends) in
       let label what = Printf.sprintf "shards=%d %s" shards what in
@@ -488,7 +492,7 @@ let calendar_dense_oracle_ignores_wake () =
       Faults.processes = [ (2, Faults.Crash_recovery { down_at = 2; up_at = 5 }) ];
     }
   in
-  let sends ~pid ~slot = if pid = 1 && slot = 0 then [ (99, 0) ] else [] in
+  let sends ~pid ~slot = if pid = 1 && slot = 0 then [ Process.Unicast (99, 0) ] else [] in
   let run scheduler shards =
     let log = Array.make 3 [] in
     let timers = function 1 -> [ 0 ] | _ -> [] in
