@@ -195,11 +195,11 @@ module Wire = Mewc_wire
 
 (* The async runtime executes honest runs only (see
    Mewc_wire.Runtime's model note): the rushing adversary, the slot-level
-   fault stage, the profiler and the engine shard knob are all
-   lock-step constructs, so selecting any of them alongside --runtime async
-   is a misuse. Byte-level chaos lives under `mewc wire --chaos`. *)
+   fault stage, the profiler and the trace are all lock-step constructs, so
+   selecting any of them alongside --runtime async is a misuse. Byte-level
+   chaos lives under `mewc wire --chaos`. *)
 let run_async_cmd protocol n adversary f input ~seed ~delta ~faults ~profile_on
-    ~trace ~shards =
+    ~trace =
   if adversary <> "honest" then
     die_misuse
       "--adversary %s requires --runtime sync: the async runtime executes \
@@ -214,10 +214,6 @@ let run_async_cmd protocol n adversary f input ~seed ~delta ~faults ~profile_on
        runtime's faults are byte-level (`mewc wire --chaos`)";
   if profile_on then die_misuse "--profile requires --runtime sync";
   if trace then die_misuse "--trace requires --runtime sync";
-  if shards > 1 then
-    die_misuse
-      "--shards shards the lock-step step phase; the async runtime \
-       already runs one thread per process";
   check_size ~delta n;
   let name = Registry.entry_name protocol in
   let entry =
@@ -233,7 +229,7 @@ let run_async_cmd protocol n adversary f input ~seed ~delta ~faults ~profile_on
   | exception Invalid_argument e ->
     die_misuse "--input does not fit the async runtime's wire format: %s" e);
   let cfg = Config.optimal ~n in
-  pr "mewc: n=%d t=%d protocol=%s runtime=async-domains delta=%gs seed=%Ld\n\n"
+  pr "mewc: n=%d t=%d protocol=%s runtime=async delta=%gs seed=%Ld\n\n"
     n cfg.Config.t name delta seed;
   let finish : type d. d Wire.Runtime.outcome -> unit =
    fun o ->
@@ -243,7 +239,7 @@ let run_async_cmd protocol n adversary f input ~seed ~delta ~faults ~profile_on
       o.Wire.Runtime.decided_strs;
     let sum = Array.fold_left ( + ) 0 in
     let s = o.Wire.Runtime.stats in
-    pr "\nrun summary (async-domains):\n";
+    pr "\nrun summary (async):\n";
     pr "  words (metered)            %d\n" (sum o.Wire.Runtime.words);
     pr "  messages                   %d\n" (sum o.Wire.Runtime.messages);
     pr "  frames / bytes on wire     %d / %d\n" s.Wire.Runtime.frames_sent
@@ -288,15 +284,12 @@ let run_sync (Registry.E e) ~cfg ~f ~input ~adversary ~trace ~options =
        ())
 
 let run_cmd protocol n adversary f seed input trace profile_on drop dup delay
-    delay_prob crash partition fault_seed shards runtime delta =
+    delay_prob crash partition fault_seed runtime delta =
   let runtime =
     match Wire.Runtime.kind_of_string runtime with
     | Ok k -> k
     | Error e -> die_misuse "%s" e
   in
-  if shards < 1 then die_misuse "--shards %d: need at least one shard" shards;
-  if profile_on && shards > 1 then
-    die_misuse "--profile requires --shards 1 (the profiler is not domain-safe)";
   let cfg = Config.optimal ~n in
   let t = cfg.Config.t in
   let f = min f t in
@@ -308,7 +301,7 @@ let run_cmd protocol n adversary f seed input trace profile_on drop dup delay
   match runtime with
   | Wire.Runtime.Async_domains ->
     run_async_cmd protocol n adversary f input ~seed ~delta ~faults ~profile_on
-      ~trace ~shards
+      ~trace
   | Wire.Runtime.Sync_oracle ->
     let profile = if profile_on then Some (Profile.create ()) else None in
     pr "mewc: n=%d t=%d protocol=%s adversary=%s f=%d seed=%Ld%s\n\n" n t
@@ -319,13 +312,7 @@ let run_cmd protocol n adversary f seed input trace profile_on drop dup delay
       match
         run_sync protocol ~cfg ~f ~input ~adversary ~trace
           ~options:
-            {
-              Instances.default_options with
-              Instances.seed;
-              profile;
-              faults;
-              shards;
-            }
+            { Instances.default_options with Instances.seed; profile; faults }
       with
       | status -> status
       | exception Monitor.Violation v ->
@@ -437,14 +424,6 @@ let select_grid ~smoke ~frontier =
   else if smoke then (Sweep.smoke_grid, [], "smoke")
   else (Sweep.standard_grid, [], "standard")
 
-(* --shards N sweeps the powers of two up to N (plus N itself when it is
-   not one): one intra-run sharded pass per count, each gated byte-for-byte
-   against the sequential rows. *)
-let shard_counts_upto n =
-  let rec doubling acc s = if s > n then acc else doubling (s :: acc) (2 * s) in
-  let counts = doubling [] 1 in
-  List.rev (if List.mem n counts then counts else n :: counts)
-
 (* --progress: an opt-in stderr heartbeat. [heartbeat_of] returns the
    ?progress tick to thread into a sweep plus the finish hook; with the
    flag off both are inert, so the flag can never perturb stdout or any
@@ -456,34 +435,28 @@ let heartbeat_of enabled ~label ~total =
     (Some (fun () -> Mewc_obs.Heartbeat.tick hb),
      fun () -> Mewc_obs.Heartbeat.finish hb)
 
-(* The one sweep behind `bench` and every perf subcommand, and its two
-   identity gates. [sweep] only measures; [gate] then requires the parallel
-   and every sharded pass to match the sequential rows, so `bench` can
-   still print and write a diverged report before failing, while no
-   diverged sweep ever reaches a ledger. *)
-let sweep ?profile ?(progress = false) ~smoke ~frontier ~jobs ~shard_counts () =
+(* The one sweep behind `bench` and every perf subcommand, and its identity
+   gate. [sweep] only measures; [gate] then requires the parallel pass to
+   match the sequential rows, so `bench` can still print and write a
+   diverged report before failing, while no diverged sweep ever reaches a
+   ledger. *)
+let sweep ?profile ?(progress = false) ~smoke ~frontier ~jobs () =
   let grid, capped, grid_name = select_grid ~smoke ~frontier in
   let tick, finish =
     heartbeat_of progress ~label:"bench" ~total:(List.length grid)
   in
   let report =
-    Sweep.run_perf ?jobs ?profile ~capped ~shard_counts ?progress:tick grid
+    Sweep.run_perf ?jobs ?profile ~capped ?progress:tick grid
   in
   finish ();
   (report, grid_name)
 
 let gate (report : Sweep.report) =
   if not report.Sweep.identical then
-    die_misuse "parallel sweep diverged from sequential (BUG)";
-  if not report.Sweep.shards_identical then
-    die_misuse "sharded sweep diverged from sequential (BUG)"
+    die_misuse "parallel sweep diverged from sequential (BUG)"
 
-let bench_cmd jobs smoke frontier shards output progress =
-  if shards < 1 then die_misuse "--shards %d: need at least one shard" shards;
-  let report, grid_name =
-    sweep ~progress ~smoke ~frontier ~jobs
-      ~shard_counts:(shard_counts_upto shards) ()
-  in
+let bench_cmd jobs smoke frontier output progress =
+  let report, grid_name = sweep ~progress ~smoke ~frontier ~jobs () in
   pr
     "mewc bench: %d points (%s grid), %d cores, jobs=%d\n\
     \  parallelism   %s\n\
@@ -496,11 +469,6 @@ let bench_cmd jobs smoke frontier shards output progress =
     report.Sweep.sequential_s
     report.Sweep.parallel_s report.Sweep.speedup
     (if report.Sweep.identical then "==" else "!= (BUG)");
-  List.iter
-    (fun (shards, wall) -> pr "  shards=%-2d     %.2fs\n" shards wall)
-    report.Sweep.shard_wall_s;
-  pr "  sharded output %s sequential output\n"
-    (if report.Sweep.shards_identical then "==" else "!= (BUG)");
   (match report.Sweep.capped with
   | [] -> ()
   | capped ->
@@ -528,16 +496,10 @@ let load_ledger path =
 
 let entry_label (e : Ledger.entry) = Printf.sprintf "%s@%s" e.Ledger.rev e.Ledger.date
 
-(* One profiled, gated sweep for every perf subcommand. The smoke grid
-   keeps its shard passes cheap; the real grids record the full doubling
-   curve the ledger exists to track. *)
+(* One profiled, gated sweep for every perf subcommand. *)
 let perf_sweep ~smoke ~frontier ~jobs =
   let profile = Profile.create () in
-  let report, grid_name =
-    sweep ~profile ~smoke ~frontier ~jobs
-      ~shard_counts:(if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ])
-      ()
-  in
+  let report, grid_name = sweep ~profile ~smoke ~frontier ~jobs () in
   gate report;
   (report, profile, grid_name)
 
@@ -917,12 +879,9 @@ let chaos_cmd jobs smoke cell output progress =
 
 (* ---- `throughput`: the repeated-BA service ------------------------------- *)
 
-let throughput_cmd smoke n workload depth rev date ledger output shards
-    progress =
-  if shards < 1 then die_misuse "--shards %d: need at least one shard" shards;
-  let options = { Engine.default_options with Engine.shards } in
+let throughput_cmd smoke n workload depth rev date ledger output progress =
   if smoke then (
-    match Throughput.smoke ~options () with
+    match Throughput.smoke () with
     | Error msg ->
       epr "mewc throughput: smoke FAILED: %s\n%!" msg;
       exit 1
@@ -963,10 +922,10 @@ let throughput_cmd smoke n workload depth rev date ledger output shards
         ~total:(List.length grid + List.length Throughput.slo_grid)
     in
     let cells =
-      try Throughput.run_grid ~options ?progress:tick grid
+      try Throughput.run_grid ?progress:tick grid
       with Invalid_argument e -> die_misuse "throughput: %s" e
     in
-    let slo = Throughput.slo_sweep ~options ?progress:tick () in
+    let slo = Throughput.slo_sweep ?progress:tick () in
     finish ();
     let entry = { Throughput.rev; date; cells; slo } in
     print_string (Throughput.render entry);
@@ -1027,16 +986,6 @@ let progress_arg =
           "Emit a stderr heartbeat line per completed sweep point (off by \
            default). Strictly an observer: stdout and every JSON artifact \
            are byte-identical with or without it.")
-
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Shard each run's step phase across $(docv) domains (default 1 = \
-           fully sequential). Observationally invisible: any shard count \
-           yields byte-identical traces, decisions and meters; only \
-           wall-clock changes. Incompatible with $(b,--profile).")
 
 let run_term =
   let trace =
@@ -1104,8 +1053,7 @@ let run_term =
           ~doc:
             "Execution runtime: $(b,sync) (the default: the deterministic \
              lock-step engine, the differential oracle) or $(b,async) \
-             (async-domains: one thread per process exchanging \
-             mewc-wire/1 frames over a real transport, with δ a real \
+             (one thread per process exchanging mewc-wire/1 frames over a real transport, with δ a real \
              monotonic-clock deadline — honest runs only). An unknown \
              value is a misuse (exit 1).")
   in
@@ -1121,7 +1069,7 @@ let run_term =
   Term.(
     const run_cmd $ protocol_arg $ n_arg $ adversary_arg $ f_arg $ seed_arg
     $ input_arg $ trace $ profile $ drop $ dup $ delay $ delay_prob $ crash
-    $ partition $ fault_seed $ shards_arg $ runtime $ delta)
+    $ partition $ fault_seed $ runtime $ delta)
 
 let trace_term =
   let format =
@@ -1194,18 +1142,7 @@ let bench_term =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Write the mewc-perf/2 JSON report to FILE.")
   in
-  let shards =
-    Arg.(
-      value & opt int 8
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Top of the intra-run shard curve: one timed pass per power of \
-             two up to $(docv) (plus $(docv) itself), each checked \
-             byte-identical to the sequential rows. $(b,--shards 1) skips \
-             the curve beyond the baseline pass.")
-  in
-  Term.(
-    const bench_cmd $ jobs $ smoke $ frontier $ shards $ output $ progress_arg)
+  Term.(const bench_cmd $ jobs $ smoke $ frontier $ output $ progress_arg)
 
 let fuzz_term =
   let target =
@@ -1532,7 +1469,7 @@ let throughput_term =
   in
   Term.(
     const throughput_cmd $ smoke $ n $ workload $ depth $ rev $ date $ ledger
-    $ output $ shards_arg $ progress_arg)
+    $ output $ progress_arg)
 
 let report_term =
   let dir =
@@ -1738,12 +1675,10 @@ let cmd =
       Cmd.v
         (Cmd.info "bench"
            ~doc:
-             "Run the (protocol, n, f) perf sweep sequentially, \
-              domain-parallel across points, and intra-run sharded at each \
-              shard count up to --shards; report wall-clocks, speedup and \
-              crypto-cache hit rates (mewc-perf/2), and verify every \
-              parallel and sharded output is byte-identical to the \
-              sequential one.")
+             "Run the (protocol, n, f) perf sweep sequentially and \
+              domain-parallel across points; report wall-clocks, speedup \
+              and crypto-cache hit rates (mewc-perf/2), and verify the \
+              parallel output is byte-identical to the sequential one.")
         bench_term;
       Cmd.v
         (Cmd.info "fuzz"
@@ -1787,7 +1722,7 @@ let cmd =
         (Cmd.info "wire"
            ~doc:
              "Exercise the wire layer: the mewc-wire/1 codec fuzz battery \
-              ($(b,--fuzz-codec)), the async-domains-vs-lock-step-oracle \
+              ($(b,--fuzz-codec)), the async-runtime-vs-lock-step-oracle \
               differential gate ($(b,--diff)), byte-fault chaos cells \
               ($(b,--chaos)), and the fixed-seed CI leg ($(b,--smoke)). \
               Exit 3 on any finding: a codec law violation, a divergence \

@@ -12,7 +12,6 @@ type entry = {
   sequential_s : float;
   parallel_s : float;
   speedup : float;
-  shards : (int * float) list;
   parallelism : string;
   rollup : (string * float) list;
   rows : Sweep.row list;
@@ -29,7 +28,6 @@ let of_report ~rev ~date ~grid ?profile (r : Sweep.report) =
     sequential_s = r.Sweep.sequential_s;
     parallel_s = r.Sweep.parallel_s;
     speedup = r.Sweep.speedup;
-    shards = r.Sweep.shard_wall_s;
     parallelism = r.Sweep.parallelism;
     rollup =
       (match profile with
@@ -53,13 +51,6 @@ let entry_to_json e =
       ("sequential_wall_s", Jsonx.Float e.sequential_s);
       ("parallel_wall_s", Jsonx.Float e.parallel_s);
       ("speedup", Jsonx.Float e.speedup);
-      ( "shards",
-        Jsonx.Arr
-          (List.map
-             (fun (shards, wall) ->
-               Jsonx.Obj
-                 [ ("shards", Jsonx.Int shards); ("wall_s", Jsonx.Float wall) ])
-             e.shards) );
       ("parallelism", Jsonx.Str e.parallelism);
       ( "rollup",
         Jsonx.Obj (List.map (fun (c, s) -> (c, Jsonx.Float s)) e.rollup) );
@@ -87,25 +78,10 @@ let entry_of_json j =
   let* sequential_s = field "sequential_wall_s" get_float in
   let* parallel_s = field "parallel_wall_s" get_float in
   let* speedup = field "speedup" get_float in
-  (* Both shard-era fields are optional so pre-shard ledger files (same
-     mewc-ledger/1 schema) keep parsing. *)
-  let* shards =
-    match Jsonx.member "shards" j with
-    | None -> Ok []
-    | Some (Jsonx.Arr cells) ->
-      List.fold_left
-        (fun acc cell ->
-          let* acc = acc in
-          match
-            ( Option.bind (Jsonx.member "shards" cell) Jsonx.get_int,
-              Option.bind (Jsonx.member "wall_s" cell) get_float )
-          with
-          | Some s, Some w -> Ok ((s, w) :: acc)
-          | _ -> Error "Ledger.entry_of_json: bad shards cell")
-        (Ok []) cells
-      |> Result.map List.rev
-    | Some _ -> Error "Ledger.entry_of_json: shards is not an array"
-  in
+  (* [parallelism] is optional so pre-shard ledger files (same
+     mewc-ledger/1 schema) keep parsing. Entries written while sweeps had
+     shard passes also carry a [shards] array; nothing reads it, and
+     {!append} keeps it on disk. *)
   let parallelism =
     Option.value
       (Option.bind (Jsonx.member "parallelism" j) Jsonx.get_str)
@@ -155,16 +131,18 @@ let entry_of_json j =
       sequential_s;
       parallel_s;
       speedup;
-      shards;
       parallelism;
       rollup;
       rows;
     }
 
-let to_json entries =
-  Jsonx.Schema.tag schema [ ("entries", Jsonx.Arr (List.map entry_to_json entries)) ]
+let document entries_json =
+  Jsonx.Schema.tag schema [ ("entries", Jsonx.Arr entries_json) ]
 
-let of_json j =
+let to_json entries = document (List.map entry_to_json entries)
+
+(* Each entry of a ledger document, paired with the JSON it was read as. *)
+let parse_entries j =
   let* () = Jsonx.Schema.check schema j in
   match Option.bind (Jsonx.member "entries" j) Jsonx.get_list with
   | None -> Error "Ledger.of_json: bad or missing \"entries\""
@@ -173,36 +151,45 @@ let of_json j =
       (fun acc e ->
         let* acc = acc in
         let* entry = entry_of_json e in
-        Ok (entry :: acc))
+        Ok ((e, entry) :: acc))
       (Ok []) es
     |> Result.map List.rev
 
-let load path =
+let of_json j = Result.map (List.map snd) (parse_entries j)
+
+let read path =
   if not (Sys.file_exists path) then Ok []
   else begin
     let contents =
       In_channel.with_open_bin path In_channel.input_all
     in
-    let* j =
-      Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (Jsonx.parse contents)
-    in
-    Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (of_json j)
+    let in_file r = Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) r in
+    let* j = in_file (Jsonx.parse contents) in
+    in_file (parse_entries j)
   end
 
-let save path entries =
+let load path = Result.map (List.map snd) (read path)
+
+let write path doc =
   (* Write-then-rename so a crash mid-write never truncates the history. *)
   let tmp = path ^ ".tmp" in
   Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Jsonx.to_string (to_json entries));
+      Out_channel.output_string oc (Jsonx.to_string doc);
       Out_channel.output_char oc '\n');
   Sys.rename tmp path
 
+let save path entries = write path (to_json entries)
+
+(* Earlier entries go back as the JSON they were read as, so members that
+   today's [entry] no longer carries (an old entry's [shards] curve) are
+   never erased by an append. *)
 let append path entry =
-  match load path with
+  match read path with
   | Error e -> Error (`Malformed e)
   | Ok entries -> (
-    match save path (entries @ [ entry ]) with
-    | () -> Ok (List.length entries + 1)
+    let entries_json = List.map fst entries @ [ entry_to_json entry ] in
+    match write path (document entries_json) with
+    | () -> Ok (List.length entries_json)
     | exception Sys_error e -> Error (`Unwritable e))
 
 (* Entry selection for the CLI: an integer index (negative counts from the

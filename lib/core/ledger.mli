@@ -33,14 +33,10 @@ type entry = {
   sequential_s : float;
   parallel_s : float;
   speedup : float;
-  shards : (int * float) list;
-      (** per-shard-count wall clocks of the intra-run sharding passes
-          ({!Sweep.report.shard_wall_s}); [[]] in pre-shard entries, which
-          keep parsing unchanged *)
   parallelism : string;
       (** the report's parallelism note — ["degraded (1 core)"] flags
           speedup quotients recorded on single-core hardware as noise;
-          ["unknown"] in pre-shard entries *)
+          ["unknown"] in the oldest entries *)
   rollup : (string * float) list;
       (** profiler category -> self seconds; [[]] when the run was not
           profiled *)
@@ -74,8 +70,12 @@ val save : string -> entry list -> unit
 val append :
   string -> entry -> (int, [ `Malformed of string | `Unwritable of string ]) result
 (** [append path entry] loads, appends and saves; returns the new entry
-    count. [`Malformed] if the existing file does not parse, [`Unwritable]
-    if the new file cannot be written. *)
+    count. Earlier entries are checked to parse and then written back as
+    the JSON they were read as, so an append never rewrites history: an
+    entry keeps members the current {!entry} type does not carry (such as
+    the [shards] curve of entries from the era of intra-run sharding).
+    [`Malformed] if the existing file does not parse, [`Unwritable] if the
+    new file cannot be written. *)
 
 val find : entry list -> string -> (entry, string) result
 (** Select an entry by integer index (negative counts from the end, so
@@ -105,13 +105,10 @@ type diff = {
   regressions : int;  (** regressed word deltas + the wall regression, if any *)
 }
 
-val default_threshold : float
-(** 0.25 — a quarter more words (or wall time) than the baseline trips the
-    gate. *)
-
 val diff : ?threshold:float -> entry -> entry -> diff
 (** [diff a b] compares baseline [a] against candidate [b], matching rows
-    by (protocol, n, f_spec). *)
+    by (protocol, n, f_spec). [threshold] defaults to 0.25: a quarter more
+    words (or wall time) than the baseline trips the gate. *)
 
 val render : label_a:string -> label_b:string -> diff -> string
 (** Human-readable table (per-point words/signatures with verdicts, then

@@ -148,10 +148,9 @@ let row_to_line r =
     r.crypto.Mewc_crypto.Pki.verify_misses r.crypto.Mewc_crypto.Pki.agg_hits
     r.crypto.Mewc_crypto.Pki.agg_misses
 
-(* [row_to_line] minus the crypto-cache counters. Sharded runs keep one
-   memo table per domain, so the hit/miss *split* legitimately varies with
-   the shard count while every protocol-observable field — signature counts
-   included — must not; shard-identity gates compare this line. *)
+(* [row_to_line] minus the crypto-cache counters: every
+   protocol-observable field, signature counts included, but not how the
+   memo tables split hits from misses. *)
 let row_core_line r =
   Printf.sprintf
     "%s n=%d t=%d f_spec=%s f=%d words=%d messages=%d signatures=%d latency=%d \
@@ -233,8 +232,6 @@ type report = {
   speedup : float;
   identical : bool;
   capped : point list;
-  shard_wall_s : (int * float) list;
-  shards_identical : bool;
   parallelism : string;
 }
 
@@ -242,8 +239,7 @@ let parallelism_note ~cores =
   if cores = 1 then "degraded (1 core)"
   else Printf.sprintf "ok (%d cores)" cores
 
-let run_perf ?jobs ?profile ?(capped = []) ?(shard_counts = [ 1; 2; 4; 8 ])
-    ?progress points =
+let run_perf ?jobs ?profile ?(capped = []) ?progress points =
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   let timed f =
     let t0 = Unix.gettimeofday () in
@@ -264,22 +260,6 @@ let run_perf ?jobs ?profile ?(capped = []) ?(shard_counts = [ 1; 2; 4; 8 ])
     List.equal String.equal (List.map row_to_line seq_rows)
       (List.map row_to_line par_rows)
   in
-  (* The intra-run shard passes: one sequential-across-points pass per
-     shard count, each timed, each checked byte-identical to the
-     sequential baseline on the core row line (crypto-cache splits are
-     per-domain and excluded by design). *)
-  let seq_core = List.map row_core_line seq_rows in
-  let shard_results =
-    List.map
-      (fun shards ->
-        let rows, wall =
-          timed (fun () ->
-              run_all ~jobs:1 ~options:{ base with Instances.shards } points)
-        in
-        let same = List.equal String.equal seq_core (List.map row_core_line rows) in
-        ((shards, wall), same))
-      shard_counts
-  in
   let cores = Pool.default_jobs () in
   {
     rows = seq_rows;
@@ -290,8 +270,6 @@ let run_perf ?jobs ?profile ?(capped = []) ?(shard_counts = [ 1; 2; 4; 8 ])
     speedup = (if parallel_s > 0.0 then sequential_s /. parallel_s else 1.0);
     identical;
     capped;
-    shard_wall_s = List.map fst shard_results;
-    shards_identical = List.for_all snd shard_results;
     parallelism = parallelism_note ~cores;
   }
 
@@ -322,8 +300,8 @@ let report_to_json r =
     [
       ( "experiment",
         Jsonx.Str
-          "sweep wall-clock: sequential vs domain-parallel across points and \
-           across intra-run shard counts, with crypto-cache hit rates" );
+          "sweep wall-clock: sequential vs domain-parallel across points, \
+           with crypto-cache hit rates" );
       ("cores", Jsonx.Int r.cores);
       ("jobs", Jsonx.Int r.jobs);
       (* The honest story up front: a 1-core host cannot speed anything up,
@@ -333,14 +311,6 @@ let report_to_json r =
       ("parallel_wall_s", Jsonx.Float r.parallel_s);
       ("speedup", Jsonx.Float r.speedup);
       ("parallel_identical_to_sequential", Jsonx.Bool r.identical);
-      ( "shards",
-        Jsonx.Arr
-          (List.map
-             (fun (shards, wall) ->
-               Jsonx.Obj
-                 [ ("shards", Jsonx.Int shards); ("wall_s", Jsonx.Float wall) ])
-             r.shard_wall_s) );
-      ("shards_identical_to_sequential", Jsonx.Bool r.shards_identical);
       ( "scheduler",
         Jsonx.Str (Mewc_sim.Engine.scheduler_to_string `Event_driven) );
       ( "capped_points",

@@ -68,11 +68,9 @@ val fallback_cap : int
     reported as [capped_points] in the mewc-perf/2 JSON) rather than
     silently truncated. *)
 
-val frontier_ns : int list
-(** n ∈ \{21, 101, 201, 401, 1001, 2001\} — the words-vs-n frontier. *)
-
 val frontier_grid : point list * point list
-(** [(points, capped)] over {!frontier_ns}: the runnable frontier plus the
+(** [(points, capped)] over the words-vs-n frontier, n ∈ \{21, 101, 201,
+    401, 1001, 2001\}: the runnable frontier plus the
     standalone-fallback points {!fallback_cap} dropped.
     Weak BA keeps all four f-specs at every n — at n = 2001 its f = t point
     is the paper's adaptive showcase — while the other protocols run
@@ -87,10 +85,7 @@ val run_point : ?options:'m Instances.options -> point -> row
     serialization to the given profiler (rows are unaffected — timing never
     leaks into the deterministic facts); [scheduler] (default
     [`Event_driven]) changes wall-clock only, rows are byte-identical
-    across schedulers (the engine-diff suite's invariant); [shards]
-    (default 1) shards the run
-    itself across domains ({!Mewc_sim.Engine.options.shards}), with every
-    row field except the crypto-cache split invariant under it. *)
+    across schedulers (the engine-diff suite's invariant). *)
 
 val run_all :
   ?jobs:int ->
@@ -113,10 +108,9 @@ val row_to_line : row -> string
     compare these byte for byte. *)
 
 val row_core_line : row -> string
-(** {!row_to_line} minus the crypto-cache counters. Shard-identity gates
-    compare this line: sharded runs keep one memo table per domain, so the
-    cache hit/miss {e split} legitimately varies with the shard count
-    while every protocol-observable field must not. *)
+(** {!row_to_line} minus the crypto-cache counters: every
+    protocol-observable field, but not how the memo tables split hits from
+    misses. The report's ledger replay compares rows on this line. *)
 
 val row_of_json : Mewc_prelude.Jsonx.t -> (row, string) result
 (** Inverse of {!row_to_json} (the derived hit-rate fields are ignored).
@@ -134,11 +128,6 @@ type report = {
   capped : point list;
       (** points the fallback cap dropped from the requested grid; [[]]
           unless the caller passed them through *)
-  shard_wall_s : (int * float) list;
-      (** wall clock of one sequential-across-points pass per shard count
-          (the intra-run sharding curve); shard count 1 is the baseline *)
-  shards_identical : bool;
-      (** every shard pass's {!row_core_line}s ≡ the sequential pass's *)
   parallelism : string;
       (** ["degraded (1 core)"] when the host offers a single core —
           speedup quotients are then noise, not measurements — otherwise
@@ -149,27 +138,24 @@ val run_perf :
   ?jobs:int ->
   ?profile:Mewc_sim.Profile.t ->
   ?capped:point list ->
-  ?shard_counts:int list ->
   ?progress:(unit -> unit) ->
   point list ->
   report
 (** Runs the grid sequentially, then with [jobs] domains across points
-    (default {!Mewc_prelude.Pool.default_jobs}), then once per entry of
-    [shard_counts] (default [[1; 2; 4; 8]]) with the {e run itself}
-    sharded across that many domains ([jobs = 1] for those passes, so the
-    two parallelism axes never confound). Every pass is timed; the
-    across-points pass must match the sequential rows byte for byte
-    ({!row_to_line}), the shard passes on {!row_core_line}. [profile]
-    instruments the {e sequential} pass only (profilers are not
-    domain-safe); [progress] likewise ticks once per point of the
-    sequential pass only — heartbeats never interleave across domains.
+    (default {!Mewc_prelude.Pool.default_jobs}). Both passes are timed,
+    and the parallel rows must match the sequential rows byte for byte
+    ({!row_to_line}). [profile] instruments the {e sequential} pass only
+    (profilers are not domain-safe); [progress] likewise ticks once per
+    point of the sequential pass only — heartbeats never interleave across
+    domains.
     [capped] (default empty) is carried verbatim into the report for the
     JSON's [capped_points] member. *)
 
 val report_to_json : report -> Mewc_prelude.Jsonx.t
 (** Schema ["mewc-perf/2"]: machine facts (cores, jobs), the
-    [parallelism] note, both wall-clock times, the speedup, per-shard-count
-    wall clocks and their identity verdict, the scheduler (always
-    ["event-driven"]; older artifacts may say ["legacy"]), the points the
-    fallback cap excluded ([capped_points]), per-protocol crypto-cache hit
-    rates, and every row. *)
+    [parallelism] note, both wall-clock times, the speedup, the parallel
+    pass's identity verdict, the scheduler (always ["event-driven"]; older
+    artifacts may say ["legacy"]), the points the fallback cap excluded
+    ([capped_points]), per-protocol crypto-cache hit rates, and every row.
+    Artifacts written before the shard passes were dropped also carry
+    [shards] and [shards_identical_to_sequential]; nothing reads them. *)

@@ -67,7 +67,6 @@ type t = {
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val pp_behavior : Format.formatter -> behavior -> unit
-val pp_fault_kind : Format.formatter -> fault_kind -> unit
 
 val generate : cfg:Config.t -> rng:Rng.t -> t
 (** Draw a scenario: fresh run seeds, 1..[cfg.t] victims (half the time

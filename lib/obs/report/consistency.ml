@@ -56,16 +56,12 @@ let rows_findings ~ctx rows =
 
 let perf_findings (p : Loader.perf) =
   let identity =
-    (if p.Loader.parallel_identical then []
-     else
-       [
-         findingf "perf-identity"
-           "parallel rows were not byte-identical to sequential";
-       ])
-    @
-    if p.Loader.shards_identical then []
+    if p.Loader.parallel_identical then []
     else
-      [ findingf "perf-identity" "sharded rows were not identical to sequential" ]
+      [
+        findingf "perf-identity"
+          "parallel rows were not byte-identical to sequential";
+      ]
   in
   identity @ rows_findings ~ctx:"perf" p.Loader.rows
 

@@ -3,8 +3,8 @@
     files alone on every [mewc report --check].
 
     Per artifact:
-    - perf — both identity bits (parallel and sharded runs byte-identical
-      to sequential) are true, rows well-shaped and unique;
+    - perf — the identity bit (parallel rows byte-identical to
+      sequential) is true, rows well-shaped and unique;
     - ledger — provenance present, rows well-shaped per entry, the latest
       smoke-grid entry {e replays identically} at the current build (on
       {!Mewc_core.Sweep.row_core_line}: every protocol-observable field;

@@ -49,7 +49,6 @@ type perf = {
   parallel_wall_s : float;
   speedup : float;
   parallel_identical : bool;
-  shards_identical : bool;
   scheduler : string;
   rows : Sweep.row list;
 }
@@ -69,9 +68,6 @@ let load_perf path =
   let* parallel_identical =
     field ~ctx j "parallel_identical_to_sequential" Jsonx.get_bool
   in
-  let* shards_identical =
-    field ~ctx j "shards_identical_to_sequential" Jsonx.get_bool
-  in
   let* scheduler = field ~ctx j "scheduler" Jsonx.get_str in
   let* rows =
     map_all ~ctx:(path ^ ": rows")
@@ -87,7 +83,6 @@ let load_perf path =
       parallel_wall_s;
       speedup;
       parallel_identical;
-      shards_identical;
       scheduler;
       rows;
     }

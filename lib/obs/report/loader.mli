@@ -14,17 +14,9 @@ type perf = {
   parallel_wall_s : float;
   speedup : float;
   parallel_identical : bool;
-  shards_identical : bool;
   scheduler : string;
   rows : Mewc_core.Sweep.row list;
 }
-
-val load_perf : string -> (perf, string) result
-(** A [mewc-perf/2] document (rows via {!Mewc_core.Sweep.row_of_json}). *)
-
-val load_ledger : string -> (Mewc_core.Ledger.entry list, string) result
-(** A [mewc-ledger/1] file. Unlike {!Mewc_core.Ledger.load}, a missing file
-    is an error here — the report's artifact set is closed. *)
 
 type thr_report = {
   slots : int;
@@ -63,9 +55,6 @@ type throughput_entry = {
   slo : slo_point list;
 }
 
-val load_throughput : string -> (throughput_entry list, string) result
-(** A [mewc-throughput/1] file. *)
-
 type degrade_cell = {
   dg_protocol : string;
   fault : string;
@@ -86,9 +75,6 @@ type degrade = {
   levels : int;
   dg_cells : degrade_cell list;
 }
-
-val load_degrade : string -> (degrade, string) result
-(** A [mewc-degrade/1] matrix. *)
 
 type slot_sample = {
   slot : int;
@@ -115,24 +101,19 @@ type obs_run = {
   per_slot : slot_sample list;
 }
 
-val load_observability : string -> (obs_run list, string) result
-(** A [mewc-observability/1] file (each run's meter gated on
-    [mewc-meter/1]). *)
-
 type artifacts = {
-  perf : perf;
+  perf : perf;  (** [BENCH_perf.json], a [mewc-perf/2] document *)
   ledger : Mewc_core.Ledger.entry list;
+      (** [BENCH_ledger.json], a [mewc-ledger/1] file; unlike
+          {!Mewc_core.Ledger.load}, a missing file is an error here — the
+          report's artifact set is closed *)
   throughput : throughput_entry list;
-  degrade : degrade;
+      (** [BENCH_throughput.json], a [mewc-throughput/1] file *)
+  degrade : degrade;  (** [BENCH_degrade.json], a [mewc-degrade/1] matrix *)
   observability : obs_run list;
+      (** [BENCH_observability.json], a [mewc-observability/1] file (each
+          run's meter gated on [mewc-meter/1]) *)
 }
-
-val perf_file : string
-val ledger_file : string
-val throughput_file : string
-val degrade_file : string
-val observability_file : string
-(** The conventional artifact filenames ([BENCH_*.json]). *)
 
 val load_all : dir:string -> (artifacts, string) result
 (** All five artifacts from [dir], failing on the first broken one. *)

@@ -59,6 +59,8 @@ let error_cases =
     check_code "non-int count" cli_error "fuzz --target weak-ba --count many";
     check_code "replay of missing file" cli_error "fuzz --replay /nonexistent.json";
     check_code "replay-dir of missing dir" cli_error "fuzz --replay-dir /nonexistent-dir";
+    (* --shards is retired from every command: cmdliner's unknown option *)
+    check_code "retired run --shards" cli_error "run -p weak-ba -n 9 --shards 2";
   ]
 
 let test_fuzz_requires_mode () =
@@ -330,12 +332,15 @@ let test_perf_append_then_diff_codes () =
 let test_perf_smoke_gate () =
   Alcotest.(check int) "perf smoke" 0 (run "perf smoke")
 
-(* `bench` runs the sweep and both identity gates end to end. *)
-let test_bench_smoke_sharded () =
-  let code, out = run_out "bench --smoke --shards 2" in
+(* `bench` runs the sweep and its identity gate end to end; the shard
+   passes are gone from its output. *)
+let test_bench_smoke () =
+  let code, out = run_out "bench --smoke" in
   Alcotest.(check int) "exit 0" 0 code;
-  Alcotest.(check bool) "sharded identity line" true
-    (contains out "sharded output == sequential output")
+  Alcotest.(check bool) "parallel identity line" true
+    (contains out "parallel output == sequential output");
+  Alcotest.(check bool) "no shard lines" false
+    (contains out "shards=" || contains out "sharded output")
 
 (* ---- throughput: the repeated-BA service --------------------------------- *)
 
@@ -350,7 +355,8 @@ let throughput_cases =
     (* the retired --scheduler flag is a parse error here too *)
     check_code "unknown scheduler" cli_error
       "throughput --smoke --scheduler nonesuch";
-    check_code "zero shards" 1 "throughput --smoke --shards 0";
+    (* so is the retired --shards flag *)
+    check_code "zero shards" cli_error "throughput --smoke --shards 0";
     check_code "unknown flag" cli_error "throughput --bogus-flag";
     check_code "non-int n" cli_error "throughput -n many";
   ]
@@ -441,7 +447,8 @@ let runtime_cases =
       "run -p weak-ba -n 5 --runtime async --profile";
     check_code "async rejects --trace" 1
       "run -p weak-ba -n 5 --runtime async --trace";
-    check_code "async rejects --shards" 1
+    (* --shards is retired: a parse error, as on every command *)
+    check_code "async rejects --shards" cli_error
       "run -p weak-ba -n 5 --runtime async --shards 2";
     check_code "async rejects baselines" 1
       "run -p dolev-strong -n 5 --runtime async";
@@ -471,6 +478,19 @@ let test_async_input_bound () =
   Alcotest.(check int) "exit 1" 1 code;
   Alcotest.(check bool) ("names the bound: " ^ err) true
     (contains err "1024-byte bound")
+
+(* The async run's header and summary name the runtime as --runtime
+   spells it. *)
+let test_async_header () =
+  let code, out = run_out "run -p weak-ba -n 5 --runtime async" in
+  Alcotest.(check int) "exit 0" 0 code;
+  let lines = String.split_on_char '\n' out in
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (List.mem line lines))
+    [
+      "mewc: n=5 t=2 protocol=weak-ba runtime=async delta=5s seed=1";
+      "run summary (async):";
+    ]
 
 let test_runtime_documented () =
   let code, out = run_out "run --help" in
@@ -568,9 +588,9 @@ let () =
         ] );
       ( "bench",
         [
-          Alcotest.test_case "smoke, sharded" `Quick test_bench_smoke_sharded;
-          check_code "unwritable -o" 1
-            "bench --smoke --shards 1 -o /nonexistent/x.json";
+          Alcotest.test_case "smoke" `Quick test_bench_smoke;
+          check_code "unwritable -o" 1 "bench --smoke -o /nonexistent/x.json";
+          check_code "retired --shards" cli_error "bench --smoke --shards 2";
         ] );
       ( "fuzz modes",
         [
@@ -611,6 +631,8 @@ let () =
         @ [
             Alcotest.test_case "--help documents --runtime" `Quick
               test_runtime_documented;
+            Alcotest.test_case "async header names the runtime" `Quick
+              test_async_header;
             Alcotest.test_case "async refuses an oversized --input" `Quick
               test_async_input_bound;
             Alcotest.test_case "async refuses --delta nan" `Quick

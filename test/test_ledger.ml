@@ -36,7 +36,6 @@ let mk_entry ?(rev = "deadbeef") ?(rows = [ mk_row "bb" ]) ?(sequential_s = 1.0)
     sequential_s;
     parallel_s = 0.5;
     speedup = 2.0;
-    shards = [ (1, 1.0); (2, 0.6) ];
     parallelism = "ok (4 cores)";
     rollup = [ ("crypto", 0.25); ("engine", 0.5) ];
     rows;
@@ -61,24 +60,85 @@ let test_entry_roundtrip () =
   json_fixpoint Ledger.to_json Ledger.of_json
     [ mk_entry (); mk_entry ~rev:"cafe" () ]
 
-(* Ledger files written before the shard era carry no "shards" or
-   "parallelism" members; they must keep parsing (same mewc-ledger/1
-   schema) with the documented defaults. *)
+(* Ledger files written before the shard era carry no "parallelism"
+   member; they must keep parsing (same mewc-ledger/1 schema) with the
+   documented default. *)
 let test_pre_shard_entry_parses () =
   let stripped =
     match Ledger.entry_to_json (mk_entry ()) with
     | Mewc_prelude.Jsonx.Obj fields ->
-      Mewc_prelude.Jsonx.Obj
-        (List.filter
-           (fun (k, _) -> k <> "shards" && k <> "parallelism")
-           fields)
+      Mewc_prelude.Jsonx.Obj (List.filter (fun (k, _) -> k <> "parallelism") fields)
     | _ -> Alcotest.fail "entry json not an object"
   in
   match Ledger.entry_of_json stripped with
   | Error e -> Alcotest.failf "pre-shard entry rejected: %s" e
   | Ok e ->
-    Alcotest.(check (list (pair int (float 0.0)))) "shards default" [] e.Ledger.shards;
     Alcotest.(check string) "parallelism default" "unknown" e.Ledger.parallelism
+
+(* The committed ledger, as JSON: its entries and the one that recorded the
+   intra-run shard curve (1/2/4/8 shards). *)
+let committed_ledger = "../BENCH_ledger.json"
+let shard_era_rev = "8641f4b"
+
+let ledger_entries_json path =
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  match Mewc_prelude.Jsonx.parse contents with
+  | Error e -> Alcotest.failf "%s: %s" path e
+  | Ok j -> (
+    match Option.bind (Mewc_prelude.Jsonx.member "entries" j) Mewc_prelude.Jsonx.get_list with
+    | Some es -> es
+    | None -> Alcotest.failf "%s: no entries" path)
+
+let shard_curve entry_json =
+  match Mewc_prelude.Jsonx.member "shards" entry_json with
+  | Some (Mewc_prelude.Jsonx.Arr cells) -> List.length cells
+  | _ -> 0
+
+let shard_era_entry entries_json =
+  List.find
+    (fun j ->
+      Option.bind (Mewc_prelude.Jsonx.member "rev" j) Mewc_prelude.Jsonx.get_str
+      = Some shard_era_rev)
+    entries_json
+
+(* Entries written while sweeps still had shard passes carry a [shards]
+   array that the entry type no longer has: they still parse. *)
+let test_shard_era_entry_parses () =
+  match Ledger.load committed_ledger with
+  | Error e -> Alcotest.failf "committed ledger rejected: %s" e
+  | Ok entries -> (
+    match Ledger.find entries shard_era_rev with
+    | Error e -> Alcotest.fail e
+    | Ok e ->
+      Alcotest.(check string) "grid" "standard" e.Ledger.grid;
+      Alcotest.(check bool) "rows" true (e.Ledger.rows <> []);
+      Alcotest.(check int) "shard curve on disk" 4
+        (shard_curve (shard_era_entry (ledger_entries_json committed_ledger))))
+
+(* An append writes earlier entries back as the JSON they were read as: no
+   member the entry type lacks (a shard curve) is erased from history. *)
+let test_append_keeps_history () =
+  let before = ledger_entries_json committed_ledger in
+  let tmp = Filename.temp_file "mewc-ledger" ".json" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
+    (fun () ->
+      Out_channel.with_open_bin tmp (fun oc ->
+          Out_channel.output_string oc
+            (In_channel.with_open_bin committed_ledger In_channel.input_all));
+      (match Ledger.append tmp (mk_entry ~rev:"appended" ()) with
+      | Ok k -> Alcotest.(check int) "count" (List.length before + 1) k
+      | Error (`Malformed e | `Unwritable e) -> Alcotest.fail e);
+      let after = ledger_entries_json tmp in
+      Alcotest.(check int) "one more entry" (List.length before + 1)
+        (List.length after);
+      List.iteri
+        (fun i j ->
+          if j <> List.nth after i then
+            Alcotest.failf "entry %d changed by an append" i)
+        before;
+      Alcotest.(check int) "8641f4b keeps its curve" 4
+        (shard_curve (shard_era_entry after)))
 
 let test_row_roundtrip () =
   let r = mk_row ~words:7 ~signatures:3 "weak-ba" in
@@ -343,6 +403,10 @@ let () =
             test_entry_roundtrip;
           Alcotest.test_case "pre-shard entries still parse" `Quick
             test_pre_shard_entry_parses;
+          Alcotest.test_case "shard-era entries still parse" `Quick
+            test_shard_era_entry_parses;
+          Alcotest.test_case "append keeps history" `Quick
+            test_append_keeps_history;
           Alcotest.test_case "sweep row round-trip" `Quick test_row_roundtrip;
           Alcotest.test_case "schema gates" `Quick test_schema_gates;
           Alcotest.test_case "load/save/append" `Quick test_load_save_append;

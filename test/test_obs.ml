@@ -328,6 +328,27 @@ let with_scratch_artifacts f =
       rm dir)
     (fun () -> f dir)
 
+(* A perf document written now (no shard members) and the committed one
+   (which still carries them) both load, and neither raises a finding:
+   the fresh one is checked beside copies of the other four artifacts. *)
+let test_fresh_and_committed_perf_load () =
+  with_scratch_artifacts (fun dir ->
+      let report = Sweep.run_perf ~jobs:2 Sweep.smoke_grid in
+      Out_channel.with_open_text (Filename.concat dir "BENCH_perf.json")
+        (fun oc ->
+          Out_channel.output_string oc
+            (Jsonx.to_string (Sweep.report_to_json report)));
+      List.iter
+        (fun (what, d) ->
+          let a = ok_exn (Loader.load_all ~dir:d) in
+          Alcotest.(check bool) (what ^ " parallel identity") true
+            a.Loader.perf.Loader.parallel_identical;
+          match Consistency.run a with
+          | [] -> ()
+          | findings ->
+            Alcotest.failf "%s findings:\n%s" what (Consistency.render findings))
+        [ ("fresh", dir); ("committed", artifact_dir) ])
+
 let test_check_clean_copy () =
   with_scratch_artifacts (fun dir ->
       let code, _ = run_out (Printf.sprintf "report --check --dir %s" dir) in
@@ -389,6 +410,8 @@ let () =
         [
           Alcotest.test_case "all five committed artifacts load" `Quick
             test_load_all_committed;
+          Alcotest.test_case "fresh and committed perf documents load" `Quick
+            test_fresh_and_committed_perf_load;
           Alcotest.test_case "committed artifacts are consistent" `Quick
             test_committed_artifacts_consistent;
           Alcotest.test_case "missing directory is an error" `Quick

@@ -110,11 +110,8 @@ let sweep_rerun_deterministic () =
   Alcotest.(check (list string)) "reruns replay bit for bit" a b
 
 let sweep_report () =
-  let report = Sweep.run_perf ~jobs:2 ~shard_counts:[ 1; 2 ] Sweep.smoke_grid in
+  let report = Sweep.run_perf ~jobs:2 Sweep.smoke_grid in
   Alcotest.(check bool) "identical" true report.Sweep.identical;
-  Alcotest.(check bool) "shards identical" true report.Sweep.shards_identical;
-  Alcotest.(check (list int)) "shard passes ran" [ 1; 2 ]
-    (List.map fst report.Sweep.shard_wall_s);
   Alcotest.(check bool) "parallelism note set" true
     (report.Sweep.parallelism <> "");
   Alcotest.(check int) "all points ran" (List.length Sweep.smoke_grid)
@@ -132,15 +129,14 @@ let sweep_report () =
       "parallelism member"
       (Some report.Sweep.parallelism)
       (Option.bind (Jsonx.member "parallelism" parsed) Jsonx.get_str);
-    Alcotest.(check bool) "shards member is an array" true
-      (match Jsonx.member "shards" parsed with
-      | Some (Jsonx.Arr cells) -> List.length cells = 2
-      | _ -> false);
     Alcotest.(check (option bool))
-      "shard identity member" (Some true)
+      "parallel identity member" (Some true)
       (Option.bind
-         (Jsonx.member "shards_identical_to_sequential" parsed)
+         (Jsonx.member "parallel_identical_to_sequential" parsed)
          Jsonx.get_bool);
+    Alcotest.(check bool) "no shard members" true
+      (Jsonx.member "shards" parsed = None
+      && Jsonx.member "shards_identical_to_sequential" parsed = None);
     let rows =
       Option.bind (Jsonx.member "rows" parsed) Jsonx.get_list
       |> Option.value ~default:[]
@@ -177,13 +173,11 @@ let sweep_frontier_matches_dense_oracle () =
      point, so over the frontier grid's small points the event-driven rows
      must be byte-identical to the dense oracle's (every machine's wake
      query ignored, every live process stepping every slot), and the
-     parallel and sharded passes must match the sequential one. *)
+     parallel pass must match the sequential one. *)
   let points, _capped = Sweep.frontier_grid in
   let points = List.filter (fun (p : Sweep.point) -> p.Sweep.n <= 101) points in
-  let report = Sweep.run_perf ~jobs:2 ~shard_counts:[ 1; 2 ] points in
+  let report = Sweep.run_perf ~jobs:2 points in
   Alcotest.(check bool) "parallel == sequential" true report.Sweep.identical;
-  Alcotest.(check bool) "sharded == sequential" true
-    report.Sweep.shards_identical;
   let oracle =
     Sweep.run_all
       ~options:{ Instances.default_options with Instances.scheduler = `Legacy }
