@@ -304,6 +304,10 @@ let run_cmd protocol n adversary f seed input trace profile_on drop dup delay
       ~trace
   | Wire.Runtime.Sync_oracle ->
     let profile = if profile_on then Some (Profile.create ()) else None in
+    (* A profiled run also counts [engine.messages], for the footer. *)
+    let metrics =
+      if profile_on then Some (Mewc_obs.Metrics.create ()) else None
+    in
     pr "mewc: n=%d t=%d protocol=%s adversary=%s f=%d seed=%Ld%s\n\n" n t
       (Registry.entry_name protocol) adversary f seed
       (if Faults.is_none faults then ""
@@ -312,18 +316,42 @@ let run_cmd protocol n adversary f seed input trace profile_on drop dup delay
       match
         run_sync protocol ~cfg ~f ~input ~adversary ~trace
           ~options:
-            { Instances.default_options with Instances.seed; profile; faults }
+            {
+              Instances.default_options with
+              Instances.seed;
+              profile;
+              faults;
+              metrics;
+            }
       with
       | status -> status
       | exception Monitor.Violation v ->
         pr "\nmonitor violated: %s\n" (Format.asprintf "%a" Monitor.pp_violation v);
         exit 3
     in
-    (match profile with
-    | None -> ()
-    | Some p ->
+    (match (profile, metrics) with
+    | Some p, Some m ->
       pr "\n";
-      print_string (Profile.flame p));
+      print_string (Profile.flame p);
+      (* The hot path's spans (engine and machine) do not nest in one
+         another, so their allocations add up. *)
+      let hot =
+        List.fold_left
+          (fun acc (r : Profile.row) ->
+            match r.Profile.category with
+            | Profile.Engine | Profile.Machine -> acc +. r.Profile.alloc_words
+            | _ -> acc)
+          0.0 (Profile.rows p)
+      in
+      let messages =
+        Option.value ~default:0
+          (List.assoc_opt "engine.messages"
+             (Mewc_obs.Metrics.snapshot m).Mewc_obs.Metrics.counter_values)
+      in
+      pr "alloc words per message: %.1f (engine and machine spans, %d messages)\n"
+        (hot /. float_of_int (max 1 messages))
+        messages
+    | _ -> ());
     (match status with Instances.Decided -> () | Instances.Undecided _ -> exit 2)
 
 (* ---- `trace` --------------------------------------------------------------- *)

@@ -29,7 +29,7 @@ module type S = sig
 
   val step :
     slot:int ->
-    inbox:msg Mewc_sim.Envelope.t list ->
+    inbox:msg Mewc_sim.Mail.t ->
     state ->
     state * msg Mewc_sim.Process.send list
 

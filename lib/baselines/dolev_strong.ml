@@ -72,8 +72,7 @@ let chain_valid st ~r { value; chain } =
     && List.for_all (fun sg -> Pki.verify st.pki sg ~msg:payload) chain
   | [] -> false
 
-let ingest st ~r env =
-  let m = env.Envelope.msg in
+let ingest st ~r _src m =
   if
     r >= 1
     && r <= st.cfg.Config.t + 1
@@ -93,7 +92,7 @@ let step ~slot ~inbox st =
   let r = slot - st.start_slot in
   if r < 0 then (st, [])
   else begin
-    List.iter (ingest st ~r) inbox;
+    Mail.iter (ingest st ~r) inbox;
     let n = st.cfg.Config.n in
     let sends =
       if r = 0 then begin

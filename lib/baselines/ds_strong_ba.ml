@@ -141,9 +141,7 @@ module Make (V : Value.S) = struct
     Mewc_fallback.Round_buffer.add st.buf ~round:m.round m
 
   let step ~slot ~inbox st =
-    List.iter
-      (fun env -> receive st ~slot ~src:env.Envelope.src env.Envelope.msg)
-      inbox;
+    Mail.iter (fun src msg -> receive st ~slot ~src msg) inbox;
     if slot < st.start_slot || (slot - st.start_slot) mod st.round_len <> 0 then
       (st, [])
     else begin

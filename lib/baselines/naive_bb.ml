@@ -105,7 +105,7 @@ let step ~slot ~inbox st =
           then st.received <- Some value
         | Ba inner ->
           st.pending <- { env with Envelope.msg = inner } :: st.pending)
-      inbox;
+      (Mail.to_list inbox);
     let sends =
       if rel = 0 then begin
         match (Pid.equal st.pid st.sender, st.input) with
@@ -129,7 +129,7 @@ let step ~slot ~inbox st =
         match st.ba with
         | None -> []
         | Some ba ->
-          let inbox = List.rev st.pending in
+          let inbox = Mail.of_list (List.rev st.pending) in
           st.pending <- [];
           let ba', sends = Ba.step ~slot ~inbox ba in
           st.ba <- Some ba';

@@ -385,7 +385,7 @@ let emit st ~slot ~rel =
     match st.wba with
     | None -> []
     | Some w ->
-      let inbox = List.rev st.pending_wba in
+      let inbox = Mail.of_list (List.rev st.pending_wba) in
       st.pending_wba <- [];
       let w', sends = W.step ~slot ~inbox w in
       st.wba <- Some w';
@@ -423,6 +423,6 @@ let step ~slot ~inbox st =
   let rel = slot - st.start_slot in
   if rel < 0 then (st, [])
   else begin
-    List.iter (fun env -> ingest st ~rel env) inbox;
+    List.iter (fun env -> ingest st ~rel env) (Mail.to_list inbox);
     (st, emit st ~slot ~rel)
   end

@@ -102,7 +102,7 @@ val init :
 
 val step :
   slot:int ->
-  inbox:msg Mewc_sim.Envelope.t list ->
+  inbox:msg Mewc_sim.Mail.t ->
   state ->
   state * msg Mewc_sim.Process.send list
 

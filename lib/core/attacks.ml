@@ -189,9 +189,9 @@ let wba_late_fallback_cert ~cfg ~victim ~pki ~secrets =
   let extra ~slot ~pid ~inbox =
     if pid <> 2 then []
     else if slot = hb + 1 then begin
-      List.iter
-        (fun env ->
-          match env.Envelope.msg with
+      Mail.iter
+        (fun _src msg ->
+          match msg with
           | W.Help_req { sg } ->
             harvested := Pid.Map.add (Pki.Sig.signer sg) sg !harvested
           | _ -> ())
@@ -241,9 +241,9 @@ let wba_invalid_fallback_king ~cfg ~byz ~evil ~pki ~secrets =
         if not (Pid.equal pid king) then []
         else begin
           (* Harvest votes for the evil value as they come in. *)
-          List.iter
-            (fun env ->
-              match env.Envelope.msg with
+          Mail.iter
+            (fun _src msg ->
+              match msg with
               | W.Fb { E.body = E.Vote { phase; value; share }; _ }
                 when phase = epk_phase && String.equal value evil ->
                 votes := Pid.Map.add (Pki.Sig.signer share) share !votes
@@ -326,9 +326,9 @@ let wba_small_quorum_split ~cfg ~quorum ~v1 ~v2 ~pki ~secrets =
     ~script:(fun ~slot ~pid ~inbox ->
       if not (Pid.equal pid 1) then []
       else begin
-        List.iter
-          (fun env ->
-            match env.Envelope.msg with
+        Mail.iter
+          (fun _src msg ->
+            match msg with
             | W.Vote { phase = 1; share; _ } ->
               Hashtbl.replace collected_votes (Pki.Sig.signer share) share
             | W.Decide_share { phase = 1; share; _ } ->
@@ -384,8 +384,8 @@ let wba_fuzzer ~cfg ~victims ~seed ~pki ~secrets =
   let values = [| "v"; "w"; "fuzz"; "x0"; "x1"; "" |] in
   let certs : Certificate.t list ref = ref [] in
   let remember qc = if List.length !certs < 64 then certs := qc :: !certs in
-  let harvest env =
-    match env.Envelope.msg with
+  let harvest _src msg =
+    match msg with
     | W.Commit_answer { qc; _ } | W.Commit_bcast { qc; _ }
     | W.Finalized { qc; _ } | W.Help { qc; _ } ->
       remember qc
@@ -445,7 +445,7 @@ let wba_fuzzer ~cfg ~victims ~seed ~pki ~secrets =
     ~name:(Printf.sprintf "wba-fuzzer(%d victims, seed %Ld)" (List.length victims) seed)
     ~victims
     ~script:(fun ~slot:_ ~pid ~inbox ->
-      List.iter harvest inbox;
+      Mail.iter harvest inbox;
       List.init (Rng.int rng 4) (fun _ ->
           let m, dst = (random_msg pid, random_dst ()) in
           Process.Unicast (m, dst)))

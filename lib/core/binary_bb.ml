@@ -94,7 +94,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
               && st.received = None
             then st.received <- Some value
           | Ba inner -> st.pending <- { env with Envelope.msg = inner } :: st.pending)
-        inbox;
+        (Mail.to_list inbox);
       let sends =
         if rel = 0 then begin
           match (Pid.equal st.pid st.sender, st.input) with
@@ -120,7 +120,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
           match st.ba with
           | None -> []
           | Some ba ->
-            let inbox = List.rev st.pending in
+            let inbox = Mail.of_list (List.rev st.pending) in
             st.pending <- [];
             let ba', sends = Ba.step ~slot ~inbox ba in
             st.ba <- Some ba';

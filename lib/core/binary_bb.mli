@@ -44,7 +44,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) : sig
 
   val step :
     slot:int ->
-    inbox:msg Mewc_sim.Envelope.t list ->
+    inbox:msg Mewc_sim.Mail.t ->
     state ->
     state * msg Mewc_sim.Process.send list
 

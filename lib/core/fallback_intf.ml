@@ -31,12 +31,12 @@ module type FALLBACK = sig
   val receive : state -> slot:int -> src:Mewc_prelude.Pid.t -> msg -> unit
   (** Take one message delivered at [slot] into the state (in place).
       Host protocols call it from their own ingestion, in delivery order,
-      and then [step ~slot ~inbox:[]]; [step]'s own [inbox] is received
-      the same way first. *)
+      and then [step ~slot ~inbox:Mail.empty]; [step]'s own [inbox] is
+      received the same way first. *)
 
   val step :
     slot:int ->
-    inbox:msg Mewc_sim.Envelope.t list ->
+    inbox:msg Mewc_sim.Mail.t ->
     state ->
     state * msg Mewc_sim.Process.send list
 
@@ -46,7 +46,7 @@ module type FALLBACK = sig
   (** The {!Mewc_sim.Process.t} next-wake query, lifted to the fallback:
       [wake ~after st] is the earliest slot [>= after] at which an
       inbox-free step may act (or {!Mewc_sim.Process.never}). At every slot
-      in between, [step ~slot ~inbox:[] st] sends nothing and changes
+      in between, [step ~slot ~inbox:Mail.empty st] sends nothing and changes
       nothing a later step or [receive] can observe: a skipped round
       boundary may only leave bookkeeping behind (such as the ingested-round
       mark over rounds with no mail) that the next [receive] or [step]

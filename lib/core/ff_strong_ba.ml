@@ -144,10 +144,10 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
     Certificate.verify_as st.pki qc ~k ~purpose
     && String.equal (Certificate.payload qc) (enc value)
 
-  let ingest st ~rel env =
+  let ingest st ~rel src msg =
     let cfg = st.cfg in
     let am_leader = Pid.equal st.pid st.leader in
-    match env.Envelope.msg with
+    match msg with
     | Input { value; share } ->
       if rel = 1 && am_leader then
         ignore
@@ -156,7 +156,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
     | Propose { value; qc } ->
       if
         rel = 2
-        && Pid.equal env.Envelope.src st.leader
+        && Pid.equal src st.leader
         && verify_qc st ~purpose:propose_purpose ~k:(Config.small_quorum cfg)
              ~value qc
         && st.proposal = None
@@ -169,7 +169,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
     | Decide { value; qc } ->
       if
         rel = 4
-        && Pid.equal env.Envelope.src st.leader
+        && Pid.equal src st.leader
         && verify_qc st ~purpose:decide_purpose ~k:cfg.Config.n ~value qc
         && st.decide_recv = None
       then st.decide_recv <- Some (value, qc)
@@ -191,14 +191,14 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
     | Fb inner -> (
       match st.fb_state with
       | Some fb ->
-        F.receive fb ~slot:(st.start_slot + rel) ~src:env.Envelope.src inner
-      | None -> st.pending_fb <- (env.Envelope.src, inner) :: st.pending_fb)
+        F.receive fb ~slot:(st.start_slot + rel) ~src inner
+      | None -> st.pending_fb <- (src, inner) :: st.pending_fb)
 
   let step_fallback st ~slot =
     match st.fb_state with
     | None -> []
     | Some fb ->
-      let fb', sends = F.step ~slot ~inbox:[] fb in
+      let fb', sends = F.step ~slot ~inbox:Mail.empty fb in
       st.fb_state <- Some fb';
       (match F.decision fb' with
       | Some fv when st.decision = None -> st.decision <- Some fv
@@ -311,7 +311,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
     let rel = slot - st.start_slot in
     if rel < 0 then (st, [])
     else begin
-      List.iter (fun env -> ingest st ~rel env) inbox;
+      Mail.iter (fun src msg -> ingest st ~rel src msg) inbox;
       let sends = emit st ~slot ~rel in
       if st.decision <> None && st.decided_at = None then
         st.decided_at <- Some slot;

@@ -289,9 +289,9 @@ module Weak_ba_protocol = struct
         let odds = List.filter (fun d -> d mod 2 = 1) (List.init n Fun.id) in
         let sides = [ ("fz0", evens); ("fz1", odds) ] in
         fun ~pid ~slot ~inbox ~active ->
-          List.iter
-            (fun env ->
-              match env.Envelope.msg with
+          Mail.iter
+            (fun _src msg ->
+              match msg with
               | Weak_str.Vote { phase; value; share } ->
                 observe ~purpose:Weak_str.commit_purpose
                   ~payload:(Weak_str.phased_payload phase value)
@@ -712,6 +712,8 @@ let run (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
   let { Protocol.fallback_runs; nonsilent_phases; help_requests } =
     P.counters correct_states
   in
+  let crypto = Pki.cache_stats pki in
+  Pki.release pki;
   {
     decisions = Array.map P.decision res.Engine.states;
     decided_slots = Array.map P.decided_at res.Engine.states;
@@ -732,7 +734,7 @@ let run (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
       latency_of ~corrupted:res.Engine.corrupted ~faulty:res.Engine.faulty
         ~decided_at:P.decided_at res.Engine.states;
     meter = Meter.snapshot res.Engine.meter;
-    crypto = Pki.cache_stats pki;
+    crypto;
     trace_json =
       (if record_trace then
          let encode () = Trace.to_json ~encode:P.encode_msg res.Engine.trace in

@@ -89,7 +89,7 @@ module type S = sig
     rng:Rng.t ->
     (pid:Pid.t ->
     slot:int ->
-    inbox:msg Envelope.t list ->
+    inbox:msg Mail.t ->
     active:(Pid.t * Pki.Secret.t) list ->
     msg Process.send list))
     option

@@ -112,7 +112,7 @@ let step ~slot ~inbox st =
             msg = inner;
           }
           :: st.pending.(index))
-    inbox;
+    (Mail.to_list inbox);
   let out = ref [] in
   (* Stepping just the window keeps a k-slot log linear in k at any
      pipeline depth, and within it only the instances with mail or a due
@@ -131,7 +131,7 @@ let step ~slot ~inbox st =
             ~input:(if Pid.equal st.pid sender then Some (st.propose i) else None)
             ~start_slot:(i * st.offset)
       in
-      let inbox = List.rev st.pending.(i) in
+      let inbox = Mail.of_list (List.rev st.pending.(i)) in
       st.pending.(i) <- [];
       let inst', sends = Adaptive_bb.step ~slot ~inbox inst in
       st.instances.(i) <- Some inst';
@@ -193,6 +193,7 @@ let run ~cfg ?(seed = 1L) ?offset ?options ~length ~propose ~adversary () =
       ~horizon:(horizon ?offset cfg ~length)
       ~protocol ~adversary ()
   in
+  Pki.release pki;
   let words_total = Meter.correct_words res.Engine.meter in
   {
     logs = Array.map log res.Engine.states;

@@ -130,7 +130,7 @@ module Make (V : Mewc_sim.Value.S) (F : Fallback_intf.FALLBACK with type value =
 
   val step :
     slot:int ->
-    inbox:msg Mewc_sim.Envelope.t list ->
+    inbox:msg Mewc_sim.Mail.t ->
     state ->
     state * msg Mewc_sim.Process.send list
 

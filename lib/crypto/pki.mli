@@ -160,6 +160,12 @@ val signatures_created : t -> int
 val verifications_performed : t -> int
 val combines_performed : t -> int
 
+val release : t -> unit
+(** Drop the calling domain's memo tables for this setup, once its run is
+    over and its {!cache_stats} have been read. The counters survive; a
+    later lookup starts a cold table. Tables on other domains are left to
+    the usual sweep. *)
+
 val reset_counters : t -> unit
 (** Zeroes the operation counters and empties both memo tables (so
     back-to-back experiments on one PKI don't inherit warm caches). *)

@@ -118,7 +118,7 @@ module Make (V : Mewc_sim.Value.S) : sig
 
   val step :
     slot:int ->
-    inbox:msg Mewc_sim.Envelope.t list ->
+    inbox:msg Mewc_sim.Mail.t ->
     state ->
     state * msg Mewc_sim.Process.send list
   (** Receive [inbox], then, at a round boundary, ingest every buffered

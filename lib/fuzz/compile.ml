@@ -154,7 +154,7 @@ let adversary (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
             b
         in
         let slot = view.Adversary.slot in
-        buf := (slot, (Adversary.inboxes view).(pid)) :: take 8 !buf;
+        buf := (slot, Mail.to_list (Adversary.inboxes view).(pid)) :: take 8 !buf;
         (match List.assoc_opt (slot - delay) !buf with
         | Some envs ->
           take cap

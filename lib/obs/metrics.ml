@@ -110,11 +110,13 @@ let create () =
     names = [];
   }
 
+(* Lookups use [Hashtbl.find], so a hit allocates nothing: a counter bump
+   on a hot path costs no words of its own. *)
 let cell_of t =
   let per_domain = Domain.DLS.get domain_cells in
-  match Hashtbl.find_opt per_domain t.id with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find per_domain t.id with
+  | c -> c
+  | exception Not_found ->
     if Hashtbl.length per_domain >= max_live_cells then
       Hashtbl.reset per_domain;
     let c = new_cell () in
@@ -146,9 +148,9 @@ let histogram t name =
   { h_reg = t; h_name = name }
 
 let slot tbl name init =
-  match Hashtbl.find_opt tbl name with
-  | Some v -> v
-  | None ->
+  match Hashtbl.find tbl name with
+  | v -> v
+  | exception Not_found ->
     let v = init () in
     Hashtbl.add tbl name v;
     v

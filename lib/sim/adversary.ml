@@ -3,7 +3,7 @@ type ('s, 'm) view = {
   cfg : Config.t;
   states : 's array Lazy.t;
   corrupted : bool array Lazy.t;
-  inboxes : 'm Envelope.t list array Lazy.t;
+  inboxes : 'm Mail.t array Lazy.t;
   correct_outgoing : 'm Envelope.t list Lazy.t;
 }
 

@@ -20,8 +20,9 @@ type ('s, 'm) view = {
       (** protocol states; for corrupted processes, the state frozen at
           corruption time *)
   corrupted : bool array Lazy.t;
-  inboxes : 'm Envelope.t list array Lazy.t;
-      (** what each process received this slot *)
+  inboxes : 'm Mail.t array Lazy.t;
+      (** what each process received this slot, as views valid until
+          this slot's Byzantine step returns ({!Mail}) *)
   correct_outgoing : 'm Envelope.t list Lazy.t;
       (** messages correct processes send in this slot, one envelope per
           destination ({!Process.expand}) — empty during the corruption
@@ -38,7 +39,7 @@ type ('s, 'm) view = {
 
 val states : ('s, 'm) view -> 's array
 val corrupted : ('s, 'm) view -> bool array
-val inboxes : ('s, 'm) view -> 'm Envelope.t list array
+val inboxes : ('s, 'm) view -> 'm Mail.t array
 val correct_outgoing : ('s, 'm) view -> 'm Envelope.t list
 (** Forcing accessors for the lazy fields. *)
 

@@ -139,9 +139,15 @@ let drain_ascending set flag out =
    - {e Delivery order and shuffle draws.} Only processes with pooled
      messages are visited, in ascending pid order. Shuffling an empty inbox
      draws nothing from the RNG, so skipping empty pools replays the shuffle
-     stream of a pass over every process. Pools are flat [Vec]s appended in
-     post order; a process's inbox is its pool read newest-first, reversed
-     (or shuffled).
+     stream of a pass over every process. Pools are {!Mail.Pool}s appended
+     in post order; a process's inbox is a view of its pool, read in post
+     order or in the shuffled order {!Mail.Pool.shuffle} draws.
+
+   - {e Pool lifetime.} A pool is read in place by its view for the whole
+     slot — by the correct step, the adversary's [inboxes] and the
+     Byzantine step — and emptied only after the Byzantine step, just
+     before this slot's posts refill it. So a post copies four fields into
+     the destination's vectors, and a delivery builds nothing.
 
    - {e Step order and event order.} Active processes step in ascending pid
      order, so send ids, meter charges and trace events interleave exactly
@@ -160,7 +166,8 @@ let drain_ascending set flag out =
    - {e Provenance.} [inbox_ids] is maintained as a persistent array that
      is [[]] for every process without deliveries this slot, so [parents]
      of sends (including byzantine sends and timer-driven sends) are the
-     ids of exactly this slot's deliveries.
+     ids of exactly this slot's deliveries. The lists are built only when
+     events are observed, by the trace or by a monitor.
 
    The dense mode ([`Legacy]) is this same loop over machines whose [wake]
    is forced to [None]: the calendar then files every live correct process
@@ -227,17 +234,11 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   in
   let prev_decided = Array.make n None in
   let next_id = ref 0 in
-  (* Flat per-process pools, appended in post order (oldest first) and
-     reused slot after slot, each with its envelope ids in a parallel
-     [pool_ids]. Envelope ids are assigned in post order, so ids increase
-     monotonically along the trace and a message's id is always smaller
-     than any message it causally feeds. *)
-  let pools = Array.init n (fun _ -> Vec.create ()) in
-  let pool_ids = Array.init n (fun _ -> Vec.create ()) in
-  let pool_push dst id envelope =
-    Vec.push pools.(dst) envelope;
-    Vec.push pool_ids.(dst) id
-  in
+  (* Per-process pools, appended in post order (oldest first) and reused
+     slot after slot. Envelope ids are assigned in post order, so ids
+     increase monotonically along the trace and a message's id is always
+     smaller than any message it causally feeds. *)
+  let pools = Array.init n (fun dst -> Mail.Pool.create ~dst) in
   (* The processes whose pool is nonempty — the only ones the next delivery
      pass must visit. Collected unsorted with a flag for O(1) dedup, sorted
      ascending at delivery time. *)
@@ -249,11 +250,11 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
       Vec.push dirty p
     end
   in
-  (* Persistent inbox arrays: entries are [[]] except for this slot's
+  (* Persistent inbox arrays: entries are empty except for this slot's
      delivered processes, and are reset at slot end. [post] reads
      [inbox_ids.(src)] for every sender — including timer-woken and
      byzantine ones, whose provenance is therefore empty. *)
-  let inboxes = Array.make n [] in
+  let inboxes = Array.make n Mail.empty in
   let inbox_ids = Array.make n [] in
   (* [delayed] buckets messages a [Faults.Delayed] verdict postponed, keyed
      by delivery slot. Kept apart from the pools so the reliable path never
@@ -270,45 +271,25 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
          reverses the pool, flushed messages land after the slot's punctual
          ones, in original send order. *)
       List.iter
-        (fun (dst, id, envelope) ->
-          pool_push dst id envelope;
+        (fun (id, { Envelope.src; dst; sent_at; msg }) ->
+          Mail.Pool.push pools.(dst) ~src ~sent_at ~id msg;
           mark_dirty dst)
         (List.rev entries)
   in
   let is_down p =
     match faults_rt with None -> false | Some rt -> Faults.is_down rt p
   in
-  (* Process [p]'s pool as its inbox and the matching envelope ids, then
-     emptied. In order, both lists are built in one backward pass. Shuffled,
-     the (id, envelope) pairs are shuffled newest-first, one draw per
-     message; the draws happen even for a down process, whose delivery is
-     then dropped. *)
+  (* Process [p]'s pool becomes its inbox, read in place. Shuffled, the
+     pool draws its order first, one draw per message; the draws happen
+     even for a down process, whose delivery is then dropped. The pool is
+     emptied after the Byzantine step. *)
   let deliver p =
-    let pool = pools.(p) and ids = pool_ids.(p) in
-    let len = Vec.length pool in
-    (match shuffle_rng with
-    | None ->
-      if not (is_down p) then begin
-        let envs = ref [] and idl = ref [] in
-        for i = len - 1 downto 0 do
-          envs := Vec.get pool i :: !envs;
-          idl := Vec.get ids i :: !idl
-        done;
-        inboxes.(p) <- !envs;
-        inbox_ids.(p) <- !idl
-      end
-    | Some rng ->
-      let pairs = ref [] in
-      for i = 0 to len - 1 do
-        pairs := (Vec.get ids i, Vec.get pool i) :: !pairs
-      done;
-      let pairs = Rng.shuffle rng !pairs in
-      if not (is_down p) then begin
-        inbox_ids.(p) <- List.map fst pairs;
-        inboxes.(p) <- List.map snd pairs
-      end);
-    Vec.clear pool;
-    Vec.clear ids
+    let pool = pools.(p) in
+    (match shuffle_rng with Some rng -> Mail.Pool.shuffle pool rng | None -> ());
+    if not (is_down p) then begin
+      inboxes.(p) <- Mail.Pool.view pool;
+      if observing then inbox_ids.(p) <- Mail.Pool.ids pool
+    end
   in
   (* Everything order-sensitive (the envelope id, the meter charge, trace
      emission, delayed buckets) happens here, on the main domain, in post
@@ -319,7 +300,6 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
       invalid_arg
         (Printf.sprintf "Engine.run: p%d sent a message to unknown process %d"
            src dst);
-    let envelope = { Envelope.src; dst; sent_at = slot; msg } in
     let word_count = words msg in
     let fault =
       match faults_rt with
@@ -341,7 +321,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
         (Trace.Send
            {
              id;
-             envelope;
+             envelope = { Envelope.src; dst; sent_at = slot; msg };
              byzantine_sender = byzantine;
              words = word_count;
              charged;
@@ -349,7 +329,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
            });
     match fault with
     | None ->
-      pool_push dst id envelope;
+      Mail.Pool.push pools.(dst) ~src ~sent_at:slot ~id msg;
       mark_dirty dst
     | Some fault ->
       (* The send happened — it was charged and traced above; only its
@@ -361,10 +341,12 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
       | Faults.Delayed k ->
         let at = slot + 1 + k in
         let prev = Option.value ~default:[] (Hashtbl.find_opt delayed at) in
-        Hashtbl.replace delayed at ((dst, id, envelope) :: prev)
+        Hashtbl.replace delayed at
+          ((id, { Envelope.src; dst; sent_at = slot; msg }) :: prev)
       | Faults.Duplicated ->
-        pool_push dst id envelope;
-        pool_push dst id envelope;
+        let pool = pools.(dst) in
+        Mail.Pool.push pool ~src ~sent_at:slot ~id msg;
+        Mail.Pool.push pool ~src ~sent_at:slot ~id msg;
         mark_dirty dst)
   in
   (* A broadcast without a fault plan: the [n] posts of its copies in pid
@@ -397,7 +379,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
           parents = inbox_ids.(src);
         };
     for dst = 0 to n - 1 do
-      pool_push dst (id + dst) { Envelope.src; dst; sent_at = slot; msg };
+      Mail.Pool.push pools.(dst) ~src ~sent_at:slot ~id:(id + dst) msg;
       mark_dirty dst
     done
   in
@@ -545,9 +527,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
       timed Profile.Machine "machine.step" (fun () ->
         for i = 0 to n_delivered - 1 do
           let p = delivered.(i) in
-          match inboxes.(p) with
-          | _ :: _ when not corrupted.(p) -> activate p
-          | _ -> ()
+          if Mail.length inboxes.(p) > 0 && not corrupted.(p) then activate p
         done;
         let p = ref head.(slot) in
         head.(slot) <- -1;
@@ -647,6 +627,11 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
               | sends -> Some (p, sends))
             !byzantine)
     in
+    (* Every view of this slot's mail is dead now: empty the delivered
+       pools for this slot's posts. *)
+    for i = 0 to n_delivered - 1 do
+      Mail.Pool.clear pools.(delivered.(i))
+    done;
     (* 4. Post everything: correct sends in ascending pid order, then the
        Byzantine ones. Fates are keyed by (slot, src, seq), and a corrupted
        process never reaches the correct step phase, so the two groups
@@ -657,7 +642,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     (* Restore the all-empty inbox invariant for the next slot. *)
     for i = 0 to n_delivered - 1 do
       let p = delivered.(i) in
-      inboxes.(p) <- [];
+      inboxes.(p) <- Mail.empty;
       inbox_ids.(p) <- []
     done;
     (match meters with

@@ -2,7 +2,7 @@ type 'm send = Unicast of 'm * Mewc_prelude.Pid.t | Broadcast of 'm
 
 type ('s, 'm) t = {
   init : 's;
-  step : slot:int -> inbox:'m Envelope.t list -> 's -> 's * 'm send list;
+  step : slot:int -> inbox:'m Mail.t -> 's -> 's * 'm send list;
   wake : (after:int -> 's -> int) option;
 }
 

@@ -20,11 +20,15 @@ type 'm send =
 
 type ('s, 'm) t = {
   init : 's;
-  step : slot:int -> inbox:'m Envelope.t list -> 's -> 's * 'm send list;
+  step : slot:int -> inbox:'m Mail.t -> 's -> 's * 'm send list;
       (** [step ~slot ~inbox state] returns the new state and the messages
-          to send. The inbox holds
-          everything delivered at the start of [slot] (i.e. sent during
-          [slot - 1]), in arrival order. *)
+          to send. The inbox is a read-only view of everything delivered
+          at the start of [slot] (i.e. sent during [slot - 1]), in arrival
+          order. It is valid only during this call: the engine reads it
+          from storage it reuses next slot, so a step must never store it
+          (nor a closure over it) in its state. A machine that buffers mail
+          for later keeps the messages, or {!Mail.to_list}, and hands a
+          nested machine {!Mail.of_list}. *)
   wake : (after:int -> 's -> int) option;
       (** The machine's timer, as a next-wake query: [wake ~after s] is the
           earliest slot [>= after] at which [s] must step even with an empty
@@ -33,8 +37,8 @@ type ('s, 'm) t = {
           [~after:0], and again after every step at slot [k] with
           [~after:(k + 1)] — and steps it only at filed slots and at slots
           that deliver it something. The contract: for every slot [k] in
-          [[after, wake ~after s)], [step ~slot:k ~inbox:[] s] is a no-op —
-          it sends nothing and leaves the state observationally unchanged
+          [[after, wake ~after s)], [step ~slot:k ~inbox:Mail.empty s] is a
+          no-op — it sends nothing and leaves the state observationally unchanged
           (a skipped step must never alter any future send, decision, or
           state projection; internally inert bookkeeping such as
           materializing an empty scratch table is tolerated). Answering too

@@ -51,10 +51,10 @@ let alloc_words () =
   let s = Gc.quick_stat () in
   Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
-let create ?clock () =
-  let clock =
-    match clock with Some c -> c | None -> Unix.gettimeofday
-  in
+(* Seconds on the monotonic clock: immune to wall-clock steps. *)
+let monotonic () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let create ?(clock = monotonic) () =
   {
     clock;
     created = clock ();

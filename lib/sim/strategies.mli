@@ -13,7 +13,7 @@ val deviant :
   mangle:
     (slot:int ->
     pid:Mewc_prelude.Pid.t ->
-    inbox:'m Envelope.t list ->
+    inbox:'m Mail.t ->
     'm Process.send list ->
     'm Process.send list) ->
   ('s, 'm) Adversary.t
@@ -33,7 +33,7 @@ val scripted :
   script:
     (slot:int ->
     pid:Mewc_prelude.Pid.t ->
-    inbox:'m Envelope.t list ->
+    inbox:'m Mail.t ->
     'm Process.send list) ->
   ('s, 'm) Adversary.t
 (** Corrupts [victims] at slot 0 and drives them with a stateless-per-slot

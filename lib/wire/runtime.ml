@@ -298,8 +298,10 @@ let run (type p s m d) (protocol : (p, s, m, d) Mewc_core.Protocol.t)
       if Stall.expired stall then stalled := true
       else begin
         let inbox =
-          if tau = 0 then []
-          else deliver ~cur_slot:tau ~upto:(tau - 1) (List.rev !self_pending)
+          if tau = 0 then Mail.empty
+          else
+            Mail.of_list
+              (deliver ~cur_slot:tau ~upto:(tau - 1) (List.rev !self_pending))
         in
         self_pending := [];
         let state', sends = machine.Process.step ~slot:tau ~inbox !state in
@@ -426,6 +428,7 @@ let run (type p s m d) (protocol : (p, s, m, d) Mewc_core.Protocol.t)
          Atomic.set aborted true;
          raise e);
       lane 0);
+  Mewc_crypto.Pki.release pki;
   let results = Array.map Option.get slots in
   let event_key : string Trace.event -> int * int * int * int = function
     | Trace.Frame_fault { slot; src; dst; seq; _ } -> (slot, 0, (src * 4096) + dst, seq)

@@ -245,7 +245,7 @@ let flood_protocol ~dup pid =
     step =
       (fun ~slot ~inbox st ->
         let st =
-          { heard = st.heard + List.length inbox; done_ = st.done_ || slot >= 2 }
+          { heard = st.heard + Mail.length inbox; done_ = st.done_ || slot >= 2 }
         in
         if slot = 0 then
           (st, List.concat (List.init dup (fun _ -> Process.broadcast "x")))
