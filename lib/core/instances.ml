@@ -232,10 +232,14 @@ module Weak_ba_protocol = struct
 
   let decision = Weak_str.decision
 
+  (* The bytes of [Format.asprintf "%a" Weak_str.pp_outcome], built
+     without a formatter: the engine asks on every step of a decided
+     process. [%S] is the escaped string in double quotes. *)
   let decided_str st =
     match Weak_str.decision st with
     | None -> None
-    | Some d -> Some (Format.asprintf "%a" Weak_str.pp_outcome d)
+    | Some (Weak_str.Value v) -> Some ("\"" ^ String.escaped v ^ "\"")
+    | Some Weak_str.Bot -> Some "⊥"
 
   let decided_at = Weak_str.decided_at
 
@@ -396,10 +400,13 @@ module Bb_protocol = struct
 
   let decision = Adaptive_bb.decision
 
+  (* The bytes of [Format.asprintf "%a" Adaptive_bb.pp_decision], built
+     without a formatter, as for weak BA. *)
   let decided_str st =
     match Adaptive_bb.decision st with
     | None -> None
-    | Some d -> Some (Format.asprintf "%a" Adaptive_bb.pp_decision d)
+    | Some (Adaptive_bb.Decided v) -> Some ("decide(" ^ v ^ ")")
+    | Some Adaptive_bb.No_decision -> Some "decide(⊥)"
 
   let decided_at = Adaptive_bb.decided_at
 

@@ -1,10 +1,10 @@
 type ('s, 'm) view = {
-  slot : int;
+  mutable slot : int;
   cfg : Config.t;
-  states : 's array Lazy.t;
-  corrupted : bool array Lazy.t;
-  inboxes : 'm Mail.t array Lazy.t;
-  correct_outgoing : 'm Envelope.t list Lazy.t;
+  mutable states : 's array Lazy.t;
+  mutable corrupted : bool array Lazy.t;
+  mutable inboxes : 'm Mail.t array Lazy.t;
+  mutable correct_outgoing : 'm Envelope.t list Lazy.t;
 }
 
 let states v = Lazy.force v.states

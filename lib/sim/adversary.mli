@@ -14,16 +14,16 @@
     in flight and will be delivered (the adversary cannot unsend). *)
 
 type ('s, 'm) view = {
-  slot : int;
+  mutable slot : int;
   cfg : Config.t;
-  states : 's array Lazy.t;
+  mutable states : 's array Lazy.t;
       (** protocol states; for corrupted processes, the state frozen at
           corruption time *)
-  corrupted : bool array Lazy.t;
-  inboxes : 'm Mail.t array Lazy.t;
+  mutable corrupted : bool array Lazy.t;
+  mutable inboxes : 'm Mail.t array Lazy.t;
       (** what each process received this slot, as views valid until
           this slot's Byzantine step returns ({!Mail}) *)
-  correct_outgoing : 'm Envelope.t list Lazy.t;
+  mutable correct_outgoing : 'm Envelope.t list Lazy.t;
       (** messages correct processes send in this slot, one envelope per
           destination ({!Process.expand}) — empty during the corruption
           decision, populated for Byzantine steps (rushing) *)
@@ -32,10 +32,16 @@ type ('s, 'm) view = {
     never mutate the run from under it — but the copies are {e lazy}: an
     adversary that never looks (honest, crash, staggered-crash — the bulk
     of every sweep) costs the engine nothing per slot, and the same holds
-    for the envelope list behind [correct_outgoing]. Force inside the
-    [corrupt]/[byz_step] callback that received the view; the thunks
-    snapshot at first force, so a view stashed and forced in a later slot
-    would observe later state. *)
+    for the envelope list behind [correct_outgoing].
+
+    The engine keeps {e one} view per run and updates it in place before
+    each callback: it sets [slot], and re-arms a thunk only if an
+    adversary forced it since, so an unforced thunk is the same value from
+    slot to slot and snapshots at its first force. The fields are mutable
+    for the engine's sake; adversary code only reads them. Force inside
+    the [corrupt]/[byz_step] callback that received the view: a view
+    stashed and read in a later callback shows that callback's slot and
+    state, not the one it was handed in. *)
 
 val states : ('s, 'm) view -> 's array
 val corrupted : ('s, 'm) view -> bool array

@@ -167,7 +167,14 @@ let drain_ascending set flag out =
      is [[]] for every process without deliveries this slot, so [parents]
      of sends (including byzantine sends and timer-driven sends) are the
      ids of exactly this slot's deliveries. The lists are built only when
-     events are observed, by the trace or by a monitor.
+     something reads them: a recording trace, or a monitor that declares
+     [provenance]. Otherwise every event carries [parents = []].
+
+   - {e Quiet slots.} The phases, the adversary view and its thunks are
+     built once per run. A phase runs, and opens its profiler span, only
+     when it has input, so a slot with no delivery, no filed wake and no
+     corrupted process costs its clock, its [Slot_start] event and the
+     corruption query, and allocates only that event.
 
    The dense mode ([`Legacy]) is this same loop over machines whose [wake]
    is forced to [None]: the calendar then files every live correct process
@@ -192,12 +199,13 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   in
   let meters = engine_meters_of metrics in
   let slot_words = ref 0 in
-  (* Sections are per slot, not per message, so an unprofiled run pays one
-     closure and one match per section per slot — noise. *)
-  let timed category name f =
+  (* A phase is a function built once per run and handed its argument, so
+     an unprofiled slot builds no closure; only a profiled one builds the
+     span's. *)
+  let timed category name phase x =
     match profile with
-    | None -> f ()
-    | Some p -> Profile.span p ~category name f
+    | None -> phase x
+    | Some p -> Profile.span p ~category name (fun () -> phase x)
   in
   let n = cfg.Config.n in
   let shuffle_rng = Option.map Rng.create shuffle_seed in
@@ -224,9 +232,20 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   (* Events are only materialized when someone is looking: a recording trace
      or at least one monitor. The meter's per-slot series is always on. *)
   let observing = record_trace || monitors <> [] in
+  (* The [parents] id lists are built only when something reads them: a
+     recording trace, or a monitor that declares it. *)
+  let provenance =
+    record_trace || List.exists (fun m -> m.Monitor.provenance) monitors
+  in
+  let rec notify ev = function
+    | [] -> ()
+    | m :: rest ->
+      m.Monitor.on_event ev;
+      notify ev rest
+  in
   let emit ev =
     Trace.record trace ev;
-    List.iter (fun m -> m.Monitor.on_event ev) monitors
+    notify ev monitors
   in
   let emit_broadcast b =
     Trace.record_broadcast trace b;
@@ -288,7 +307,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     (match shuffle_rng with Some rng -> Mail.Pool.shuffle pool rng | None -> ());
     if not (is_down p) then begin
       inboxes.(p) <- Mail.Pool.view pool;
-      if observing then inbox_ids.(p) <- Mail.Pool.ids pool
+      if provenance then inbox_ids.(p) <- Mail.Pool.ids pool
     end
   in
   (* Everything order-sensitive (the envelope id, the meter charge, trace
@@ -458,125 +477,131 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   in
   let active = Array.make n 0 in
   let delivered = Array.make n 0 in
+  let n_delivered = ref 0 in
   (* The corrupted pids in ascending order, for the Byzantine step. *)
   let byzantine = ref [] in
-  for slot = 0 to horizon - 1 do
-    Meter.begin_slot meter ~slot;
-    mincr meters (fun m -> m.slots_c);
-    if observing then emit (Trace.Slot_start slot);
-    (match faults_rt with
-    | None -> ()
-    | Some rt ->
-      List.iter
-        (fun (pid, event) ->
-          if not faulty_seen.(pid) then begin
-            faulty_seen.(pid) <- true;
-            faulty_order := pid :: !faulty_order
-          end;
-          if observing then emit (Trace.Process_fault { slot; pid; event }))
-        (Faults.transitions rt ~slot);
-      flush_delayed slot);
-    let n_delivered =
-      timed Profile.Engine "engine.deliver" (fun () ->
-          let count = drain_ascending dirty dirty_flag delivered in
-          for i = 0 to count - 1 do
-            deliver delivered.(i)
-          done;
-          count)
-    in
-    let view outgoing =
-      {
-        Adversary.slot;
-        cfg;
-        states = lazy (Array.copy states);
-        corrupted = lazy (Array.copy corrupted);
-        inboxes = lazy (Array.copy inboxes);
-        correct_outgoing = outgoing;
-      }
-    in
-    (* 1. Adaptive corruption, before correct processes act this slot. *)
-    let new_corruptions =
-      timed Profile.Adversary "adversary.corrupt" (fun () ->
-          adversary.Adversary.corrupt (view (Lazy.from_val [])))
-    in
-    List.iter
-      (fun p ->
-        if not (Pid.is_valid ~n p) then
-          invalid_arg (Printf.sprintf "Engine.run: cannot corrupt unknown process %d" p);
-        if not corrupted.(p) then begin
-          if !corruption_count >= cfg.Config.t then
-            invalid_arg
-              (Printf.sprintf
-                 "Engine.run: adversary %s exceeded the corruption budget t=%d"
-                 adversary.Adversary.name cfg.Config.t);
-          corrupted.(p) <- true;
-          byzantine := List.merge Int.compare [ p ] !byzantine;
-          corruption_order := p :: !corruption_order;
-          incr corruption_count;
-          mincr meters (fun m -> m.corruptions_c);
-          if observing then
-            emit (Trace.Corruption { slot; pid = p; f = !corruption_count })
-        end)
-      new_corruptions;
-    (* 2. Active correct processes step: a delivery or a wake filed for this
-       slot, in ascending pid order. A down process's filing moves on to the
-       next slot; a corrupted process's is dropped for good. Each stepped
-       process files its next wake. *)
-    let correct_sends = ref [] in
-    let n_active =
-      timed Profile.Machine "machine.step" (fun () ->
-        for i = 0 to n_delivered - 1 do
-          let p = delivered.(i) in
-          if Mail.length inboxes.(p) > 0 && not corrupted.(p) then activate p
-        done;
-        let p = ref head.(slot) in
-        head.(slot) <- -1;
-        while !p >= 0 do
-          let q = !p in
-          p := next.(q);
-          due.(q) <- Process.never;
-          if corrupted.(q) then ()
-          else if is_down q then file q ~after:(slot + 1)
-          else activate q
-        done;
-        let count = drain_ascending active_set active_flag active in
-        let step_one p =
-          match machines.(p).Process.step ~slot ~inbox:inboxes.(p) states.(p) with
-          | state', sends -> Stepped (state', sends)
-          | exception e -> Failed e
-        in
-        let merge p = function
-          | Stepped (state', sends) ->
-            states.(p) <- state';
-            correct_sends := (p, sends) :: !correct_sends;
-            file p ~after:(slot + 1)
-          | Failed e -> raise e
-          | Skipped -> ()
-        in
-        (match workers with
-        | None ->
-          for i = 0 to count - 1 do
-            let p = active.(i) in
-            merge p (step_one p)
-          done
-        | Some ws ->
-          if count > 0 then
-            compute_active_steps ws ~pids:active ~count ~step_one step_results;
-          for i = 0 to count - 1 do
-            let p = active.(i) in
-            let r = step_results.(p) in
-            step_results.(p) <- Skipped;
-            merge p r
-          done);
-        count)
-    in
-    (* 2b. Decision transitions. Slot 0 scans everyone (an init state may
-       already be decided); afterwards only stepped processes can have
-       transitioned, so the scan follows the active set, in ascending pid
-       order. *)
-    (match decided with
+  (* This slot's sends: the correct ones in ascending pid order (the step
+     phase collects them newest-first and reverses them), then the
+     Byzantine ones. Emptied once posted. *)
+  let correct_sends = ref [] in
+  let byz_sends = ref [] in
+  (* One adversary view per run, updated in place before each callback. A
+     thunk is re-armed only after an adversary forced it; an unforced one
+     snapshots at its first force, whichever slot that is. The rushing
+     envelopes are empty during the corruption decision. *)
+  let snapshot a = lazy (Array.copy a) in
+  let no_outgoing = Lazy.from_val [] in
+  let view =
+    {
+      Adversary.slot = 0;
+      cfg;
+      states = snapshot states;
+      corrupted = snapshot corrupted;
+      inboxes = snapshot inboxes;
+      correct_outgoing = no_outgoing;
+    }
+  in
+  let outgoing_of () =
+    lazy
+      (let slot = view.Adversary.slot in
+       List.concat_map
+         (fun (src, sends) ->
+           List.map
+             (fun (msg, dst) -> { Envelope.src; dst; sent_at = slot; msg })
+             (Process.expand ~n sends))
+         !correct_sends)
+  in
+  let outgoing = ref (outgoing_of ()) in
+  let rearm () =
+    if Lazy.is_val view.states then view.states <- snapshot states;
+    if Lazy.is_val view.corrupted then view.corrupted <- snapshot corrupted;
+    if Lazy.is_val view.inboxes then view.inboxes <- snapshot inboxes
+  in
+  (* The phases, built once per run. *)
+  let deliver_phase () =
+    let count = drain_ascending dirty dirty_flag delivered in
+    for i = 0 to count - 1 do
+      deliver delivered.(i)
+    done;
+    count
+  in
+  let corrupt_one slot p =
+    if not (Pid.is_valid ~n p) then
+      invalid_arg (Printf.sprintf "Engine.run: cannot corrupt unknown process %d" p);
+    if not corrupted.(p) then begin
+      if !corruption_count >= cfg.Config.t then
+        invalid_arg
+          (Printf.sprintf
+             "Engine.run: adversary %s exceeded the corruption budget t=%d"
+             adversary.Adversary.name cfg.Config.t);
+      corrupted.(p) <- true;
+      byzantine := List.merge Int.compare [ p ] !byzantine;
+      corruption_order := p :: !corruption_order;
+      incr corruption_count;
+      mincr meters (fun m -> m.corruptions_c);
+      if observing then
+        emit (Trace.Corruption { slot; pid = p; f = !corruption_count })
+    end
+  in
+  let step_one slot p =
+    match machines.(p).Process.step ~slot ~inbox:inboxes.(p) states.(p) with
+    | state', sends -> Stepped (state', sends)
+    | exception e -> Failed e
+  in
+  let merge slot p = function
+    | Stepped (state', sends) ->
+      states.(p) <- state';
+      correct_sends := (p, sends) :: !correct_sends;
+      file p ~after:(slot + 1)
+    | Failed e -> raise e
+    | Skipped -> ()
+  in
+  (* Active correct processes step: a delivery or a wake filed for this
+     slot, in ascending pid order. A down process's filing moves on to the
+     next slot; a corrupted process's is dropped for good. Each stepped
+     process files its next wake. *)
+  let step_phase slot =
+    for i = 0 to !n_delivered - 1 do
+      let p = delivered.(i) in
+      if Mail.length inboxes.(p) > 0 && not corrupted.(p) then activate p
+    done;
+    let p = ref head.(slot) in
+    head.(slot) <- -1;
+    while !p >= 0 do
+      let q = !p in
+      p := next.(q);
+      due.(q) <- Process.never;
+      if corrupted.(q) then ()
+      else if is_down q then file q ~after:(slot + 1)
+      else activate q
+    done;
+    let count = drain_ascending active_set active_flag active in
+    (match workers with
+    | None ->
+      for i = 0 to count - 1 do
+        let p = active.(i) in
+        merge slot p (step_one slot p)
+      done
+    | Some ws ->
+      if count > 0 then
+        compute_active_steps ws ~pids:active ~count ~step_one:(step_one slot)
+          step_results;
+      for i = 0 to count - 1 do
+        let p = active.(i) in
+        let r = step_results.(p) in
+        step_results.(p) <- Skipped;
+        merge slot p r
+      done);
+    correct_sends := List.rev !correct_sends;
+    count
+  in
+  (* Decision transitions. Slot 0 scans everyone (an init state may already
+     be decided); afterwards only stepped processes can have transitioned,
+     so the scan follows the active set, in ascending pid order. *)
+  let scan_decisions =
+    match decided with
     | Some decided when observing ->
-      let scan p =
+      let scan slot p =
         if not corrupted.(p) then begin
           match (prev_decided.(p), decided states.(p)) with
           | None, (Some value as d) ->
@@ -594,53 +619,101 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
           | _ -> ()
         end
       in
-      if slot = 0 then
-        for p = 0 to n - 1 do
-          scan p
-        done
-      else
-        for i = 0 to n_active - 1 do
-          scan active.(i)
-        done
-    | _ -> ());
-    let correct_sends = List.rev !correct_sends in
-    (* Built only if an adversary forces it: honest and crash adversaries
-       never read this slot's correct envelopes. *)
-    let correct_outgoing =
-      lazy
-        (List.concat_map
-           (fun (src, sends) ->
-             List.map
-               (fun (msg, dst) -> { Envelope.src; dst; sent_at = slot; msg })
-               (Process.expand ~n sends))
-           correct_sends)
+      fun slot n_active ->
+        if slot = 0 then
+          for p = 0 to n - 1 do
+            scan slot p
+          done
+        else
+          for i = 0 to n_active - 1 do
+            scan slot active.(i)
+          done
+    | _ -> fun _ _ -> ()
+  in
+  (* Byzantine processes step, seeing this slot's correct sends. A step
+     that sends nothing leaves no entry. *)
+  let rec byz_step acc = function
+    | [] -> List.rev acc
+    | p :: rest -> (
+      match adversary.Adversary.byz_step ~pid:p view with
+      | [] -> byz_step acc rest
+      | sends -> byz_step ((p, sends) :: acc) rest)
+  in
+  let byz_phase pids = byz_step [] pids in
+  let rec post_each slot = function
+    | [] -> ()
+    | sends :: rest ->
+      post_all ~slot sends;
+      post_each slot rest
+  in
+  let post_phase slot =
+    post_each slot !correct_sends;
+    post_each slot !byz_sends
+  in
+  (* Each phase below runs only when it has input: pooled mail to deliver,
+     a delivery or a filed wake to step, a corrupted process, a send to
+     post. *)
+  for slot = 0 to horizon - 1 do
+    Meter.begin_slot meter ~slot;
+    mincr meters (fun m -> m.slots_c);
+    if observing then emit (Trace.Slot_start slot);
+    (match faults_rt with
+    | None -> ()
+    | Some rt ->
+      List.iter
+        (fun (pid, event) ->
+          if not faulty_seen.(pid) then begin
+            faulty_seen.(pid) <- true;
+            faulty_order := pid :: !faulty_order
+          end;
+          if observing then emit (Trace.Process_fault { slot; pid; event }))
+        (Faults.transitions rt ~slot);
+      flush_delayed slot);
+    n_delivered :=
+      if Vec.length dirty = 0 then 0
+      else timed Profile.Engine "engine.deliver" deliver_phase ();
+    (* 1. Adaptive corruption, before correct processes act this slot. *)
+    view.Adversary.slot <- slot;
+    view.Adversary.correct_outgoing <- no_outgoing;
+    rearm ();
+    (match
+       timed Profile.Adversary "adversary.corrupt" adversary.Adversary.corrupt
+         view
+     with
+    | [] -> ()
+    | ps -> List.iter (corrupt_one slot) ps);
+    (* 2. Correct processes step; 2b. decision transitions. *)
+    let n_active =
+      if !n_delivered > 0 || head.(slot) >= 0 then
+        timed Profile.Machine "machine.step" step_phase slot
+      else 0
     in
-    (* 3. Byzantine processes step, seeing this slot's correct sends. A step
-       that sends nothing leaves no entry. *)
-    let byz_view = view correct_outgoing in
-    let byz_sends =
-      timed Profile.Adversary "adversary.byz_step" (fun () ->
-          List.filter_map
-            (fun p ->
-              match adversary.Adversary.byz_step ~pid:p byz_view with
-              | [] -> None
-              | sends -> Some (p, sends))
-            !byzantine)
-    in
+    scan_decisions slot n_active;
+    (* 3. The Byzantine step, rushing: the view now shows this slot's
+       correct sends. *)
+    if !byzantine <> [] then begin
+      rearm ();
+      if Lazy.is_val !outgoing then outgoing := outgoing_of ();
+      view.Adversary.correct_outgoing <- !outgoing;
+      byz_sends :=
+        timed Profile.Adversary "adversary.byz_step" byz_phase !byzantine
+    end;
     (* Every view of this slot's mail is dead now: empty the delivered
        pools for this slot's posts. *)
-    for i = 0 to n_delivered - 1 do
+    for i = 0 to !n_delivered - 1 do
       Mail.Pool.clear pools.(delivered.(i))
     done;
     (* 4. Post everything: correct sends in ascending pid order, then the
        Byzantine ones. Fates are keyed by (slot, src, seq), and a corrupted
        process never reaches the correct step phase, so the two groups
        never share a key. *)
-    timed Profile.Engine "engine.post" (fun () ->
-        List.iter (post_all ~slot) correct_sends;
-        List.iter (post_all ~slot) byz_sends);
+    if !correct_sends <> [] || !byz_sends <> [] then begin
+      timed Profile.Engine "engine.post" post_phase slot;
+      correct_sends := [];
+      byz_sends := []
+    end;
     (* Restore the all-empty inbox invariant for the next slot. *)
-    for i = 0 to n_delivered - 1 do
+    for i = 0 to !n_delivered - 1 do
       let p = delivered.(i) in
       inboxes.(p) <- Mail.empty;
       inbox_ids.(p) <- []

@@ -13,11 +13,13 @@ type 'm t = {
   on_event : 'm Trace.event -> unit;
   on_broadcast : 'm Trace.broadcast -> (int * violation) option;
   on_finish : slots:int -> unit;
+  provenance : bool;
 }
 
 exception Copy_violation of int * violation
 
-let make ~name ?(severity = Safety) ?on_event ?on_broadcast ?on_finish () =
+let make ~name ?(severity = Safety) ?(provenance = false) ?on_event
+    ?on_broadcast ?on_finish () =
   let violation ~slot reason = { monitor = name; slot; reason } in
   let violate ~slot reason = raise (Violation (violation ~slot reason)) in
   let on_event =
@@ -53,6 +55,7 @@ let make ~name ?(severity = Safety) ?on_event ?on_broadcast ?on_finish () =
       (match on_finish with
       | None -> fun ~slots:_ -> ()
       | Some f -> f ~violate);
+    provenance;
   }
 
 (* For the monitors that read no sends. *)
@@ -83,6 +86,7 @@ let all monitors =
     on_event = (fun ev -> List.iter (fun m -> m.on_event ev) monitors);
     on_broadcast = earliest monitors;
     on_finish = (fun ~slots -> List.iter (fun m -> m.on_finish ~slots) monitors);
+    provenance = List.exists (fun m -> m.provenance) monitors;
   }
 
 let replay monitors ~slots trace =

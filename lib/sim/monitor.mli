@@ -44,11 +44,17 @@ type 'm t = {
           can be merged into the one violation per-copy delivery would have
           raised ({!broadcast}). *)
   on_finish : slots:int -> unit;
+  provenance : bool;
+      (** Whether the monitor reads the [parents] of [Send] and [Decision]
+          events. The engine builds those id lists only for a recording
+          trace or when some installed monitor sets this; otherwise every
+          event it hands out carries [parents = []]. *)
 }
 
 val make :
   name:string ->
   ?severity:severity ->
+  ?provenance:bool ->
   ?on_event:(violate:(slot:int -> string -> unit) -> 'm Trace.event -> unit) ->
   ?on_broadcast:
     (violate:(copy:int -> slot:int -> string -> unit) ->
@@ -58,7 +64,8 @@ val make :
   unit ->
   'm t
 (** Build a custom monitor; [violate] raises {!Violation} tagged with the
-    monitor's name. [severity] defaults to [Safety]. [on_broadcast]'s
+    monitor's name. [severity] defaults to [Safety]; [provenance] (default
+    [false]) must be set by a monitor that reads [parents]. [on_broadcast]'s
     [violate ~copy] names the copy whose [Send] would have raised. Without
     [on_broadcast], a broadcast replays its [n] [Send] events through
     [on_event], so a monitor written against sends alone stays correct. *)
@@ -74,7 +81,8 @@ val split : 'm t list -> 'm t list * 'm t list
 
 val all : 'm t list -> 'm t
 (** Compose monitors into one that forwards every event to each in order;
-    its [on_broadcast] answers the violation {!broadcast} would raise. *)
+    its [on_broadcast] answers the violation {!broadcast} would raise, and
+    it reads provenance if any of them does. *)
 
 val replay : 'm t list -> slots:int -> 'm Trace.t -> unit
 (** Drive monitors from a recorded trace: every event in order, then

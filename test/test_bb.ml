@@ -51,6 +51,32 @@ let silent_sender_decides_bot () =
   in
   ignore (agree ~expect:Adaptive_bb.No_decision o)
 
+(* [decided_str] builds the bytes [Format.asprintf "%a"
+   Adaptive_bb.pp_decision] renders, without a formatter: values with
+   quotes, backslashes, control and non-ASCII bytes, and decide(⊥). *)
+let decision_strings_match_format () =
+  let check label (o : _ Instances.agreement_outcome) =
+    Array.iteri
+      (fun p d ->
+        Alcotest.(check (option string))
+          (Printf.sprintf "%s: p%d" label p)
+          (Option.map (Format.asprintf "%a" Adaptive_bb.pp_decision) d)
+          o.Instances.decided_strs.(p))
+      o.Instances.decisions
+  in
+  List.iter
+    (fun v -> check (String.escaped v) (run ~n:5 v))
+    [
+      "plain"; "a\"quote\""; "back\\slash"; "caf\xc3\xa9 \u{22a5}";
+      "tab\tnl\n\001"; "";
+    ];
+  let o =
+    run ~n:5 ~adversary:(Adversary.const (Adversary.crash ~victims:[ 0 ] ())) "x"
+  in
+  Alcotest.(check bool) "the silent-sender run decides bottom" true
+    (Array.exists (( = ) (Some Adaptive_bb.No_decision)) o.Instances.decisions);
+  check "bottom" o
+
 let equivocating_sender_agreement () =
   (* Sender signs two values; agreement must hold regardless of which (or ⊥)
      gets decided. *)
@@ -214,6 +240,8 @@ let () =
       ( "byzantine sender",
         [
           Alcotest.test_case "silent sender -> ⊥" `Quick silent_sender_decides_bot;
+          Alcotest.test_case "decision strings match Format" `Quick
+            decision_strings_match_format;
           Alcotest.test_case "equivocating sender" `Quick equivocating_sender_agreement;
           Alcotest.test_case "selective sender" `Quick selective_sender_vetting_spreads;
           Alcotest.test_case "fake idk certificate rejected (Lemma 10)" `Quick

@@ -251,6 +251,75 @@ let alloc_per_message_bounded () =
        alloc_bound)
     true (w < alloc_bound)
 
+(* ---- quiet slots ---------------------------------------------------------
+
+   A slot with no delivery, no wake filed for it and no corrupted process
+   costs its clock, its [Slot_start] event and the corruption query, and
+   nothing else: n processes that never send ([Process.silent]) under weak
+   BA's safety monitors and an honest adversary. Words allocated per extra
+   slot are the difference of two horizons over the extra slots, so the
+   run's fixed costs cancel. The engine allocated 246 words per quiet slot
+   when it built its phases, views and closures slot by slot. *)
+let quiet_run ?profile ~n ~horizon () =
+  let cfg = Mewc_sim.Config.optimal ~n in
+  let monitors, _liveness =
+    Mewc_sim.Monitor.split
+      (Instances.Weak_ba_protocol.monitors ~cfg
+         ~params:(Instances.Weak_ba_protocol.default_params cfg))
+  in
+  Mewc_sim.Engine.run ~cfg
+    ~options:
+      {
+        Mewc_sim.Engine.default_options with
+        monitors;
+        decided = Some (fun () -> None);
+        profile;
+      }
+    ~words:Instances.Weak_ba_protocol.words ~horizon
+    ~protocol:(fun _ -> Mewc_sim.Process.silent ())
+    ~adversary:(Mewc_sim.Adversary.honest ~name:"honest")
+    ()
+
+let quiet_slot_bound = 24.0
+
+let quiet_slot_words n =
+  let words horizon =
+    let before = Gc.minor_words () in
+    ignore (quiet_run ~n ~horizon ());
+    Gc.minor_words () -. before
+  in
+  (words 3000 -. words 1000) /. 2000.0
+
+let quiet_slots_allocate_nothing () =
+  List.iter
+    (fun n ->
+      let w = quiet_slot_words n in
+      Alcotest.(check bool)
+        (Printf.sprintf "n = %d: %.1f words per quiet slot (bound %.0f)" n w
+           quiet_slot_bound)
+        true (w <= quiet_slot_bound))
+    [ 101; 401 ]
+
+(* Every slot of the silent run is quiet: the profile holds the
+   corruption query's span once per slot and no deliver, step or post
+   span. *)
+let quiet_slots_open_no_spans () =
+  let profile = Mewc_sim.Profile.create () in
+  let horizon = 500 in
+  ignore (quiet_run ~profile ~n:101 ~horizon ());
+  let count name =
+    List.fold_left
+      (fun acc (r : Mewc_sim.Profile.row) ->
+        if r.Mewc_sim.Profile.name = name then acc + r.Mewc_sim.Profile.count
+        else acc)
+      0 (Mewc_sim.Profile.rows profile)
+  in
+  Alcotest.(check int) "adversary.corrupt once per slot" horizon
+    (count "adversary.corrupt");
+  List.iter
+    (fun name -> Alcotest.(check int) (name ^ " never opened") 0 (count name))
+    [ "engine.deliver"; "machine.step"; "engine.post"; "adversary.byz_step" ]
+
 (* The sweeps run before the pool group: [pool_map_order] spawns up to 100
    domains, and every multi-domain sweep after that runs several times
    slower on OCaml 5.1 (the frontier case: ~1.5 s before, ~10 s after). *)
@@ -277,6 +346,10 @@ let () =
         [
           Alcotest.test_case "words per delivered message" `Quick
             alloc_per_message_bounded;
+          Alcotest.test_case "words per quiet slot" `Quick
+            quiet_slots_allocate_nothing;
+          Alcotest.test_case "quiet slots open no spans" `Quick
+            quiet_slots_open_no_spans;
         ] );
       ( "pool",
         [

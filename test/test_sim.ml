@@ -133,6 +133,90 @@ let rushing_adversary_sees_current_slot () =
     (Engine.run ~cfg ~words:(fun _ -> 1) ~horizon:3 ~protocol ~adversary ());
   Alcotest.(check bool) "saw in-flight message" true !saw
 
+(* The engine keeps one adversary view per run and re-arms a lazy copy
+   only after it was forced. Whichever slots an adversary forces in, each
+   callback must see what a fresh view would show: states before the
+   correct step at corruption time and after it at the Byzantine step,
+   the corruption flags of the moment, and this slot's correct sends only
+   in the Byzantine step. Every process counts its steps and broadcasts
+   the count; p0 is corrupted at slot 2 and its state freezes. *)
+let adversary_view_rearmed () =
+  let n = 3 and horizon = 8 in
+  let cfg = Config.create ~n ~t:1 in
+  let protocol _ =
+    {
+      Process.init = 0;
+      wake = None;
+      step = (fun ~slot:_ ~inbox:_ k -> (k + 1, Process.broadcast (k + 1)));
+    }
+  in
+  let line slot phase states corrupted outgoing =
+    let ints f a = String.concat ";" (Array.to_list (Array.map f a)) in
+    Printf.sprintf "%d %s [%s] [%s] [%s]" slot phase (ints string_of_int states)
+      (ints string_of_bool corrupted)
+      (String.concat ";"
+         (List.map
+            (fun e ->
+              Printf.sprintf "%d>%d@%d:%d" e.Envelope.src e.Envelope.dst
+                e.Envelope.sent_at e.Envelope.msg)
+            outgoing))
+  in
+  (* Forces on a schedule, so some thunks stay unforced for several slots. *)
+  let forces slot phase = (slot + phase) mod 3 <> 1 in
+  let seen = ref [] in
+  let watch phase view =
+    let slot = view.Adversary.slot in
+    if forces slot phase then
+      seen :=
+        line slot
+          (if phase = 0 then "corrupt" else "byz")
+          (Adversary.states view) (Adversary.corrupted view)
+          (Adversary.correct_outgoing view)
+        :: !seen
+  in
+  let adversary =
+    {
+      Adversary.name = "watcher";
+      corrupt =
+        (fun view ->
+          watch 0 view;
+          if view.Adversary.slot = 2 then [ 0 ] else []);
+      byz_step =
+        (fun ~pid:_ view ->
+          watch 1 view;
+          []);
+    }
+  in
+  ignore (Engine.run ~cfg ~words:(fun _ -> 1) ~horizon ~protocol ~adversary ());
+  (* The same lines from the run's definition: a correct process has
+     stepped [s] times before slot [s]'s step; p0, corrupted at slot 2,
+     stepped twice. *)
+  let expected =
+    List.concat_map
+      (fun slot ->
+        let states steps =
+          Array.init n (fun p -> if p = 0 then min 2 steps else steps)
+        in
+        (* The corruption query of slot 2 runs before p0 is corrupted. *)
+        let corrupted after = Array.init n (fun p -> p = 0 && slot >= after) in
+        let outgoing =
+          List.concat_map
+            (fun src ->
+              List.init n (fun dst ->
+                  { Envelope.src; dst; sent_at = slot; msg = slot + 1 }))
+            [ 1; 2 ]
+        in
+        (if forces slot 0 then
+           [ line slot "corrupt" (states slot) (corrupted 3) [] ]
+         else [])
+        @
+        if slot >= 2 && forces slot 1 then
+          [ line slot "byz" (states (slot + 1)) (corrupted 2) outgoing ]
+        else [])
+      (List.init horizon Fun.id)
+  in
+  Alcotest.(check (list string)) "every callback's view" expected (List.rev !seen)
+
 let corrupted_stop_stepping () =
   let cfg = Config.create ~n:3 ~t:1 in
   let steps = Array.make 3 0 in
@@ -662,6 +746,79 @@ let mail_view_is_list_delivery () =
        (fun seed -> [ (seed, None); (seed, Some (Int64.of_int (seed + 40))) ])
        (List.init 10 Fun.id))
 
+(* [parents] are built only when something reads them. A monitor that
+   does not declare [provenance] sees every [Send] and [Decision] with
+   [parents = []]; one that does, or any monitor beside a recording trace,
+   sees the recorded trace's parents, reliable and shuffled. *)
+let provenance_only_when_read () =
+  let n = 5 and horizon = 8 in
+  let cfg = Config.create ~n ~t:2 in
+  let protocol pid =
+    {
+      Process.init = -1;
+      wake = None;
+      step =
+        (fun ~slot ~inbox:_ _ ->
+          let g = Mewc_prelude.Rng.create (Int64.of_int ((slot * 31) + pid)) in
+          ( slot,
+            if Mewc_prelude.Rng.int g 2 = 0 then Process.broadcast pid
+            else [ Process.Unicast (pid, Mewc_prelude.Rng.int g n) ] ));
+    }
+  in
+  let parents_of = function
+    | Trace.Send { id; parents; _ } -> Some (Printf.sprintf "send %d" id, parents)
+    | Trace.Decision { slot; pid; parents; _ } ->
+      Some (Printf.sprintf "decide %d p%d" slot pid, parents)
+    | _ -> None
+  in
+  let run ~record_trace ~provenance shuffle_seed =
+    let seen = ref [] in
+    let monitor =
+      Monitor.make ~name:"parents" ~provenance
+        ~on_event:(fun ~violate:_ ev ->
+          Option.iter (fun x -> seen := x :: !seen) (parents_of ev))
+        ()
+    in
+    let res =
+      Engine.run ~cfg
+        ~options:
+          {
+            Engine.default_options with
+            record_trace;
+            shuffle_seed;
+            monitors = [ monitor ];
+            decided = Some (fun slot -> if slot >= 4 then Some "v" else None);
+          }
+        ~words:(fun _ -> 1) ~horizon ~protocol
+        ~adversary:(Adversary.honest ~name:"h") ()
+    in
+    (List.rev !seen, res.Engine.trace)
+  in
+  let key = Alcotest.(list (pair string (list int))) in
+  List.iter
+    (fun shuffle_seed ->
+      let label = if shuffle_seed = None then "reliable" else "shuffled" in
+      let traced, trace = run ~record_trace:true ~provenance:false shuffle_seed in
+      let recorded = List.filter_map parents_of (Trace.events trace) in
+      Alcotest.(check bool) (label ^ ": some parents") true
+        (List.exists (fun (_, ps) -> ps <> []) recorded);
+      Alcotest.(check bool) (label ^ ": decisions seen") true
+        (List.exists (fun (k, _) -> String.sub k 0 6 = "decide") recorded);
+      Alcotest.check key (label ^ ": beside a trace") recorded traced;
+      Alcotest.check key (label ^ ": declared")
+        recorded
+        (fst (run ~record_trace:false ~provenance:true shuffle_seed));
+      Alcotest.check key (label ^ ": undeclared")
+        (List.map (fun (k, _) -> (k, [])) recorded)
+        (fst (run ~record_trace:false ~provenance:false shuffle_seed)))
+    [ None; Some 11L ];
+  let silent = Monitor.make ~name:"silent" () in
+  let reader = Monitor.make ~name:"reader" ~provenance:true () in
+  Alcotest.(check bool) "all ors provenance" true
+    (Monitor.all [ silent; reader ]).Monitor.provenance;
+  Alcotest.(check bool) "all of none" false
+    (Monitor.all [ silent ]).Monitor.provenance
+
 let () =
   Alcotest.run "sim"
     [
@@ -677,6 +834,7 @@ let () =
           Alcotest.test_case "self sends free" `Quick self_sends_free;
           Alcotest.test_case "corruption budget" `Quick corruption_budget_enforced;
           Alcotest.test_case "rushing adversary" `Quick rushing_adversary_sees_current_slot;
+          Alcotest.test_case "one adversary view, re-armed" `Quick adversary_view_rearmed;
           Alcotest.test_case "corrupted stop stepping" `Quick corrupted_stop_stepping;
           Alcotest.test_case "byzantine words separate" `Quick byzantine_words_separate;
           Alcotest.test_case "trace recording" `Quick trace_records;
@@ -710,5 +868,7 @@ let () =
         [
           Alcotest.test_case "view is the list delivery" `Quick
             mail_view_is_list_delivery;
+          Alcotest.test_case "parents only when read" `Quick
+            provenance_only_when_read;
         ] );
     ]

@@ -119,7 +119,8 @@ let to_weak_adversary c =
    [Decision] event of a run, in order, into one SHA-256 digest: send id,
    endpoints, send slot, words, charging, Byzantine flag, causal parents
    and the printed message. Two runs with equal digests emitted the same
-   event stream. Install the monitor, run, then force the digest. *)
+   event stream. It declares [provenance], so the engine builds the
+   [parents] it digests. Install the monitor, run, then force the digest. *)
 let event_digest ~pp_msg =
   let open Mewc_sim in
   let buf = Buffer.create 65536 in
@@ -135,5 +136,5 @@ let event_digest ~pp_msg =
       Printf.bprintf buf "decide %d p%d [%s] %s\n" slot pid (ids parents) value
     | _ -> ()
   in
-  ( Monitor.make ~name:"event-digest" ~on_event (),
+  ( Monitor.make ~name:"event-digest" ~provenance:true ~on_event (),
     fun () -> Mewc_crypto.Sha256.(to_hex (digest (Buffer.contents buf))) )

@@ -219,6 +219,39 @@ let unique_validity_bot () =
   let got = agree o in
   Alcotest.(check bool) "decided ⊥" true (W.equal_outcome got W.Bot)
 
+
+(* [decided_str] builds the bytes [Format.asprintf "%a" W.pp_outcome]
+   renders, without a formatter: values with quotes, backslashes, control
+   and non-ASCII bytes, and the ⊥ outcome of unique validity. *)
+let decision_strings_match_format () =
+  let check label (o : _ Instances.agreement_outcome) =
+    Array.iteri
+      (fun p d ->
+        Alcotest.(check (option string))
+          (Printf.sprintf "%s: p%d" label p)
+          (Option.map (Format.asprintf "%a" W.pp_outcome) d)
+          o.Instances.decided_strs.(p))
+      o.Instances.decisions
+  in
+  List.iter
+    (fun v -> check (String.escaped v) (run ~n:5 (unanimous 5 v)))
+    [
+      "plain"; "a\"quote\""; "back\\slash"; "caf\xc3\xa9 \u{22a5}";
+      "tab\tnl\n\001"; "";
+    ];
+  let n = 9 in
+  let o =
+    run ~n
+      ~validate:(fun v -> String.length v = 2 && v.[0] = 'x')
+      ~adversary:
+        (Attacks.wba_invalid_fallback_king ~cfg:(cfg n) ~byz:[ 1; 6; 7; 8 ]
+           ~evil:"EVIL")
+      (List.init n (fun i -> Printf.sprintf "x%d" (i mod 4)))
+  in
+  Alcotest.(check bool) "the bottom run decides bottom" true
+    (Array.exists (( = ) (Some W.Bot)) o.Instances.decisions);
+  check "bottom" o
+
 let unique_validity_never_invalid () =
   (* Whatever happens, a correct decision is ⊥ or validates. *)
   let n = 9 in
@@ -339,6 +372,8 @@ let () =
           Alcotest.test_case "weak unanimity (f=0)" `Quick weak_unanimity_failure_free;
           Alcotest.test_case "divergent inputs" `Quick divergent_failure_free;
           Alcotest.test_case "unique validity: ⊥ case" `Quick unique_validity_bot;
+          Alcotest.test_case "decision strings match Format" `Quick
+            decision_strings_match_format;
           Alcotest.test_case "never decides invalid" `Quick unique_validity_never_invalid;
           Alcotest.test_case "unanimity blocks invalid king" `Quick
             unanimity_blocks_invalid_king;
