@@ -42,20 +42,25 @@ type 'o agreement_outcome = {
   trace_json : Mewc_prelude.Jsonx.t option;
 }
 
-(* Latest decision slot among correct non-faulted processes; -1 if one never
-   decided. Injected process faults void a pid's latency obligation the same
-   way corruption does. *)
-let latency_of ~corrupted ~faulty ~decided_at states =
-  Array.to_list states
-  |> List.mapi (fun p st -> (p, st))
-  |> List.filter (fun (p, _) ->
-         (not (List.mem p corrupted)) && not (List.mem p faulty))
-  |> List.fold_left
-       (fun acc (_, st) ->
-         match (acc, decided_at st) with
-         | -1, _ | _, None -> -1
-         | acc, Some s -> max acc s)
-       0
+(* Latest decision slot among the processes not [exempt] (the correct
+   non-faulted ones); -1 if one never decided. Injected process faults void
+   a pid's latency obligation the same way corruption does. *)
+let latency_of ~exempt ~decided_at states =
+  let acc = ref 0 in
+  Array.iteri
+    (fun p st ->
+      if not exempt.(p) then
+        match (!acc, decided_at st) with
+        | -1, _ | _, None -> acc := -1
+        | a, Some s -> acc := max a s)
+    states;
+  !acc
+
+(* [mask ~n ps].(p) is whether [p] is in [ps]. *)
+let mask ~n ps =
+  let a = Array.make n false in
+  List.iter (fun p -> a.(p) <- true) ps;
+  a
 
 (* A monitor violation escaping a runner gains the run's seeds, so it is a
    replayable counterexample and not just a bare assertion failure. *)
@@ -705,16 +710,16 @@ let run (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
             }
           ~words:P.words ~horizon ~protocol ~adversary ())
   in
+  let corrupted = mask ~n res.Engine.corrupted in
+  let exempt = mask ~n res.Engine.faulty in
+  Array.iteri (fun p c -> if c then exempt.(p) <- true) corrupted;
   let correct_states =
-    Array.to_list res.Engine.states
-    |> List.filteri (fun p _ -> not (List.mem p res.Engine.corrupted))
+    Array.to_list res.Engine.states |> List.filteri (fun p _ -> not corrupted.(p))
   in
   let undecided =
     Pid.all ~n
     |> List.filter (fun p ->
-           (not (List.mem p res.Engine.corrupted))
-           && (not (List.mem p res.Engine.faulty))
-           && Option.is_none (P.decision res.Engine.states.(p)))
+           (not exempt.(p)) && Option.is_none (P.decision res.Engine.states.(p)))
   in
   let { Protocol.fallback_runs; nonsilent_phases; help_requests } =
     P.counters correct_states
@@ -737,9 +742,7 @@ let run (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
     fallback_runs;
     nonsilent_phases;
     help_requests;
-    latency =
-      latency_of ~corrupted:res.Engine.corrupted ~faulty:res.Engine.faulty
-        ~decided_at:P.decided_at res.Engine.states;
+    latency = latency_of ~exempt ~decided_at:P.decided_at res.Engine.states;
     meter = Meter.snapshot res.Engine.meter;
     crypto;
     trace_json =

@@ -8,14 +8,22 @@ let payload c = c.payload
 
 let phased ~phase enc = Mewc_prelude.Decimal.of_int phase ^ "|" ^ enc
 
+(* [s] occurs in [p] at [off]; the caller has checked that it fits. *)
+let same_at p off s =
+  let i = ref 0 and n = String.length s in
+  while !i < n && String.unsafe_get p (off + !i) = String.unsafe_get s !i do
+    incr i
+  done;
+  !i = n
+
 let is_phased c ~phase enc =
   let p = c.payload and d = Mewc_prelude.Decimal.of_int phase in
-  let ld = String.length d and le = String.length enc in
-  let rec same_at off s i = i < 0 || (p.[off + i] = s.[i] && same_at off s (i - 1)) in
-  String.length p = ld + 1 + le
-  && p.[ld] = '|'
-  && same_at 0 d (ld - 1)
-  && same_at (ld + 1) enc (le - 1)
+  let ld = String.length d in
+  String.length p = ld + 1 + String.length enc
+  && String.unsafe_get p ld = '|'
+  && same_at p 0 d
+  && same_at p (ld + 1) enc
+
 let cardinality c = Pki.Tsig.cardinality c.tsig
 
 let signed_message ~purpose ~payload =

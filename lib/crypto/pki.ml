@@ -1,5 +1,15 @@
 open Mewc_prelude
 
+(* Memo ids are consecutive ints: hashing one is the identity, and a lookup
+   compares ints, where a generic [Hashtbl] would call [caml_hash] and
+   [compare_val] on every verify. *)
+module Id_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id
+end)
+
 (* Bounded memo table. MAC keys are fixed at setup and never rotate, so a
    cached tag can never go stale — the only invalidation is the capacity
    epoch-clear, which is a pure perf event, never a correctness one.
@@ -23,8 +33,8 @@ module Memo (Key : Hashtbl.HashedType) = struct
      that domain's private table. DLS keys are never reclaimed by the
      runtime, so per-memo keys would leak one slot per simulation run; a
      single shared slot with a swept map is bounded instead. *)
-  let domain_tables : (int, tables) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+  let domain_tables : tables Id_tbl.t Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> Id_tbl.create 16)
 
   (* Tables of long-dead memos are swept wholesale once a domain has seen
      this many distinct memos of this key type — a rare, correctness-neutral
@@ -51,13 +61,13 @@ module Memo (Key : Hashtbl.HashedType) = struct
      nothing. *)
   let table m =
     let per_domain = Domain.DLS.get domain_tables in
-    match Hashtbl.find per_domain m.id with
+    match Id_tbl.find per_domain m.id with
     | tbl -> tbl
     | exception Not_found ->
-      if Hashtbl.length per_domain >= max_live_tables then
-        Hashtbl.reset per_domain;
+      if Id_tbl.length per_domain >= max_live_tables then
+        Id_tbl.reset per_domain;
       let tbl = Tbl.create 256 in
-      Hashtbl.add per_domain m.id tbl;
+      Id_tbl.add per_domain m.id tbl;
       tbl
 
   let store tbl m key v =
@@ -87,13 +97,13 @@ module Memo (Key : Hashtbl.HashedType) = struct
 
   (* Drops the calling domain's table, so a finished run's entries are
      garbage now instead of when the sweep above reaches them. *)
-  let release m = Hashtbl.remove (Domain.DLS.get domain_tables) m.id
+  let release m = Id_tbl.remove (Domain.DLS.get domain_tables) m.id
 
   let reset m =
     (* Clears only the calling domain's table. Other domains' tables cannot
        go stale (keys never rotate), so leaving them is a perf artifact,
        not a correctness one. *)
-    (match Hashtbl.find_opt (Domain.DLS.get domain_tables) m.id with
+    (match Id_tbl.find_opt (Domain.DLS.get domain_tables) m.id with
     | Some tbl -> Tbl.reset tbl
     | None -> ());
     Atomic.set m.hits 0;

@@ -1,9 +1,14 @@
-(** SHA-256 (FIPS 180-4), pure OCaml.
+(** SHA-256 (FIPS 180-4) and HMAC-SHA-256 (RFC 2104).
 
     Used as the digest underlying signatures and threshold-signature shares,
     so that certificate payloads are bound to real message digests rather
-    than to OCaml structural equality. Verified in the test suite against
-    the official FIPS / NIST test vectors. *)
+    than to OCaml structural equality. The hashing is one portable C99 stub,
+    [sha256_stubs.c]: byte-wise big-endian loads, no intrinsics, no CPU
+    dispatch and no global mutable state, so it gives the same bytes on any
+    host and is safe from any number of domains at once. Each function is
+    one call that allocates only its result. Verified in the test suite
+    against the official FIPS / NIST and RFC 4231 vectors and against an
+    OCaml reference kernel. *)
 
 type t
 (** A 32-byte digest. *)
@@ -38,8 +43,9 @@ val hmac : key:string -> string -> t
     its inner and outer digest. For a fixed key those two compressions —
     and the key normalization feeding them — never change, so {!hmac_key}
     runs them once and {!hmac_with} starts each digest from the saved
-    midstates. On the simulator's one-block messages this halves the
-    compression count per tag. *)
+    midstates, the inner digest never leaving the C stack. On the
+    simulator's one-block messages this halves the compression count per
+    tag. *)
 
 type key
 (** A key with its inner/outer HMAC midstates precomputed. Immutable and

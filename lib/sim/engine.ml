@@ -174,7 +174,8 @@ let drain_ascending set flag out =
      built once per run. A phase runs, and opens its profiler span, only
      when it has input, so a slot with no delivery, no filed wake and no
      corrupted process costs its clock, its [Slot_start] event and the
-     corruption query, and allocates only that event.
+     corruption query, and allocates only that event. The query opens no
+     span even when profiled: it is timed and charged in bulk.
 
    The dense mode ([`Legacy]) is this same loop over machines whose [wake]
    is forced to [None]: the calendar then files every live correct process
@@ -206,6 +207,29 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     match profile with
     | None -> phase x
     | Some p -> Profile.span p ~category name (fun () -> phase x)
+  in
+  (* The corruption query runs in every slot, and a span costs more than
+     the query, so a profiled run times it with the profile's clock and
+     charges the total to [adversary.corrupt] once, when the run ends or
+     raises. *)
+  let corrupt_calls = ref 0 and corrupt_s = Float.Array.make 1 0.0 in
+  let corrupt_query view =
+    match profile with
+    | None -> adversary.Adversary.corrupt view
+    | Some p ->
+      let start = Profile.elapsed p in
+      let ps = adversary.Adversary.corrupt view in
+      Float.Array.set corrupt_s 0
+        (Float.Array.get corrupt_s 0 +. (Profile.elapsed p -. start));
+      incr corrupt_calls;
+      ps
+  in
+  let charge_corrupt ~calls =
+    match profile with
+    | Some p ->
+      Profile.charge p ~category:Profile.Adversary "adversary.corrupt" ~calls
+        ~seconds:(Float.Array.get corrupt_s 0)
+    | None -> ()
   in
   let n = cfg.Config.n in
   let shuffle_rng = Option.map Rng.create shuffle_seed in
@@ -650,6 +674,12 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     post_each slot !correct_sends;
     post_each slot !byz_sends
   in
+  (* Charging nothing yet gives the row the place its first per-slot
+     span had. *)
+  if horizon > 0 then charge_corrupt ~calls:0;
+  Fun.protect ~finally:(fun () ->
+      if !corrupt_calls > 0 then charge_corrupt ~calls:!corrupt_calls)
+  @@ fun () ->
   (* Each phase below runs only when it has input: pooled mail to deliver,
      a delivery or a filed wake to step, a corrupted process, a send to
      post. *)
@@ -676,10 +706,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     view.Adversary.slot <- slot;
     view.Adversary.correct_outgoing <- no_outgoing;
     rearm ();
-    (match
-       timed Profile.Adversary "adversary.corrupt" adversary.Adversary.corrupt
-         view
-     with
+    (match corrupt_query view with
     | [] -> ()
     | ps -> List.iter (corrupt_one slot) ps);
     (* 2. Correct processes step; 2b. decision transitions. *)

@@ -81,8 +81,11 @@ type ('s, 'm) options = {
           changes to — that printed value. *)
   profile : Profile.t option;
       (** when given, the engine charges each slot's phases to spans:
-          [engine.deliver], [adversary.corrupt], [machine.step],
-          [adversary.byz_step], [engine.post]. *)
+          [engine.deliver], [machine.step], [adversary.byz_step],
+          [engine.post]. The per-slot corruption query opens no span: its
+          time and calls go to [adversary.corrupt] in one
+          {!Profile.charge} when the run returns or raises, and the row
+          takes its place in {!Profile.rows} before the first slot. *)
   faults : Faults.plan;
       (** injected network/process faults ({!Faults.none} = the paper's
           reliable model). Every injection is stamped into the trace as a

@@ -104,6 +104,15 @@ let span t ~category name f =
       a.alloc_words <- a.alloc_words +. da)
     f
 
+let charge t ~category name ~calls ~seconds =
+  (match t.stack with
+  | parent :: _ -> parent.child_s <- parent.child_s +. seconds
+  | [] -> ());
+  let a = agg_of t (name, category) in
+  a.count <- a.count + calls;
+  a.total_s <- a.total_s +. seconds;
+  a.self_s <- a.self_s +. seconds
+
 type row = {
   name : string;
   category : category;

@@ -35,6 +35,17 @@ val span : t -> category:category -> string -> (unit -> 'a) -> 'a
 val elapsed : t -> float
 (** Seconds since {!create}. *)
 
+val charge :
+  t -> category:category -> string -> calls:int -> seconds:float -> unit
+(** [charge t ~category name ~calls ~seconds] adds [calls] crossings and
+    [seconds] of self time to the [(name, category)] aggregate, as if that
+    many leaf spans had closed inside the current span, with no allocation
+    recorded. For a call too cheap to carry a span each time: the caller
+    times it with {!elapsed} and charges the total once. The timed code
+    must open no span of its own, or its time is counted twice. A charge
+    of [0] calls creates the aggregate, so it takes its place in {!rows}
+    without counting anything. *)
+
 type row = {
   name : string;
   category : category;

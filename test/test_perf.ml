@@ -260,13 +260,14 @@ let alloc_per_message_bounded () =
    slot are the difference of two horizons over the extra slots, so the
    run's fixed costs cancel. The engine allocated 246 words per quiet slot
    when it built its phases, views and closures slot by slot. *)
-let quiet_run ?profile ~n ~horizon () =
+let quiet_run ?profile ?(extra = []) ~n ~horizon () =
   let cfg = Mewc_sim.Config.optimal ~n in
   let monitors, _liveness =
     Mewc_sim.Monitor.split
       (Instances.Weak_ba_protocol.monitors ~cfg
          ~params:(Instances.Weak_ba_protocol.default_params cfg))
   in
+  let monitors = monitors @ extra in
   Mewc_sim.Engine.run ~cfg
     ~options:
       {
@@ -282,10 +283,11 @@ let quiet_run ?profile ~n ~horizon () =
 
 let quiet_slot_bound = 24.0
 
-let quiet_slot_words n =
+let quiet_slot_words ?(profiled = false) n =
   let words horizon =
+    let profile = if profiled then Some (Mewc_sim.Profile.create ()) else None in
     let before = Gc.minor_words () in
-    ignore (quiet_run ~n ~horizon ());
+    ignore (quiet_run ?profile ~n ~horizon ());
     Gc.minor_words () -. before
   in
   (words 3000 -. words 1000) /. 2000.0
@@ -300,25 +302,76 @@ let quiet_slots_allocate_nothing () =
         true (w <= quiet_slot_bound))
     [ 101; 401 ]
 
-(* Every slot of the silent run is quiet: the profile holds the
-   corruption query's span once per slot and no deliver, step or post
-   span. *)
+let span_count profile name =
+  List.fold_left
+    (fun acc (r : Mewc_sim.Profile.row) ->
+      if r.Mewc_sim.Profile.name = name then acc + r.Mewc_sim.Profile.count
+      else acc)
+    0 (Mewc_sim.Profile.rows profile)
+
+(* Every slot of the silent run is quiet: the profile holds no deliver,
+   step or post span, and the corruption query's time charged in bulk,
+   one call per slot. A profiled quiet slot opens no span at all, so it
+   stays within the unprofiled allocation bound (a span per slot for the
+   query cost about 50 words). *)
 let quiet_slots_open_no_spans () =
   let profile = Mewc_sim.Profile.create () in
   let horizon = 500 in
   ignore (quiet_run ~profile ~n:101 ~horizon ());
-  let count name =
-    List.fold_left
-      (fun acc (r : Mewc_sim.Profile.row) ->
-        if r.Mewc_sim.Profile.name = name then acc + r.Mewc_sim.Profile.count
-        else acc)
-      0 (Mewc_sim.Profile.rows profile)
-  in
+  let count = span_count profile in
   Alcotest.(check int) "adversary.corrupt once per slot" horizon
     (count "adversary.corrupt");
   List.iter
     (fun name -> Alcotest.(check int) (name ^ " never opened") 0 (count name))
-    [ "engine.deliver"; "machine.step"; "engine.post"; "adversary.byz_step" ]
+    [ "engine.deliver"; "machine.step"; "engine.post"; "adversary.byz_step" ];
+  let w = quiet_slot_words ~profiled:true 101 in
+  Alcotest.(check bool)
+    (Printf.sprintf "profiled: %.1f words per quiet slot (bound %.0f)" w
+       quiet_slot_bound)
+    true (w <= quiet_slot_bound)
+
+(* The bulk charge is made when the run raises too, and the row stands
+   where the query's first span did: before the first slot's machine
+   step. *)
+let corrupt_charge_kept () =
+  let stop_at = 200 in
+  let stop =
+    Mewc_sim.Monitor.make ~name:"stop"
+      ~on_event:(fun ~violate -> function
+        | Mewc_sim.Trace.Slot_start s when s = stop_at -> violate ~slot:s "stop"
+        | _ -> ())
+      ()
+  in
+  let profile = Mewc_sim.Profile.create () in
+  (match quiet_run ~profile ~extra:[ stop ] ~n:101 ~horizon:500 () with
+  | _ -> Alcotest.fail "the stop monitor did not raise"
+  | exception Mewc_sim.Monitor.Violation _ -> ());
+  Alcotest.(check int) "queries before the violation" stop_at
+    (span_count profile "adversary.corrupt");
+  let cfg = Mewc_sim.Config.optimal ~n:9 in
+  let profile = Mewc_sim.Profile.create () in
+  ignore
+    (Instances.run
+       (module Instances.Weak_ba_protocol)
+       ~cfg
+       ~options:{ Instances.default_options with Instances.profile = Some profile }
+       ~params:(Instances.Weak_ba_protocol.default_params cfg)
+       ~adversary:(fun ~pki:_ ~secrets:_ ->
+         Mewc_sim.Adversary.honest ~name:"honest")
+       ());
+  let names =
+    List.map (fun (r : Mewc_sim.Profile.row) -> r.Mewc_sim.Profile.name)
+      (Mewc_sim.Profile.rows profile)
+  in
+  let position name =
+    let rec go i = function
+      | [] -> Alcotest.failf "no %s row" name
+      | x :: rest -> if x = name then i else go (i + 1) rest
+    in
+    go 0 names
+  in
+  Alcotest.(check bool) "adversary.corrupt before machine.step" true
+    (position "adversary.corrupt" < position "machine.step")
 
 (* The sweeps run before the pool group: [pool_map_order] spawns up to 100
    domains, and every multi-domain sweep after that runs several times
@@ -350,6 +403,8 @@ let () =
             quiet_slots_allocate_nothing;
           Alcotest.test_case "quiet slots open no spans" `Quick
             quiet_slots_open_no_spans;
+          Alcotest.test_case "corruption charge kept on raise, in order"
+            `Quick corrupt_charge_kept;
         ] );
       ( "pool",
         [

@@ -185,15 +185,18 @@ let one_domain () =
     [ (Domain.self () :> int) ]
     (Hashtbl.fold (fun d () acc -> d :: acc) readers [])
 
-(* [Gc.quick_stat] counts every process's allocation by the time
-   [Runtime.run] returns. Each clock read allocates a 150-word list, and
-   most reads are made by processes other than the caller's. The run
-   starts on empty minor heaps and allocates less than one holds, so no
-   collection during the run samples a domain that the count would
-   otherwise miss. *)
+(* Every process runs on a thread of the calling domain, so the domain's
+   exact counter, [Gc.minor_words], counts every process's allocation.
+   Each clock read allocates a 3,000-word list, and most reads are made by
+   processes other than the caller's: the reads then outweigh the rest of
+   the run about five to one, so processes run on domains of their own
+   would leave the count well short of the reads' words. ([Gc.quick_stat]'s
+   minor count moves only at minor collections, so it leaves out what a
+   run allocated since the last one, and a run that fills no minor heap
+   reads 0 there.) *)
 let allocation_visible () =
   let e = Option.get (Zoo.find "fallback") in
-  let reads = Atomic.make 0 and block = 50 in
+  let reads = Atomic.make 0 and block = 1000 in
   let clock =
     {
       Clock.real with
@@ -204,16 +207,14 @@ let allocation_visible () =
           Unix.gettimeofday ());
     }
   in
-  Gc.minor ();
-  let g0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   ignore (Zoo.async e ~cfg:(cfg 5) ~seed:1L ~salt:0 ~delta ~clock ());
-  let g1 = Gc.quick_stat () in
+  let w1 = Gc.minor_words () in
   let reads = Atomic.get reads in
   if reads < 100 then Alcotest.failf "only %d clock reads" reads;
-  let seen = g1.Gc.minor_words -. g0.Gc.minor_words
-  and made = float_of_int (reads * 3 * block) in
+  let seen = w1 -. w0 and made = float_of_int (reads * 3 * block) in
   if seen < made then
-    Alcotest.failf "quick_stat saw %.0f minor words; the clock reads alone made %.0f"
+    Alcotest.failf "Gc.minor_words saw %.0f words; the clock reads alone made %.0f"
       seen made
 
 (* Inside a pool task the processes still run at once, on threads of the
