@@ -71,8 +71,9 @@ let bench_tests =
   ]
 
 (* The crypto layer on its own: the SHA-256 kernel, a keyed HMAC on a
-   signed message's size, and the PKI's sign and verify on both sides of
-   the share-tag memo. *)
+   signed message's size, the PKI's sign, its verify answered by the
+   signature's verdict cell and on both sides of the share-tag memo, and a
+   certificate built on an aggregate-memo hit. *)
 let layer_tests =
   let open Mewc_crypto in
   let open Bechamel in
@@ -83,6 +84,12 @@ let layer_tests =
   let msg = String.make 26 'm' in
   let pki, secrets = Pki.setup ~seed:1L ~n:4 () in
   let signed = Pki.sign pki secrets.(1) msg in
+  (* A passing verify marks the value it checked, so the memo rows verify
+     an unmarked copy rebuilt from the wire view each run. *)
+  let unmarked sg =
+    let signer, tag = Pki.Wire.sig_view sg in
+    Pki.Wire.sig_of_view ~signer ~tag
+  in
   (* Capacity 1 and two alternating messages: each verify finds the other
      message's entry, misses, and epoch-clears the one-entry table. *)
   let cold, cold_secrets = Pki.setup ~seed:1L ~cache_capacity:1 ~n:4 () in
@@ -90,6 +97,15 @@ let layer_tests =
     Array.map (fun m -> (m, Pki.sign cold cold_secrets.(1) m)) [| "m0"; "m1" |]
   in
   let turn = ref 0 in
+  (* A 101-of-201 quorum, as on the f = t fallback path; the first
+     certificate warms the aggregate memo. *)
+  let quorum =
+    let big, big_secrets = Pki.setup ~seed:1L ~n:201 () in
+    let tl = Pki.tally big ~k:101 ~msg in
+    Array.iter (fun s -> ignore (Pki.Tally.add tl (Pki.sign big s msg))) big_secrets;
+    ignore (Pki.Tally.certificate tl);
+    tl
+  in
   [
     Test.make ~name:"layers/sha256 compress" (Staged.stage (fun () ->
         ignore (Sha256.digest block)));
@@ -97,12 +113,16 @@ let layer_tests =
         ignore (Sha256.hmac_with key msg)));
     Test.make ~name:"layers/pki sign" (Staged.stage (fun () ->
         ignore (Pki.sign pki secrets.(1) msg)));
-    Test.make ~name:"layers/pki verify hit" (Staged.stage (fun () ->
+    Test.make ~name:"layers/pki verify marked" (Staged.stage (fun () ->
         ignore (Pki.verify pki signed ~msg)));
+    Test.make ~name:"layers/pki verify hit" (Staged.stage (fun () ->
+        ignore (Pki.verify pki (unmarked signed) ~msg)));
     Test.make ~name:"layers/pki verify miss" (Staged.stage (fun () ->
         incr turn;
         let m, sg = alternating.(!turn land 1) in
-        ignore (Pki.verify cold sg ~msg:m)));
+        ignore (Pki.verify cold (unmarked sg) ~msg:m)));
+    Test.make ~name:"layers/pki certificate hit" (Staged.stage (fun () ->
+        ignore (Pki.Tally.certificate quorum)));
   ]
 
 let run_timings () =

@@ -645,17 +645,33 @@ let retarget o =
 
 (* ---- the trusted setup ------------------------------------------------- *)
 
-let setup_pki ~seed ~n ?profile ?metrics () =
+(* A sign costs less than a span, so a profiled run times each sign with
+   the profile's clock and charges [crypto.sign] in bulk when [body]
+   returns or raises; the other crypto paths run on cache misses only and
+   keep a span each. *)
+let with_pki ~seed ~n ?profile ?metrics body =
   let crypto p name f = Profile.span p ~category:Profile.Crypto name f in
   let setup () = Pki.setup ~seed ~n () in
   let pki, secrets =
     match profile with None -> setup () | Some p -> crypto p "pki.setup" setup
   in
-  Option.iter
-    (fun p -> Pki.set_timer pki (Some { Pki.time = (fun name f -> crypto p name f) }))
-    profile;
   Pki.set_metrics pki metrics;
-  (pki, secrets)
+  match profile with
+  | None -> body pki secrets
+  | Some p ->
+    let signs = Profile.bulk p ~category:Profile.Crypto "crypto.sign" in
+    let time name f =
+      if String.equal name "crypto.sign" then begin
+        let since = Profile.elapsed p in
+        let v = f () in
+        Profile.bulk_add signs ~since;
+        v
+      end
+      else crypto p name f
+    in
+    Pki.set_timer pki (Some { Pki.time });
+    Fun.protect ~finally:(fun () -> Profile.bulk_flush signs) (fun () ->
+        body pki secrets)
 
 (* ---- the generic runner ------------------------------------------------ *)
 
@@ -676,7 +692,7 @@ let run (type p s m d) ((module P) : (p, s, m, d) Protocol.t) ~cfg
   in
   P.validate_params ~cfg ~params;
   let n = cfg.Config.n in
-  let pki, secrets = setup_pki ~seed ~n ?profile ?metrics () in
+  with_pki ~seed ~n ?profile ?metrics @@ fun pki secrets ->
   let protocol pid = P.machine ~cfg ~pki ~secret:secrets.(pid) ~params ~pid in
   let adversary = adversary ~pki ~secrets in
   let horizon = P.horizon ~cfg ~params in

@@ -259,17 +259,20 @@ val retarget : 'a options -> 'b options
 
 (** {2 The generic runner} *)
 
-val setup_pki :
+val with_pki :
   seed:int64 ->
   n:int ->
   ?profile:Mewc_sim.Profile.t ->
   ?metrics:Mewc_obs.Metrics.t ->
-  unit ->
-  Mewc_crypto.Pki.t * Mewc_crypto.Pki.Secret.t array
-(** A run's trusted setup ({!Mewc_crypto.Pki.setup}), instrumented. With
-    [profile], the setup itself is charged to a ["pki.setup"] span and the
-    PKI's hash hot paths to their crypto spans ({!Mewc_crypto.Pki.set_timer});
-    with [metrics], every sign/verify/combine bumps the [pki.*] counters
+  (Mewc_crypto.Pki.t -> Mewc_crypto.Pki.Secret.t array -> 'a) ->
+  'a
+(** [with_pki ~seed ~n body] runs [body] on a run's trusted setup
+    ({!Mewc_crypto.Pki.setup}), instrumented. With [profile], the setup
+    itself is charged to a ["pki.setup"] span, the PKI's cache-miss hash
+    paths to their crypto spans ({!Mewc_crypto.Pki.set_timer}), and every
+    sign to a ["crypto.sign"] row charged in bulk ({!Mewc_sim.Profile.bulk})
+    when [body] returns or raises; with [metrics], every
+    sign/verify/combine bumps the [pki.*] counters
     ({!Mewc_crypto.Pki.set_metrics}). Every runner sets up its PKI here. *)
 
 val run :

@@ -172,12 +172,10 @@ type outcome = {
 let run ~cfg ?(seed = 1L) ?offset ?options ~length ~propose ~adversary () =
   let n = cfg.Config.n in
   let knob f = Option.bind options f in
-  let pki, secrets =
-    Instances.setup_pki ~seed ~n
-      ?profile:(knob (fun o -> o.Engine.profile))
-      ?metrics:(knob (fun o -> o.Engine.metrics))
-      ()
-  in
+  Instances.with_pki ~seed ~n
+    ?profile:(knob (fun o -> o.Engine.profile))
+    ?metrics:(knob (fun o -> o.Engine.metrics))
+  @@ fun pki secrets ->
   let protocol pid =
     {
       Process.init =

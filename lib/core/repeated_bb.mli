@@ -120,4 +120,4 @@ val run :
     knobs (fault plans, scheduler, shards, trace) — the repeated run is
     observationally invariant under scheduler and shard choice like any
     other protocol here. Its [profile] and [metrics] also reach the PKI
-    ({!Instances.setup_pki}). *)
+    ({!Instances.with_pki}). *)

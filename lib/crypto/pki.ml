@@ -22,10 +22,13 @@ end)
    are exact, but their *split* legitimately varies with the shard count
    (per-domain cache locality), which is why shard-identity comparisons
    exclude cache stats. *)
-module Memo (Key : Hashtbl.HashedType) = struct
+module Memo (Key : Hashtbl.HashedType) (Value : sig
+  type t
+end) =
+struct
   module Tbl = Hashtbl.Make (Key)
 
-  type tables = Sha256.t Tbl.t
+  type tables = Value.t Tbl.t
 
   let ids = Atomic.make 0
 
@@ -89,11 +92,11 @@ module Memo (Key : Hashtbl.HashedType) = struct
       store tbl m key v;
       v
 
-  let find_or_add m key compute =
-    find_or_compute m key (fun compute _ -> compute ()) compute
-
   (* Record a value computed elsewhere, counting neither a hit nor a miss. *)
   let seed m key v = store (table m) m key v
+
+  (* A lookup answered before it reached the table. *)
+  let hit m = Atomic.incr m.hits
 
   (* Drops the calling domain's table, so a finished run's entries are
      garbage now instead of when the sweep above reaches them. *)
@@ -114,19 +117,34 @@ end
    joined string, so a lookup copies no bytes. *)
 type share_key = { signer : int; msg : string }
 
-module Share_memo = Memo (struct
-  type t = share_key
+module Share_memo =
+  Memo
+    (struct
+      type t = share_key
 
-  let equal a b = a.signer = b.signer && String.equal a.msg b.msg
-  let hash = Hashtbl.hash
-end)
+      let equal a b = a.signer = b.signer && String.equal a.msg b.msg
+      let hash = Hashtbl.hash
+    end)
+    (Sha256)
 
-module Agg_memo = Memo (struct
-  type t = string
+(* The aggregate memo key: a signer set as its bitset (bit [p] of [set] is
+   process [p], see {!bits_create}; one length per setup, so equal sets
+   have equal strings) and the message. Its value keeps the set as a
+   [Pid.Set.t] beside the tag, so a certificate built on a hit reuses the
+   set instead of rebuilding it. *)
+type agg_key = { set : string; msg : string }
 
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
+module Agg_memo =
+  Memo
+    (struct
+      type t = agg_key
+
+      let equal a b = String.equal a.set b.set && String.equal a.msg b.msg
+      let hash = Hashtbl.hash
+    end)
+    (struct
+      type t = Pid.Set.t * Sha256.t
+    end)
 
 let default_cache_capacity = 1 lsl 14
 
@@ -152,7 +170,7 @@ type t = {
   n : int;
   hmac_keys : Sha256.key array;  (* trusted setup, HMAC midstates precomputed *)
   tag_memo : Share_memo.t;  (* (signer, msg) -> expected share tag *)
-  agg_memo : Agg_memo.t;  (* (signer set, msg) -> aggregate tag *)
+  agg_memo : Agg_memo.t;  (* (signer bitset, msg) -> (signer set, aggregate tag) *)
   (* Atomic so concurrent shards count exactly. The totals are a pure
      function of which operations ran — identical across shard counts —
      because every shard performs the same calls the sequential engine
@@ -218,7 +236,18 @@ let meter t get =
   | Some m -> Mewc_obs.Metrics.incr (get m)
 
 module Sig = struct
-  type t = { signer : Pid.t; tag : Sha256.t }
+  (* [mark] is the [Tsig.ok_for] verdict cell for a signature: [Marked (pki,
+     msg)] says this tag already passed under [pki] (compared physically)
+     on [msg], so a broadcast signature is checked once per value rather
+     than once per receiver. The pair is one immutable block written by a
+     single store, so a reader on another domain sees the old pair or the
+     new one, never one's pki with the other's message. Every pair ever
+     written is a verdict that held, and keys never rotate, so a lost
+     update only costs a memo probe. [equal], [compare] and the wire view
+     ignore the cell. *)
+  type mark = Unmarked | Marked of t * string
+
+  type nonrec t = { signer : Pid.t; tag : Sha256.t; mutable mark : mark }
 
   let signer s = s.signer
   let equal a b = Pid.equal a.signer b.signer && Sha256.equal a.tag b.tag
@@ -232,9 +261,10 @@ module Sig = struct
 end
 
 (* A signer's tag is the very tag its receivers' [verify] will recompute,
-   so signing seeds the memo with it — but only for a secret this setup
-   issued to that owner (the key compared physically): a secret from
-   another setup must never plant its tag under a local signer's id. *)
+   so signing seeds the memo with it and marks the signature verified —
+   but only for a secret this setup issued to that owner (the key compared
+   physically): a secret from another setup must never plant its tag under
+   a local signer's id, nor vouch for its own signature. *)
 let sign t (secret : Secret.t) msg =
   Atomic.incr t.signs;
   meter t (fun m -> m.signs_m);
@@ -243,8 +273,11 @@ let sign t (secret : Secret.t) msg =
     timed t "crypto.sign" (fun () -> Sha256.hmac_with secret.Secret.hmac_key msg)
   in
   if Pid.is_valid ~n:t.n owner && t.hmac_keys.(owner) == secret.Secret.hmac_key
-  then Share_memo.seed t.tag_memo { signer = owner; msg } tag;
-  { Sig.signer = owner; tag }
+  then begin
+    Share_memo.seed t.tag_memo { signer = owner; msg } tag;
+    { Sig.signer = owner; tag; mark = Sig.Marked (t, msg) }
+  end
+  else { Sig.signer = owner; tag; mark = Sig.Unmarked }
 
 (* Timed on the miss path only: a cache hit is a hashtable probe, and
    timing it would drown the signal in clock reads. *)
@@ -256,11 +289,23 @@ let share_tag_miss t { signer; msg } =
 let share_tag t p msg =
   Share_memo.find_or_compute t.tag_memo { signer = p; msg } share_tag_miss t
 
+(* A signature marked for this setup and message answers from its cell,
+   counted as the memo hit it stands for; anything else asks the memo, and
+   only a passing check marks. *)
 let verify t (s : Sig.t) ~msg =
   Atomic.incr t.verifies;
   meter t (fun m -> m.verifies_m);
-  Pid.is_valid ~n:t.n s.Sig.signer
-  && Sha256.equal s.Sig.tag (share_tag t s.Sig.signer msg)
+  match s.Sig.mark with
+  | Sig.Marked (pki, m) when pki == t && String.equal m msg ->
+    Share_memo.hit t.tag_memo;
+    true
+  | Sig.Marked _ | Sig.Unmarked ->
+    Pid.is_valid ~n:t.n s.Sig.signer
+    && Sha256.equal s.Sig.tag (share_tag t s.Sig.signer msg)
+    && begin
+         s.Sig.mark <- Sig.Marked (t, msg);
+         true
+       end
 
 module Tsig = struct
   (* [ok_for] caches a (pki, msg) pair this tag has already been fully
@@ -290,31 +335,6 @@ module Tsig = struct
   let pp fmt ts = Format.fprintf fmt "<tsig:%d shares>" ts.count
 end
 
-(* The aggregate tag binds the signer set and the message: it is the digest
-   of the individual HMAC tags in signer order, which only someone holding
-   (or having verified) k genuine shares can compute. Memoized per
-   (signer set, msg): combine computes it and verify_tsig re-derives it for
-   the same set on the receiving side, usually n times per certificate. *)
-let aggregate_tag t signers ~msg =
-  let key =
-    let b = Buffer.create 64 in
-    Pid.Set.iter
-      (fun p ->
-        Buffer.add_string b (Decimal.of_int p);
-        Buffer.add_char b ',')
-      signers;
-    Buffer.add_char b ':';
-    Buffer.add_string b msg;
-    Buffer.contents b
-  in
-  Agg_memo.find_or_add t.agg_memo key (fun () ->
-      timed t "crypto.aggregate_tag" (fun () ->
-          let buf = Buffer.create 256 in
-          Pid.Set.iter
-            (fun p -> Buffer.add_string buf (Sha256.to_raw (share_tag t p msg)))
-            signers;
-          Sha256.digest (Buffer.contents buf)))
-
 (* Signer sets under construction: bit [p] of the bytes is process [p]. *)
 let bits_create t = Bytes.make ((t.n + 7) / 8) '\000'
 
@@ -324,6 +344,24 @@ let bits_mem bits p =
 let bits_add bits p =
   let byte = Char.code (Bytes.unsafe_get bits (p lsr 3)) in
   Bytes.unsafe_set bits (p lsr 3) (Char.unsafe_chr (byte lor (1 lsl (p land 7))))
+
+(* The [k] lowest members of [bits], which holds at least [k], as a fresh
+   bitset of the same length. *)
+let lowest_bits bits k =
+  let out = Bytes.make (Bytes.length bits) '\000' in
+  let left = ref k and i = ref 0 in
+  while !left > 0 do
+    let byte = ref (Char.code (Bytes.get bits !i)) and kept = ref 0 in
+    while !byte <> 0 && !left > 0 do
+      let low = !byte land (- !byte) in
+      kept := !kept lor low;
+      byte := !byte lxor low;
+      decr left
+    done;
+    Bytes.unsafe_set out !i (Char.unsafe_chr !kept);
+    incr i
+  done;
+  Bytes.unsafe_to_string out
 
 (* [Pid.Set.of_list] sorts its argument even when it is sorted, which costs
    several times the set itself. [Pid.Set.map] of a strictly increasing
@@ -346,24 +384,45 @@ let rec template k =
     if Atomic.compare_and_set templates known (Int_map.add k s known) then s
     else template k
 
-let set_of_ascending pids =
-  Pid.Set.map (fun i -> pids.(i)) (template (Array.length pids))
+(* The members of a bitset, ascending. *)
+let members set =
+  let pids = ref [] in
+  for p = (String.length set * 8) - 1 downto 0 do
+    if bits_mem (Bytes.unsafe_of_string set) p then pids := p :: !pids
+  done;
+  Array.of_list !pids
+
+(* The aggregate tag binds the signer set and the message: it is the digest
+   of the individual HMAC tags in signer order, which only someone holding
+   (or having verified) k genuine shares can compute. Memoized per
+   (signer bitset, msg) with the set itself: combine computes it and
+   verify_tsig re-derives it for the same set on the receiving side,
+   usually n times per certificate. A miss builds the set from the bitset;
+   a hit hands back the set the miss built. *)
+let aggregate_miss t { set; msg } =
+  let pids = members set in
+  let signers = Pid.Set.map (fun i -> pids.(i)) (template (Array.length pids)) in
+  let tag =
+    timed t "crypto.aggregate_tag" (fun () ->
+        let buf = Buffer.create 256 in
+        Array.iter
+          (fun p -> Buffer.add_string buf (Sha256.to_raw (share_tag t p msg)))
+          pids;
+        Sha256.digest (Buffer.contents buf))
+  in
+  (signers, tag)
+
+let aggregate t ~set ~msg =
+  Agg_memo.find_or_compute t.agg_memo { set; msg } aggregate_miss t
 
 (* The threshold signature over exactly the [k] lowest signers in [bits],
    which holds at least [k] — kept for determinism by both {!combine} and
-   {!Tally.certificate}. *)
+   {!Tally.certificate}. Each call builds a fresh [Tsig.t], so one
+   process's verdict cell never answers another's check. *)
 let lowest_k t ~k ~msg bits =
-  let pids = Array.make (max 0 k) 0 in
-  let p = ref 0 in
-  for i = 0 to Array.length pids - 1 do
-    while not (bits_mem bits !p) do
-      incr p
-    done;
-    pids.(i) <- !p;
-    incr p
-  done;
-  let signers = set_of_ascending pids in
-  Tsig.make signers ~count:(max 0 k) (aggregate_tag t signers ~msg)
+  let k = max 0 k in
+  let signers, tag = aggregate t ~set:(lowest_bits bits k) ~msg in
+  Tsig.make signers ~count:k tag
 
 let combine t ~k ~msg shares =
   Atomic.incr t.combines;
@@ -392,7 +451,12 @@ let verify_tsig t (ts : Tsig.t) ~k ~msg =
   | Some (pki, m) when pki == t && String.equal m msg -> true
   | _ ->
     Pid.Set.for_all (Pid.is_valid ~n:t.n) ts.Tsig.signers
-    && Sha256.equal ts.Tsig.tag (aggregate_tag t ts.Tsig.signers ~msg)
+    && begin
+         let bits = bits_create t in
+         Pid.Set.iter (bits_add bits) ts.Tsig.signers;
+         let _, tag = aggregate t ~set:(Bytes.unsafe_to_string bits) ~msg in
+         Sha256.equal ts.Tsig.tag tag
+       end
     && begin
          ts.Tsig.ok_for <- Some (t, msg);
          true
@@ -451,7 +515,7 @@ let tally t ~k ~msg = { Tally.pki = t; msg; k; signers = bits_create t; count = 
 
 module Wire = struct
   let sig_view (s : Sig.t) = (s.Sig.signer, s.Sig.tag)
-  let sig_of_view ~signer ~tag = { Sig.signer; tag }
+  let sig_of_view ~signer ~tag = { Sig.signer; tag; mark = Sig.Unmarked }
   let tsig_view (ts : Tsig.t) = (Pid.Set.elements ts.Tsig.signers, ts.Tsig.tag)
 
   let tsig_of_view ~signers ~tag =

@@ -36,10 +36,11 @@ val setup : ?seed:int64 -> ?cache_capacity:int -> n:int -> unit -> t * Secret.t 
     Setup also precomputes every key's HMAC midstates (see
     {!Sha256.hmac_key}) and allocates two bounded memo tables: one for
     genuine share tags keyed by [(signer, message)] — the work behind
-    {!verify} — and one for aggregate tags keyed by [(signer set, message)]
-    — the work {!combine} and {!verify_tsig} would otherwise redo per
-    receiver. {!sign} seeds the share-tag table with the tag it computes,
-    so a signature is verified from the memo on the domain that made it.
+    {!verify} — and one for aggregate tags keyed by [(signer bitset,
+    message)], holding the signer set beside the tag — the work {!combine}
+    and {!verify_tsig} would otherwise redo per receiver. {!sign} seeds the
+    share-tag table with the tag it computes, so a signature is verified
+    from the memo on the domain that made it.
     MAC keys never rotate, so cached tags cannot go stale; when a table
     reaches [cache_capacity] (default 16384 entries) it is cleared
     wholesale and refills — an epoch-clear costs recomputation, never
@@ -52,7 +53,14 @@ val n : t -> int
 
 module Sig : sig
   type t
-  (** [<m>_p] — process [p]'s signature on a message. One word. *)
+  (** [<m>_p] — process [p]'s signature on a message. One word.
+
+      A value also carries a verdict cell, invisible to {!equal},
+      {!compare} and the {!Wire} view: the last [(pki, message)] pair it
+      passed {!verify} under, so a signature delivered to every process is
+      checked once per value. Polymorphic equality and hashing see the
+      cell, and through it a [Pki.t] (which can hold closures): compare
+      signatures with {!equal} and {!compare} only. *)
 
   val signer : t -> Mewc_prelude.Pid.t
   val equal : t -> t -> bool
@@ -63,11 +71,17 @@ end
 val sign : t -> Secret.t -> string -> Sig.t
 (** [sign pki secret msg] is [secret]'s owner's signature on [msg]. When
     [pki]'s setup issued [secret] to that owner, the tag is also stored in
-    the calling domain's share-tag memo, so the first {!verify} of it there
-    is a lookup; the store counts as neither a hit nor a miss. A secret
-    from another setup never writes to the memo. *)
+    the calling domain's share-tag memo and the signature comes marked as
+    verified under [(pki, msg)]; the store counts as neither a hit nor a
+    miss. A secret from another setup never writes to the memo, and its
+    signatures come unmarked. *)
 
 val verify : t -> Sig.t -> msg:string -> bool
+(** Checks that the signature is its signer's genuine tag on [msg]. A
+    signature marked for this [pki] (compared physically) and an equal
+    [msg] passes from its cell, counted as a share-tag hit; any other asks
+    the calling domain's memo, and a pass marks it for [(pki, msg)].
+    Decoded ({!Wire.sig_of_view}) and foreign signatures start unmarked. *)
 
 (** {1 Threshold signatures} *)
 
@@ -179,9 +193,10 @@ type timer = { time : 'a. string -> (unit -> 'a) -> 'a }
 
 val set_timer : t -> timer option -> unit
 (** Install ([Some]) or remove ([None], the default) the hook. When
-    installed, the HMAC hot paths are timed under ["crypto.sign"],
-    ["crypto.share_tag"] and ["crypto.aggregate_tag"] — memo-table {e miss}
-    paths only, so cache hits stay a bare hashtable probe. *)
+    installed, every sign is timed under ["crypto.sign"] and the
+    memo-table {e miss} paths under ["crypto.share_tag"] and
+    ["crypto.aggregate_tag"], so memo hits and verdict-cell answers stay
+    untimed. *)
 
 val set_metrics : t -> Mewc_obs.Metrics.t option -> unit
 (** Install ([Some]) or remove ([None], the default) a live-telemetry
@@ -193,7 +208,9 @@ val set_metrics : t -> Mewc_obs.Metrics.t option -> unit
 (** {1 Cache statistics} *)
 
 type cache_stats = {
-  verify_hits : int;  (** share-tag memo hits: {!verify} skipped an HMAC *)
+  verify_hits : int;
+      (** share-tag hits: {!verify} skipped an HMAC, answered by the
+          signature's verdict cell or by the memo *)
   verify_misses : int;
       (** share-tag memo misses: no one signed that tag on this domain (and
           no earlier verify there computed it), so {!verify} ran an HMAC *)
@@ -203,9 +220,11 @@ type cache_stats = {
 
 val cache_stats : t -> cache_stats
 (** Lookups in both memo tables since setup or {!reset_counters}, summed
-    over domains. Hits + misses is the number of lookups; {!sign}'s store
-    is neither, so a signature verified on the domain that made it is a
-    hit. *)
+    over domains. Share-tag hits + misses counts every {!verify} of a
+    signer of this setup, whether the verdict cell or the memo answered
+    it, plus the shares an aggregate miss looks up; {!sign}'s store is
+    neither, so a signature verified on the domain that made it is a hit,
+    and so is a marked one on any domain. *)
 
 val no_cache_stats : cache_stats
 (** All-zero stats, for runners without a PKI. *)

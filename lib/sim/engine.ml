@@ -210,26 +210,20 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   in
   (* The corruption query runs in every slot, and a span costs more than
      the query, so a profiled run times it with the profile's clock and
-     charges the total to [adversary.corrupt] once, when the run ends or
-     raises. *)
-  let corrupt_calls = ref 0 and corrupt_s = Float.Array.make 1 0.0 in
-  let corrupt_query view =
-    match profile with
-    | None -> adversary.Adversary.corrupt view
-    | Some p ->
-      let start = Profile.elapsed p in
-      let ps = adversary.Adversary.corrupt view in
-      Float.Array.set corrupt_s 0
-        (Float.Array.get corrupt_s 0 +. (Profile.elapsed p -. start));
-      incr corrupt_calls;
-      ps
+     charges [adversary.corrupt] in bulk, when the run ends or raises. *)
+  let corrupt_row =
+    Option.map
+      (fun p -> (p, Profile.bulk p ~category:Profile.Adversary "adversary.corrupt"))
+      profile
   in
-  let charge_corrupt ~calls =
-    match profile with
-    | Some p ->
-      Profile.charge p ~category:Profile.Adversary "adversary.corrupt" ~calls
-        ~seconds:(Float.Array.get corrupt_s 0)
-    | None -> ()
+  let corrupt_query view =
+    match corrupt_row with
+    | None -> adversary.Adversary.corrupt view
+    | Some (p, row) ->
+      let since = Profile.elapsed p in
+      let ps = adversary.Adversary.corrupt view in
+      Profile.bulk_add row ~since;
+      ps
   in
   let n = cfg.Config.n in
   let shuffle_rng = Option.map Rng.create shuffle_seed in
@@ -674,11 +668,8 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     post_each slot !correct_sends;
     post_each slot !byz_sends
   in
-  (* Charging nothing yet gives the row the place its first per-slot
-     span had. *)
-  if horizon > 0 then charge_corrupt ~calls:0;
   Fun.protect ~finally:(fun () ->
-      if !corrupt_calls > 0 then charge_corrupt ~calls:!corrupt_calls)
+      Option.iter (fun (_, row) -> Profile.bulk_flush row) corrupt_row)
   @@ fun () ->
   (* Each phase below runs only when it has input: pooled mail to deliver,
      a delivery or a filed wake to step, a corrupted process, a send to

@@ -83,9 +83,9 @@ type ('s, 'm) options = {
       (** when given, the engine charges each slot's phases to spans:
           [engine.deliver], [machine.step], [adversary.byz_step],
           [engine.post]. The per-slot corruption query opens no span: its
-          time and calls go to [adversary.corrupt] in one
-          {!Profile.charge} when the run returns or raises, and the row
-          takes its place in {!Profile.rows} before the first slot. *)
+          time and calls go to the [adversary.corrupt] {!Profile.bulk}
+          row, flushed when the run returns or raises; the row takes its
+          place in {!Profile.rows} at the first slot's query. *)
   faults : Faults.plan;
       (** injected network/process faults ({!Faults.none} = the paper's
           reliable model). Every injection is stamped into the trace as a

@@ -104,14 +104,39 @@ let span t ~category name f =
       a.alloc_words <- a.alloc_words +. da)
     f
 
-let charge t ~category name ~calls ~seconds =
-  (match t.stack with
-  | parent :: _ -> parent.child_s <- parent.child_s +. seconds
-  | [] -> ());
-  let a = agg_of t (name, category) in
-  a.count <- a.count + calls;
-  a.total_s <- a.total_s +. seconds;
-  a.self_s <- a.self_s +. seconds
+(* A bulk row's calls and seconds wait here until {!bulk_flush}; the
+   seconds sit in a float array, so the running total boxes nothing. *)
+type bulk = {
+  profile : t;
+  bulk_key : string * category;
+  mutable calls : int;
+  seconds : Float.Array.t;
+}
+
+let bulk t ~category name =
+  { profile = t; bulk_key = (name, category); calls = 0;
+    seconds = Float.Array.make 1 0.0 }
+
+let bulk_add b ~since =
+  let t = b.profile in
+  let dt = elapsed t -. since in
+  if b.calls = 0 then ignore (agg_of t b.bulk_key);
+  b.calls <- b.calls + 1;
+  Float.Array.set b.seconds 0 (Float.Array.get b.seconds 0 +. dt);
+  match t.stack with
+  | parent :: _ -> parent.child_s <- parent.child_s +. dt
+  | [] -> ()
+
+let bulk_flush b =
+  if b.calls > 0 then begin
+    let a = agg_of b.profile b.bulk_key in
+    let s = Float.Array.get b.seconds 0 in
+    a.count <- a.count + b.calls;
+    a.total_s <- a.total_s +. s;
+    a.self_s <- a.self_s +. s;
+    b.calls <- 0;
+    Float.Array.set b.seconds 0 0.0
+  end
 
 type row = {
   name : string;

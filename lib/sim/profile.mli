@@ -35,16 +35,27 @@ val span : t -> category:category -> string -> (unit -> 'a) -> 'a
 val elapsed : t -> float
 (** Seconds since {!create}. *)
 
-val charge :
-  t -> category:category -> string -> calls:int -> seconds:float -> unit
-(** [charge t ~category name ~calls ~seconds] adds [calls] crossings and
-    [seconds] of self time to the [(name, category)] aggregate, as if that
-    many leaf spans had closed inside the current span, with no allocation
-    recorded. For a call too cheap to carry a span each time: the caller
-    times it with {!elapsed} and charges the total once. The timed code
-    must open no span of its own, or its time is counted twice. A charge
-    of [0] calls creates the aggregate, so it takes its place in {!rows}
-    without counting anything. *)
+type bulk
+(** A row charged in bulk, for a call too cheap to carry a span each time:
+    the caller times each call with {!elapsed} and books it, and the row
+    takes the calls and their seconds once, at {!bulk_flush}. *)
+
+val bulk : t -> category:category -> string -> bulk
+(** A bulk row for [name], not yet in {!rows}. *)
+
+val bulk_add : bulk -> since:float -> unit
+(** [bulk_add b ~since] books one call that began at [since] (a reading of
+    {!elapsed}) and ends now. The first booking puts the row in {!rows},
+    where the first of a leaf span per call would have put it. The call's
+    time leaves the innermost open span's self time at once, as a child
+    span closing there would; the call and its seconds reach the row at
+    {!bulk_flush}, with no allocation recorded. The timed code must open
+    no span of its own. *)
+
+val bulk_flush : bulk -> unit
+(** Adds the booked calls and seconds to the row and starts the count
+    again. Call it in a finalizer, so a run that raises keeps what it
+    booked. *)
 
 type row = {
   name : string;

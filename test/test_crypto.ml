@@ -479,16 +479,34 @@ let sign_then_verify_is_a_hit () =
   Alcotest.(check (pair int int)) "hits, misses" (1, 0)
     (s.Pki.verify_hits, s.Pki.verify_misses)
 
+(* A copy rebuilt from the wire view: the same signature, unmarked. *)
+let unmarked sg =
+  let signer, tag = Pki.Wire.sig_view sg in
+  Pki.Wire.sig_of_view ~signer ~tag
+
 let seed_is_per_domain () =
   (* Seeding writes the signing domain's table only: another domain's first
-     verify is a miss that recomputes the same genuine tag. *)
+     verify of an unmarked copy is a miss that recomputes the same genuine
+     tag. *)
+  let pki, secrets = setup 5 in
+  Pki.reset_counters pki;
+  let sg = unmarked (Pki.sign pki secrets.(4) "m") in
+  let verdict = Domain.join (Domain.spawn (fun () -> Pki.verify pki sg ~msg:"m")) in
+  Alcotest.(check bool) "verifies in another domain" true verdict;
+  let s = Pki.cache_stats pki in
+  Alcotest.(check (pair int int)) "hits, misses" (0, 1)
+    (s.Pki.verify_hits, s.Pki.verify_misses)
+
+let mark_crosses_domains () =
+  (* The mark rides the value: another domain's first verify of the signed
+     value answers from it, a hit, with its memo table still cold. *)
   let pki, secrets = setup 5 in
   Pki.reset_counters pki;
   let sg = Pki.sign pki secrets.(4) "m" in
   let verdict = Domain.join (Domain.spawn (fun () -> Pki.verify pki sg ~msg:"m")) in
   Alcotest.(check bool) "verifies in another domain" true verdict;
   let s = Pki.cache_stats pki in
-  Alcotest.(check (pair int int)) "hits, misses" (0, 1)
+  Alcotest.(check (pair int int)) "hits, misses" (1, 0)
     (s.Pki.verify_hits, s.Pki.verify_misses)
 
 let seeded_epoch_clears_keep_verdicts () =
@@ -512,6 +530,92 @@ let seeded_epoch_clears_keep_verdicts () =
       (sigs @ List.rev sigs)
   in
   Alcotest.(check (list bool)) "same verdicts" (verdicts None) (verdicts (Some 2))
+
+(* ---- verdict cell --------------------------------------------------------
+   A signature remembers the one (pki, message) pair it last passed under,
+   so a broadcast signature is checked once per value. The cell must be
+   invisible: a marked signature's verdict is always that of an unmarked
+   copy, and equality and the codec never see it. *)
+
+(* Verifiers: [a] signs; [twin] is a second setup with [a]'s seed (the same
+   keys, another value); [stranger] has other keys. *)
+let verdict_cell_matches_unmarked =
+  let a, secrets = setup 5 in
+  let twin, _ = setup 5 in
+  let stranger, _ = Pki.setup ~seed:7L ~n:5 () in
+  let _, alien_secrets = Pki.setup ~seed:99L ~n:5 () in
+  let verifiers = [| a; twin; stranger |] and msgs = [| "m"; "m'" |] in
+  let tamper sg =
+    let signer, tag = Pki.Wire.sig_view sg in
+    let raw = Bytes.of_string (Sha256.to_raw tag) in
+    Bytes.set raw 0 (Char.chr (Char.code (Bytes.get raw 0) lxor 1));
+    Pki.Wire.sig_of_view ~signer
+      ~tag:(Option.get (Sha256.of_raw (Bytes.to_string raw)))
+  in
+  Test_util.qcheck_case ~name:"marked verdict == unmarked copy's"
+    QCheck2.Gen.(
+      quad (int_range 0 4) bool (int_range 0 2)
+        (list_size (int_range 1 8) (pair (int_range 0 2) (int_range 0 1))))
+    (fun (signer, alien, form, checks) ->
+      let sg =
+        Pki.sign a
+          (if alien then alien_secrets.(signer) else secrets.(signer))
+          msgs.(signer land 1)
+      in
+      let sg = match form with 0 -> sg | 1 -> unmarked sg | _ -> tamper sg in
+      List.for_all
+        (fun (v, m) ->
+          let pki = verifiers.(v) and msg = msgs.(m) in
+          let oracle = Pki.verify pki (unmarked sg) ~msg in
+          Pki.verify pki sg ~msg = oracle)
+        checks)
+
+let marked_rejected_elsewhere () =
+  let a, secrets = setup 5 in
+  let b, _ = Pki.setup ~seed:7L ~n:5 () in
+  let sg = Pki.sign a secrets.(1) "m" in
+  Alcotest.(check bool) "marked under A passes A" true (Pki.verify a sg ~msg:"m");
+  Alcotest.(check bool) "rejected under B" false (Pki.verify b sg ~msg:"m");
+  Alcotest.(check bool) "rejected under A on m'" false (Pki.verify a sg ~msg:"m'");
+  Alcotest.(check bool) "still passes A" true (Pki.verify a sg ~msg:"m");
+  let twin, _ = setup 5 in
+  Alcotest.(check bool) "passes a twin setup with A's keys" true
+    (Pki.verify twin sg ~msg:"m")
+
+let marked_equals_unmarked () =
+  let pki, secrets = setup 5 in
+  let sg = Pki.sign pki secrets.(3) "m" in
+  let copy = unmarked sg in
+  Alcotest.(check bool) "Sig.equal" true (Pki.Sig.equal sg copy);
+  Alcotest.(check int) "Sig.compare" 0 (Pki.Sig.compare sg copy);
+  let bytes s = Mewc_sim.Codec.encode Mewc_sim.Codec.sig_c s in
+  Alcotest.(check string) "same bytes" (bytes copy) (bytes sg);
+  ignore (Pki.verify pki copy ~msg:"m");
+  Alcotest.(check string) "same bytes once the copy is marked" (bytes copy)
+    (bytes (unmarked sg))
+
+(* One signature, verified at once on two domains under two setups with
+   the same keys (so both pass on "m") and probed on "m'" (which passes
+   under neither): every verify of a passing pair rewrites the cell, and no
+   read of it may ever accept "m'". *)
+let verdict_cell_two_domains () =
+  let a, secrets = setup 5 in
+  let b, _ = setup 5 in
+  let sg = Pki.sign a secrets.(2) "m" in
+  let rounds = 20_000 in
+  let hammer first second =
+    let wrong = ref 0 in
+    for i = 1 to rounds do
+      let pki = if i land 1 = 0 then first else second in
+      if not (Pki.verify pki sg ~msg:"m") then incr wrong;
+      if Pki.verify pki sg ~msg:"m'" then incr wrong
+    done;
+    !wrong
+  in
+  let other = Domain.spawn (fun () -> hammer b a) in
+  let here = hammer a b in
+  Alcotest.(check (pair int int)) "wrong verdicts (here, other domain)" (0, 0)
+    (here, Domain.join other)
 
 let hmac_key_equivalence =
   Test_util.qcheck_case ~name:"hmac_with (hmac_key k) = hmac ~key:k"
@@ -846,8 +950,20 @@ let () =
           Alcotest.test_case "sign then verify: 1 hit, 0 misses" `Quick
             sign_then_verify_is_a_hit;
           Alcotest.test_case "another domain misses" `Quick seed_is_per_domain;
+          Alcotest.test_case "the mark crosses domains" `Quick
+            mark_crosses_domains;
           Alcotest.test_case "capacity-2 clears keep verdicts" `Quick
             seeded_epoch_clears_keep_verdicts;
+        ] );
+      ( "verdict cell",
+        [
+          verdict_cell_matches_unmarked;
+          Alcotest.test_case "marked under A is rejected under B" `Quick
+            marked_rejected_elsewhere;
+          Alcotest.test_case "marked == unmarked, same bytes" `Quick
+            marked_equals_unmarked;
+          Alcotest.test_case "two domains, two setups, two messages" `Quick
+            verdict_cell_two_domains;
         ] );
       ( "signatures",
         [

@@ -373,6 +373,65 @@ let corrupt_charge_kept () =
   Alcotest.(check bool) "adversary.corrupt before machine.step" true
     (position "adversary.corrupt" < position "machine.step")
 
+(* Signs are charged in bulk the same way: the [crypto.sign] row counts
+   exactly the [pki.signs] of the run, keeps the signs made before a raise,
+   and stands where the first sign's span did: after the first slot's
+   corruption query, before the machine step that signed. *)
+let sign_charge_kept () =
+  let cfg = Mewc_sim.Config.optimal ~n:9 in
+  let run ?monitors () =
+    let profile = Mewc_sim.Profile.create () in
+    let metrics = Mewc_obs.Metrics.create () in
+    let raised =
+      match
+        Instances.run
+          (module Instances.Weak_ba_protocol)
+          ~cfg
+          ~options:
+            {
+              Instances.default_options with
+              Instances.profile = Some profile;
+              metrics = Some metrics;
+              monitors;
+            }
+          ~params:(Instances.Weak_ba_protocol.default_params cfg)
+          ~adversary:(fun ~pki:_ ~secrets:_ ->
+            Mewc_sim.Adversary.honest ~name:"honest")
+          ()
+      with
+      | _ -> false
+      | exception Mewc_sim.Monitor.Violation _ -> true
+    in
+    let signs =
+      List.assoc "pki.signs"
+        (Mewc_obs.Metrics.snapshot metrics).Mewc_obs.Metrics.counter_values
+    in
+    (raised, signs, profile)
+  in
+  let _, all_signs, profile = run () in
+  Alcotest.(check int) "one call per sign" all_signs
+    (span_count profile "crypto.sign");
+  let names =
+    List.map (fun (r : Mewc_sim.Profile.row) -> r.Mewc_sim.Profile.name)
+      (Mewc_sim.Profile.rows profile)
+  in
+  Alcotest.(check (list string)) "row order"
+    [ "pki.setup"; "adversary.corrupt"; "crypto.sign"; "machine.step" ]
+    (List.filteri (fun i _ -> i < 4) names);
+  let stop =
+    Mewc_sim.Monitor.make ~name:"stop"
+      ~on_event:(fun ~violate -> function
+        | Mewc_sim.Trace.Slot_start s when s = 2 -> violate ~slot:s "stop"
+        | _ -> ())
+      ()
+  in
+  let raised, signs, profile = run ~monitors:[ stop ] () in
+  Alcotest.(check bool) "the stop monitor raised" true raised;
+  Alcotest.(check bool) "some signs before the stop, not all" true
+    (signs > 0 && signs < all_signs);
+  Alcotest.(check int) "signs before the violation" signs
+    (span_count profile "crypto.sign")
+
 (* The sweeps run before the pool group: [pool_map_order] spawns up to 100
    domains, and every multi-domain sweep after that runs several times
    slower on OCaml 5.1 (the frontier case: ~1.5 s before, ~10 s after). *)
@@ -405,6 +464,8 @@ let () =
             quiet_slots_open_no_spans;
           Alcotest.test_case "corruption charge kept on raise, in order"
             `Quick corrupt_charge_kept;
+          Alcotest.test_case "sign charge kept on raise, in order" `Quick
+            sign_charge_kept;
         ] );
       ( "pool",
         [
