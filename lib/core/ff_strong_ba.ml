@@ -199,7 +199,8 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
     | None -> []
     | Some fb ->
       let fb', sends = F.step ~slot ~inbox:Mail.empty fb in
-      st.fb_state <- Some fb';
+      (* [F.step] returns its mutable state: keep the box it sits in. *)
+      if fb' != fb then st.fb_state <- Some fb';
       (match F.decision fb' with
       | Some fv when st.decision = None -> st.decision <- Some fv
       | _ -> ());

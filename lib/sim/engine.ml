@@ -143,11 +143,18 @@ let drain_ascending set flag out =
      in post order; a process's inbox is a view of its pool, read in post
      order or in the shuffled order {!Mail.Pool.shuffle} draws.
 
-   - {e Pool lifetime.} A pool is read in place by its view for the whole
-     slot — by the correct step, the adversary's [inboxes] and the
-     Byzantine step — and emptied only after the Byzantine step, just
-     before this slot's posts refill it. So a post copies four fields into
-     the destination's vectors, and a delivery builds nothing.
+   - {e Pool lifetime.} A pool and the shared broadcast log are read in
+     place by every view for the whole slot — by the correct step, the
+     adversary's [inboxes] and the Byzantine step — and emptied only after
+     the Byzantine step, just before this slot's posts refill them. So a
+     unicast copies four fields into the destination's vectors, a reliable
+     broadcast appends one log entry whatever [n] is, and a delivery builds
+     nothing. A slot whose log is nonempty delivers to every pid, and each
+     view merges its pool with the log by envelope id, which is exact
+     because ids grow in post order. Fault plans post every copy into the
+     pools and leave the log empty, so delayed flushes, which append older
+     ids, never meet it; a shuffled pool copies the log in before it
+     draws.
 
    - {e Step order and event order.} Active processes step in ascending pid
      order, so send ids, meter charges and trace events interleave exactly
@@ -275,10 +282,11 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
      slot after slot. Envelope ids are assigned in post order, so ids
      increase monotonically along the trace and a message's id is always
      smaller than any message it causally feeds. *)
-  let pools = Array.init n (fun dst -> Mail.Pool.create ~dst) in
+  let log = Mail.Log.create () in
+  let pools = Array.init n (fun dst -> Mail.Pool.create ~dst ~log) in
   (* The processes whose pool is nonempty — the only ones the next delivery
-     pass must visit. Collected unsorted with a flag for O(1) dedup, sorted
-     ascending at delivery time. *)
+     pass must visit while the broadcast log is empty. Collected unsorted
+     with a flag for O(1) dedup, sorted ascending at delivery time. *)
   let dirty_flag = Array.make n false in
   let dirty = Vec.create () in
   let mark_dirty p =
@@ -388,9 +396,10 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   in
   (* A broadcast without a fault plan: the [n] posts of its copies in pid
      order — ids [id .. id + n − 1], the self copy free — with the word
-     count, meter charge, counters and monitor call made once. Under a
-     plan each copy has its own fate and [Link_fault] events interleave
-     with the sends, so the copies are posted one by one. *)
+     count, meter charge, counters and monitor call made once, and one
+     entry in the shared log that every pool's view reads. Under a plan
+     each copy has its own fate and [Link_fault] events interleave with
+     the sends, so the copies are posted one by one into the pools. *)
   let post_broadcast ~slot ~src msg =
     let word_count = words msg in
     let byzantine = corrupted.(src) in
@@ -415,10 +424,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
           words = word_count;
           parents = inbox_ids.(src);
         };
-    for dst = 0 to n - 1 do
-      Mail.Pool.push pools.(dst) ~src ~sent_at:slot ~id:(id + dst) msg;
-      mark_dirty dst
-    done
+    Mail.Log.push log ~src ~sent_at:slot ~first_id:id msg
   in
   (* [seq] runs over the sends as {!Process.expand} lists them. *)
   let post_all ~slot (src, sends) =
@@ -537,7 +543,18 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   in
   (* The phases, built once per run. *)
   let deliver_phase () =
-    let count = drain_ascending dirty dirty_flag delivered in
+    let count =
+      if Mail.Log.length log = 0 then drain_ascending dirty dirty_flag delivered
+      else begin
+        (* A broadcast reaches every pid. *)
+        for p = 0 to n - 1 do
+          dirty_flag.(p) <- false;
+          delivered.(p) <- p
+        done;
+        Vec.clear dirty;
+        n
+      end
+    in
     for i = 0 to count - 1 do
       deliver delivered.(i)
     done;
@@ -691,7 +708,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
         (Faults.transitions rt ~slot);
       flush_delayed slot);
     n_delivered :=
-      if Vec.length dirty = 0 then 0
+      if Vec.length dirty = 0 && Mail.Log.length log = 0 then 0
       else timed Profile.Engine "engine.deliver" deliver_phase ();
     (* 1. Adaptive corruption, before correct processes act this slot. *)
     view.Adversary.slot <- slot;
@@ -721,6 +738,7 @@ let run_loop ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     for i = 0 to !n_delivered - 1 do
       Mail.Pool.clear pools.(delivered.(i))
     done;
+    Mail.Log.clear log;
     (* 4. Post everything: correct sends in ascending pid order, then the
        Byzantine ones. Fates are keyed by (slot, src, seq), and a corrupted
        process never reaches the correct step phase, so the two groups

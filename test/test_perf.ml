@@ -242,7 +242,8 @@ let words_per_message () =
   in
   words /. float_of_int messages
 
-let alloc_bound = 52.5
+(* 17.7 words at n = 61 (stable over five runs), +24%. *)
+let alloc_bound = 22.0
 
 let alloc_per_message_bounded () =
   let w = words_per_message () in
@@ -250,6 +251,53 @@ let alloc_per_message_bounded () =
     (Printf.sprintf "%.1f words per delivered message (bound %.1f)" w
        alloc_bound)
     true (w < alloc_bound)
+
+(* ---- a broadcast costs the same at any n ---------------------------------
+
+   A reliable broadcast is one entry in the engine's shared broadcast log,
+   which every destination's view reads in place. Process 0 posts [k]
+   broadcasts in slot 0 and every process reads them in slot 1; words per
+   broadcast are the difference of two runs over the extra broadcasts, so
+   the run's fixed costs (and the n steps of slot 1) cancel. Posting into
+   each of the n pools grew with n: every pool doubled its own vectors. *)
+let broadcast_words n =
+  let cfg = Mewc_sim.Config.optimal ~n in
+  let run k =
+    let sends = List.init k (fun i -> Mewc_sim.Process.Broadcast i) in
+    let protocol pid =
+      {
+        Mewc_sim.Process.init = 0;
+        step =
+          (fun ~slot ~inbox seen ->
+            let seen = Mewc_sim.Mail.fold (fun acc _ m -> acc + m) seen inbox in
+            (seen, if pid = 0 && slot = 0 then sends else []));
+        wake =
+          Some
+            (fun ~after _ ->
+              if pid = 0 && after = 0 then 0 else Mewc_sim.Process.never);
+      }
+    in
+    let before = Gc.minor_words () in
+    let o =
+      Mewc_sim.Engine.run ~cfg ~words:(fun _ -> 1) ~horizon:3 ~protocol
+        ~adversary:(Mewc_sim.Adversary.honest ~name:"honest")
+        ()
+    in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int)
+      (Printf.sprintf "n = %d, k = %d: every process read every broadcast" n k)
+      (k * (k - 1) / 2 * n)
+      (Array.fold_left ( + ) 0 o.Mewc_sim.Engine.states);
+    words
+  in
+  (run 129 -. run 1) /. 128.0
+
+let broadcast_cost_flat_in_n () =
+  let small = broadcast_words 11 and large = broadcast_words 1001 in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "words per broadcast: %.2f at n = 11, %.2f at n = 1001" small
+       large)
+    small large
 
 (* ---- quiet slots ---------------------------------------------------------
 
@@ -458,6 +506,8 @@ let () =
         [
           Alcotest.test_case "words per delivered message" `Quick
             alloc_per_message_bounded;
+          Alcotest.test_case "broadcast cost flat in n" `Quick
+            broadcast_cost_flat_in_n;
           Alcotest.test_case "words per quiet slot" `Quick
             quiet_slots_allocate_nothing;
           Alcotest.test_case "quiet slots open no spans" `Quick

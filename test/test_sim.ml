@@ -746,6 +746,73 @@ let mail_view_is_list_delivery () =
        (fun seed -> [ (seed, None); (seed, Some (Int64.of_int (seed + 40))) ])
        (List.init 10 Fun.id))
 
+(* The engine's pools read a shared broadcast log in place. Against pools
+   that hold every copy (ids [first_id + d], self copies included), random
+   rounds of unicasts and broadcasts from several senders must read the
+   same through every accessor, in post order and after shuffling both
+   sides with one seed; both shuffles must leave their RNG in the same
+   state. Rounds are cleared and the storage reused, as the engine does
+   slot after slot. *)
+let mail_log_matches_copies =
+  let op = QCheck2.Gen.(triple bool (int_bound 16) (int_bound 16)) in
+  let round = QCheck2.Gen.(list_size (int_range 0 40) op) in
+  Test_util.qcheck_case ~count:300
+    ~name:"log-backed view reads as every copy pushed"
+    QCheck2.Gen.(
+      triple (oneofl [ 1; 2; 5; 17 ]) (list_size (int_range 1 3) round) int)
+    (fun (n, rounds, seed) ->
+      let log = Mail.Log.create () in
+      let shared = Array.init n (fun dst -> Mail.Pool.create ~dst ~log) in
+      let copies =
+        Array.init n (fun dst -> Mail.Pool.create ~dst ~log:(Mail.Log.create ()))
+      in
+      let read pool =
+        let mail = Mail.Pool.view pool in
+        let iterated = ref [] in
+        Mail.iter (fun src m -> iterated := (src, m) :: !iterated) mail;
+        ( List.rev !iterated,
+          List.rev (Mail.fold (fun acc src m -> (src, m) :: acc) [] mail),
+          (Mail.length mail, Mail.Pool.length pool),
+          Mail.to_list mail,
+          Mail.Pool.ids pool )
+      in
+      let agree () =
+        List.for_all (fun d -> read shared.(d) = read copies.(d)) (List.init n Fun.id)
+      in
+      let next_id = ref 0 in
+      List.for_all
+        (fun ops ->
+          List.iteri
+            (fun k (broadcast, src, dst) ->
+              let src = src mod n and dst = dst mod n and sent_at = k / 4 in
+              let id = !next_id in
+              if broadcast then begin
+                Mail.Log.push log ~src ~sent_at ~first_id:id k;
+                for d = 0 to n - 1 do
+                  Mail.Pool.push copies.(d) ~src ~sent_at ~id:(id + d) k
+                done;
+                next_id := id + n
+              end
+              else begin
+                Mail.Pool.push shared.(dst) ~src ~sent_at ~id k;
+                Mail.Pool.push copies.(dst) ~src ~sent_at ~id k;
+                next_id := id + 1
+              end)
+            ops;
+          let in_order = agree () in
+          let shuffle pools =
+            let rng = Mewc_prelude.Rng.create (Int64.of_int seed) in
+            Array.iter (fun pool -> Mail.Pool.shuffle pool rng) pools;
+            Mewc_prelude.Rng.int64 rng
+          in
+          let same_draws = Int64.equal (shuffle shared) (shuffle copies) in
+          let shuffled = agree () in
+          Array.iter Mail.Pool.clear shared;
+          Array.iter Mail.Pool.clear copies;
+          Mail.Log.clear log;
+          in_order && same_draws && shuffled)
+        rounds)
+
 (* [parents] are built only when something reads them. A monitor that
    does not declare [provenance] sees every [Send] and [Decision] with
    [parents = []]; one that does, or any monitor beside a recording trace,
@@ -870,5 +937,6 @@ let () =
             mail_view_is_list_delivery;
           Alcotest.test_case "parents only when read" `Quick
             provenance_only_when_read;
+          mail_log_matches_copies;
         ] );
     ]
