@@ -350,7 +350,13 @@ let run_cmd protocol n adversary f seed input trace profile_on drop dup delay
       in
       pr "alloc words per message: %.1f (engine and machine spans, %d messages)\n"
         (hot /. float_of_int (max 1 messages))
-        messages
+        messages;
+      (* The whole process's major-heap peak, setup and profiler included:
+         at large n it is the run's state, about n² pairs of it. *)
+      let top = (Gc.quick_stat ()).Gc.top_heap_words in
+      pr "peak heap words: %d (%.2f per process pair, n = %d)\n" top
+        (float_of_int top /. float_of_int (n * n))
+        n
     | _ -> ());
     (match status with Instances.Decided -> () | Instances.Undecided _ -> exit 2)
 

@@ -143,17 +143,15 @@ let bb_valid ~pki ~cfg ~sender v =
 
 type vet_scratch = {
   mutable sender_signed_answer : bb_value option;  (* leader: best answer *)
-  idk_shares : Certificate.Tally.t;  (* leader *)
+  mutable idk_shares : Certificate.Tally.t option;  (* leader, from the first share *)
   mutable help_req_seen : bool;
   mutable bcast_recv : bb_value option;
 }
 
-let fresh_scratch ~pki ~cfg j =
+let fresh_scratch () =
   {
     sender_signed_answer = None;
-    idk_shares =
-      Certificate.Tally.create pki ~k:(Config.small_quorum cfg)
-        ~purpose:idk_purpose ~payload:(string_of_int j);
+    idk_shares = None;
     help_req_seen = false;
     bcast_recv = None;
   }
@@ -205,7 +203,7 @@ let scratch_of st j =
   match Hashtbl.find_opt st.scratch j with
   | Some s -> s
   | None ->
-    let s = fresh_scratch ~pki:st.pki ~cfg:st.cfg j in
+    let s = fresh_scratch () in
     Hashtbl.add st.scratch j s;
     s
 
@@ -267,9 +265,19 @@ let ingest st ~rel env =
       && rel = vet_base j + 2
       && Pid.equal st.pid (leader j cfg)
     then begin
-      ignore
-        (Certificate.Tally.add (scratch_of st j).idk_shares share
-          : Pki.Tally.verdict)
+      let sc = scratch_of st j in
+      let tl =
+        match sc.idk_shares with
+        | Some tl -> tl
+        | None ->
+          let tl =
+            Certificate.Tally.create st.pki ~k:(Config.small_quorum cfg)
+              ~purpose:idk_purpose ~payload:(string_of_int j)
+          in
+          sc.idk_shares <- Some tl;
+          tl
+      in
+      ignore (Certificate.Tally.add tl share : Pki.Tally.verdict)
     end
   | Vet_bcast { phase = j; value } ->
     (* Line 28: return the leader's value iff BB_valid holds. *)
@@ -344,7 +352,7 @@ let emit st ~slot ~rel =
         match sc.sender_signed_answer with
         | Some v -> Process.broadcast (Vet_bcast { phase = j; value = v })
         | None -> (
-          match Certificate.Tally.certificate sc.idk_shares with
+          match Option.bind sc.idk_shares Certificate.Tally.certificate with
           | Some qc ->
             Process.broadcast (Vet_bcast { phase = j; value = Idk_cert qc })
           | None -> [])

@@ -77,8 +77,9 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
     leader : Pid.t;
     input : bool;
     start_slot : int;
-    input_shares : Certificate.Tally.t array;  (* leader; [|for false; for true|] *)
-    decide_shares : Certificate.Tally.t array;  (* leader *)
+    input_shares : Certificate.Tally.t array;
+        (* leader: [|for false; for true|]; [||] elsewhere *)
+    decide_shares : Certificate.Tally.t array;  (* likewise *)
     mutable proposal : (bool * Certificate.t) option;
     mutable decide_recv : (bool * Certificate.t) option;
     mutable decision : bool option;
@@ -105,6 +106,9 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
   let init ~cfg ~pki ~secret ~pid ~leader ~input ~start_slot =
     Composition.note ~user:"strong BA (failure-free linear)"
       ~uses:"threshold signatures";
+    (* Only the leader collects shares: at n processes, a tally on every
+       process would hold n² bits of signer sets. *)
+    let leader_tallies f = if Pid.equal pid leader then Array.init 2 f else [||] in
     {
       cfg;
       pki;
@@ -114,11 +118,11 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
       input;
       start_slot;
       input_shares =
-        Array.init 2 (fun i ->
+        leader_tallies (fun i ->
             Certificate.Tally.create pki ~k:(Config.small_quorum cfg)
               ~purpose:propose_purpose ~payload:(enc (i = 1)));
       decide_shares =
-        Array.init 2 (fun i ->
+        leader_tallies (fun i ->
             Certificate.Tally.create pki ~k:cfg.Config.n ~purpose:decide_purpose
               ~payload:(enc (i = 1)));
       proposal = None;

@@ -179,7 +179,7 @@ struct
     mutable commit_level : int;
     mutable initiated : bool;
     mutable sent_help : bool;
-    help_sigs : Certificate.Tally.t;
+    mutable help_sigs : Certificate.Tally.t option;  (* from the first request *)
     mutable help_answers : msg Process.send list;  (* queued during ingestion *)
     mutable bu_decision : V.t;
     mutable bu_proof : (int * V.t * Certificate.t) option;
@@ -225,9 +225,7 @@ struct
       commit_level = 0;
       initiated = false;
       sent_help = false;
-      help_sigs =
-        Certificate.Tally.create pki ~k:(Config.small_quorum cfg)
-          ~purpose:helpreq_purpose ~payload:"";
+      help_sigs = None;
       help_answers = [];
       bu_decision = input;
       bu_proof = None;
@@ -371,7 +369,18 @@ struct
       then decide_from_finalize st ~phase:j ~value ~qc
     | Help_req { sg } ->
       if rel = help_base cfg + 1 then begin
-        match Certificate.Tally.add st.help_sigs sg with
+        let help_sigs =
+          match st.help_sigs with
+          | Some tl -> tl
+          | None ->
+            let tl =
+              Certificate.Tally.create st.pki ~k:(Config.small_quorum cfg)
+                ~purpose:helpreq_purpose ~payload:""
+            in
+            st.help_sigs <- Some tl;
+            tl
+        in
+        match Certificate.Tally.add help_sigs sg with
         | Pki.Tally.Invalid -> ()
         | Pki.Tally.Added | Pki.Tally.Duplicate -> (
           (* Every valid request gets an answer, repeats included — only
@@ -587,9 +596,9 @@ struct
           if rel = hb + 1 then begin
             out := st.help_answers @ !out;
             st.help_answers <- [];
-            if Certificate.Tally.complete st.help_sigs && st.fb_sched = None
-            then begin
-              match Certificate.Tally.certificate st.help_sigs with
+            if st.fb_sched = None then begin
+              (* [certificate] counts a combine, so it runs only here. *)
+              match Option.bind st.help_sigs Certificate.Tally.certificate with
               | Some qc ->
                 st.fb_sched <- Some (slot + 2);
                 out :=

@@ -2,12 +2,20 @@
 
     A fallback tags every message with its protocol round, buffers what it
     receives by that tag, and ingests round [r] only when its clock enters
-    a later round. This buffer holds rounds [0 .. last]. It accepts a tag
+    a later round. This buffer takes tags [0 .. last]. It accepts a tag
     [r] only while [consumed <= r <= last] and drains rounds in order,
     each in arrival order. Entries live in one flat store, chained per
     round through an index array, so buffering and draining allocate
     nothing per message once the store has grown; the store is recycled
-    whenever every entry has been drained. *)
+    whenever every entry has been drained.
+
+    Its size follows what is pending, not [last]. Each round's chain head
+    and tail sit in a ring over the rounds [consumed .. consumed + cap - 1].
+    The ring starts with 8 slots (fewer when [last] is below 7) and
+    doubles, moving every live round to its new slot, only when a tag
+    lands beyond it; a correct run tags at most a round or two ahead, so
+    it stays at 8. Far-future tags can grow it, but never past
+    [last + 1] slots, the size of a per-round array. *)
 
 type 'a t
 

@@ -130,10 +130,30 @@ let to_list = function
 
 let entries () = { src = [||]; sent_at = [||]; msg = [||]; id = [||]; len = 0 }
 
+(* The largest block the minor heap takes, in words. *)
+let max_young = 256
+
 let grow a cap fill =
   let b = Array.make cap fill in
   Array.blit a 0 b 0 (Array.length a);
   b
+
+(* On OCaml 5, [Array.make] of a major-heap block with a young [fill]
+   forces a minor collection; [Array.append] allocates one without. So a
+   message vector past [max_young] grows by appending it to itself, and the
+   new half is then overwritten with [fill]: left as it is, it would keep
+   a second reference to every older message. *)
+let grow_msgs a cap fill =
+  if cap <= max_young then grow a cap fill
+  else begin
+    let have = Array.length a in
+    let b = ref (if have = 0 then Array.make max_young fill else a) in
+    while Array.length !b < cap do
+      b := Array.append !b !b
+    done;
+    Array.fill !b have (Array.length !b - have) fill;
+    !b
+  end
 
 (* Room for [need] entries, doubling from 8; [fill] pads a grown message
    vector. *)
@@ -146,7 +166,7 @@ let reserve e need fill =
     done;
     e.src <- grow e.src !cap 0;
     e.sent_at <- grow e.sent_at !cap 0;
-    e.msg <- grow e.msg !cap fill;
+    e.msg <- grow_msgs e.msg !cap fill;
     e.id <- grow e.id !cap 0
   end
 
@@ -235,7 +255,20 @@ module Pool = struct
   let ids p =
     build_back p ~of_own:(fun p i -> p.own.id.(i)) ~of_log:(fun p j -> p.log.id.(j) + p.dst)
 
+  (* A pool's traffic is uneven: a king or a leader takes about n
+     messages in one slot and a few in the others. Vectors that grew past
+     [max_young] are handed back rather than kept for the rest of the
+     run. *)
   let clear p =
-    clear p.own;
+    let own = p.own in
+    if Array.length own.msg > max_young then begin
+      own.src <- [||];
+      own.sent_at <- [||];
+      own.msg <- [||];
+      own.id <- [||];
+      own.len <- 0
+    end
+    else clear own;
+    if Array.length p.order > max_young then p.order <- [||];
     p.shuffled <- false
 end

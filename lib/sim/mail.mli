@@ -56,7 +56,13 @@ end
 (** One destination's pool, as the lock-step engine keeps it: parallel
     [src]/[sent_at]/[msg]/[id] vectors in post order, grown by doubling
     and reused slot after slot, so a post allocates nothing per copy. Its
-    view also reads the log it was created with. *)
+    view also reads the log it was created with.
+
+    Storage is sized by the pool's usual traffic, not by its peak. Vectors
+    of up to 256 entries (the largest block the minor heap takes) are kept
+    across {!clear}; larger ones are handed back there, so a king's or a
+    leader's one slot of about [n] messages does not stay allocated for the
+    rest of the run. Growth past 256 entries forces no minor collection. *)
 module Pool : sig
   type 'm mail := 'm t
   type 'm t
@@ -87,8 +93,9 @@ module Pool : sig
   (** The envelope ids in the view's order. *)
 
   val clear : 'm t -> unit
-  (** Empty the pool, keeping its storage, and restore post order. The
-      storage keeps one message of the cleared mail reachable (its first),
-      until the next delivery to this pool overwrites it. The log is
-      cleared on its own. *)
+  (** Empty the pool and restore post order. Vectors of more than 256
+      entries are handed back; smaller ones are kept, and keep one message
+      of the cleared mail reachable (its first) until the next delivery to
+      this pool overwrites it. The log is cleared on its own and keeps its
+      storage. *)
 end

@@ -250,6 +250,14 @@ let trace_cases =
     check_code "trace binary-bb" 0 "trace -p binary-bb -n 9 -a crash -f 2";
   ]
 
+(* The frontier's memory gate reads from one command. *)
+let test_profile_prints_peak_heap () =
+  let code, out = run_out "run -p weak-ba -n 9 -a crash -f 4 --profile" in
+  Alcotest.(check int) "exit 0" 0 code;
+  List.iter
+    (fun needle -> Alcotest.(check bool) needle true (contains out needle))
+    [ "peak heap words: "; " per process pair, n = 9)" ]
+
 let test_trace_cone_dot_is_graphviz () =
   let code, out = run_out "trace -p weak-ba -n 9 -a crash -f 2 --cone 5 --dot" in
   Alcotest.(check int) "exit 0" 0 code;
@@ -567,6 +575,8 @@ let () =
         @ [
             Alcotest.test_case "--cone --dot emits graphviz" `Quick
               test_trace_cone_dot_is_graphviz;
+            Alcotest.test_case "--profile prints peak heap words" `Quick
+              test_profile_prints_peak_heap;
           ] );
       ( "perf ledger",
         [

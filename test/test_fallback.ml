@@ -235,6 +235,85 @@ let qcheck_agreement_random_crashes =
       List.for_all (fun d -> d <> None) decided
       && List.sort_uniq compare decided |> List.length = 1)
 
+(* ---- round buffer -------------------------------------------------------
+
+   The ring against a reference model with one list per round
+   [0 .. last]. Ops are relative to [consumed] or to [last], so the draws
+   reach tags below [consumed], near it, far ahead of it (which grows the
+   ring, up to [last + 1] slots), at [last] and past it, and drains run
+   past [last] too. *)
+
+module Round_buffer = Mewc_fallback.Round_buffer
+
+type rb_op = Add of int | Drain of int | Add_at of int | Add_last of int
+
+let rb_gen =
+  QCheck2.Gen.(
+    pair (oneof [ int_range 0 9; int_range 10 300 ])
+      (list_size (int_range 0 120)
+         (frequency
+            [
+              (6, map (fun d -> Add d) (int_range (-3) 3));
+              (2, map (fun d -> Add d) (int_range 4 400));
+              (1, map (fun r -> Add_at r) (int_range (-2) 310));
+              (1, map (fun d -> Add_last d) (int_range (-2) 3));
+              (3, map (fun d -> Drain d) (int_range (-2) 4));
+              (1, map (fun d -> Drain d) (int_range 5 400));
+            ])))
+
+let ring_matches_array_model =
+  Test_util.qcheck_case ~count:500 ~name:"ring ≡ per-round array model" rb_gen
+    (fun (last, ops) ->
+      let b = Round_buffer.create ~last in
+      let model = Array.make (last + 1) [] (* newest first *)
+      and consumed = ref 0 and next = ref 0 in
+      let model_first () =
+        let r = ref !consumed in
+        while !r <= last && model.(!r) = [] do
+          incr r
+        done;
+        if !r <= last then !r else max_int
+      in
+      let add round =
+        let x = !next in
+        incr next;
+        Round_buffer.add b ~round x;
+        if round >= !consumed && round <= last then model.(round) <- x :: model.(round)
+      in
+      let drain upto =
+        let got = ref [] in
+        Round_buffer.drain b ~upto (fun r iter ->
+            let once = ref [] in
+            iter (fun x -> once := x :: !once);
+            let again = ref [] in
+            iter (fun x -> again := x :: !again);
+            if !once <> !again then QCheck2.Test.fail_reportf "round %d: iter differs" r;
+            got := (r, List.rev !once) :: !got);
+        let want = ref [] in
+        for r = !consumed to Int.min (upto - 1) last do
+          if model.(r) <> [] then want := (r, List.rev model.(r)) :: !want;
+          model.(r) <- []
+        done;
+        consumed := Int.max !consumed upto;
+        if !got <> !want then QCheck2.Test.fail_reportf "drain ~upto:%d differs" upto
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Add d -> add (!consumed + d)
+          | Add_at r -> add r
+          | Add_last d -> add (last + d)
+          | Drain d -> drain (!consumed + d));
+          if Round_buffer.consumed b <> !consumed then
+            QCheck2.Test.fail_reportf "consumed %d, model %d" (Round_buffer.consumed b)
+              !consumed;
+          if Round_buffer.first_pending b <> model_first () then
+            QCheck2.Test.fail_reportf "first_pending %d, model %d"
+              (Round_buffer.first_pending b) (model_first ()))
+        ops;
+      drain (last + 2);
+      Round_buffer.first_pending b = max_int)
+
 (* ---- event digests -------------------------------------------------------
 
    The fallback's wake query lets the event-driven engine skip its quiet
@@ -548,4 +627,5 @@ let () =
             distinct_inputs_tally_cost;
         ] );
       ("event digests", [ Alcotest.test_case "pinned" `Quick digests_pinned ]);
+      ("round buffer", [ ring_matches_array_model ]);
     ]

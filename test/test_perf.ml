@@ -480,6 +480,70 @@ let sign_charge_kept () =
   Alcotest.(check int) "signs before the violation" signs
     (span_count profile "crypto.sign")
 
+(* ---- storage sized by what is pending ------------------------------------
+
+   Deterministic size checks with [Obj.reachable_words]: each structure
+   below must not keep storage for the whole horizon, or for a one-off
+   peak, until the run ends. *)
+let reachable x = Obj.reachable_words (Obj.repr x)
+
+(* The ring of chain heads starts at 8 slots, whatever the horizon. *)
+let round_buffer_flat_in_last () =
+  let small = reachable (Mewc_fallback.Round_buffer.create ~last:10)
+  and large = reachable (Mewc_fallback.Round_buffer.create ~last:100_000) in
+  Alcotest.(check bool)
+    (Printf.sprintf "~last:100_000 holds %d words, ~last:10 holds %d" large small)
+    true (large <= small)
+
+(* A king's pool takes about n messages in one slot; clearing it hands
+   those vectors back. *)
+let pool_hands_back_peak () =
+  let pool = Mewc_sim.Mail.Pool.create ~dst:0 ~log:(Mewc_sim.Mail.Log.create ()) in
+  for i = 1 to 1000 do
+    Mewc_sim.Mail.Pool.push pool ~src:1 ~sent_at:0 ~id:i (string_of_int i)
+  done;
+  Mewc_sim.Mail.Pool.clear pool;
+  let w = reachable pool in
+  Alcotest.(check bool) (Printf.sprintf "cleared pool holds %d words (bound 64)" w) true
+    (w <= 64)
+
+(* A message vector past 256 entries doubles by appending itself, and the
+   new half is overwritten with the message that grew it. After the log is
+   cleared (it keeps its storage), that message and the first are the
+   only ones still reachable: each message is 1,001 words, the vectors of
+   512 entries about 2,000. *)
+let grown_vector_keeps_no_stale_message () =
+  let log = Mewc_sim.Mail.Log.create () in
+  for i = 0 to 256 do
+    Mewc_sim.Mail.Log.push log ~src:0 ~sent_at:0 ~first_id:(i * 4)
+      (String.make 8000 (Char.chr (i land 0xff)))
+  done;
+  Mewc_sim.Mail.Log.clear log;
+  let w = reachable log in
+  Alcotest.(check bool)
+    (Printf.sprintf "cleared log holds %d words (bound %d)" w (3 * 1001 + 4096))
+    true
+    (w <= (3 * 1001) + 4096)
+
+(* Only strong BA's leader collects shares; at n = 1001 its four tallies
+   come to about 140 words. *)
+let non_leader_reaches_no_tally () =
+  let n = 1001 in
+  let cfg = Mewc_sim.Config.optimal ~n in
+  let pki, secrets = Mewc_crypto.Pki.setup ~seed:7L ~n () in
+  let init pid =
+    Instances.Strong_bool.init ~cfg ~pki ~secret:secrets.(pid) ~pid ~leader:0
+      ~input:true ~start_slot:0
+  in
+  let base = reachable (pki, secrets.(1), cfg)
+  and follower = reachable (init 1)
+  and leader = reachable (init 0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "non-leader state %d words over its pki, leader %d" (follower - base)
+       (leader - base))
+    true
+    (follower - base <= 48 && leader - follower >= 4 * (n / 64))
+
 (* The sweeps run before the pool group: [pool_map_order] spawns up to 100
    domains, and every multi-domain sweep after that runs several times
    slower on OCaml 5.1 (the frontier case: ~1.5 s before, ~10 s after). *)
@@ -516,6 +580,14 @@ let () =
             `Quick corrupt_charge_kept;
           Alcotest.test_case "sign charge kept on raise, in order" `Quick
             sign_charge_kept;
+          Alcotest.test_case "round buffer flat in last" `Quick
+            round_buffer_flat_in_last;
+          Alcotest.test_case "cleared pool hands back its peak" `Quick
+            pool_hands_back_peak;
+          Alcotest.test_case "grown vector keeps no stale message" `Quick
+            grown_vector_keeps_no_stale_message;
+          Alcotest.test_case "non-leader reaches no tally" `Quick
+            non_leader_reaches_no_tally;
         ] );
       ( "pool",
         [
